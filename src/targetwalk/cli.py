@@ -100,7 +100,6 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    problem = Problem(d=args.d, n=args.n, m=args.m)
     schedule = None
     if args.schedule_json:
         with open(args.schedule_json) as fh:
@@ -108,6 +107,7 @@ def _cmd_simulate(args) -> int:
         schedule = Schedule.from_json_dict(data.get("schedule", data))
     spec = _strategy_spec_from_args(args)
     try:
+        problem = Problem(d=args.d, n=args.n, m=args.m)
         config = _mc.McConfig(problem=problem, strategy=spec, trials=args.trials,
                               master_seed=args.seed, threads=args.threads,
                               per_window=args.per_window,
@@ -142,8 +142,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    problem = Problem(d=args.d, n=args.n, m=args.m)
     try:
+        problem = Problem(d=args.d, n=args.n, m=args.m)
         if args.eval:
             spec = {"name": args.eval}
             if args.eta is not None:
@@ -157,16 +157,17 @@ def _cmd_exact(args) -> int:
             if args.delayed:
                 spec["delayed"] = True
             strategy = strategy_from_spec(spec, problem)
-            value = _exact.evaluate_strategy_exact(strategy, problem,
-                                                   budget=args.budget)
+            budget = args.budget if args.budget is not None else _exact.DEFAULT_EVAL_BUDGET
+            value = _exact.evaluate_strategy_exact(strategy, problem, budget=budget)
             payload = {"schema_version": 1, "mode": "evaluate",
                        "strategy": strategy.spec_dict(),
                        "problem": {"d": args.d, "n": args.n, "m": args.m},
                        "value": value}
         else:
             want_policy = args.policy_out is not None
+            budget = args.budget if args.budget is not None else _exact.DEFAULT_DP_BUDGET
             value, table = _exact.optimal_value(
-                problem, budget=args.budget,
+                problem, budget=budget,
                 keep="full" if want_policy else "none",
                 want_policy=want_policy)
             if want_policy:
@@ -280,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delayed", action="store_true")
     p.add_argument("--policy-out", default=None,
                    help="write the optimal value/policy table as CSV")
-    p.add_argument("--budget", type=float, default=_exact.DEFAULT_DP_BUDGET)
+    p.add_argument("--budget", type=float, default=None,
+                   help="work cap: DP cell updates (default %g) or, with --eval, "
+                        "forward-propagation cell-steps (default %g)"
+                        % (_exact.DEFAULT_DP_BUDGET, _exact.DEFAULT_EVAL_BUDGET))
     p.add_argument("--json", action="store_true", help="emit JSON instead of the bare value")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_exact)

@@ -10,6 +10,7 @@ rational arithmetic so they can back equality assertions.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -24,9 +25,9 @@ from .walk import Decision, Problem
 
 _LN2 = math.log(2.0)
 
-DEFAULT_DP_BUDGET = 2.0e9          # backward-induction transitions
+DEFAULT_DP_BUDGET = 2.0e9          # backward-induction cell updates
 DEFAULT_EVAL_BUDGET = 6.0e8        # forward-propagation cell-steps
-_FULL_TABLE_CELLS = 5.0e7          # cap for keeping every time slice
+_FULL_TABLE_CELLS = 5.0e7          # cap on backward-induction float cells held
 
 
 # ---------------------------------------------------------------------------
@@ -183,55 +184,103 @@ def hitting_tail_curve(x: int, l_points, clip_sigmas: float = 6.0) -> dict[int, 
 # Optimal value by backward induction
 # ---------------------------------------------------------------------------
 
+class _DerivedSlices(Sequence):
+    """``ValueTable.values`` or ``ValueTable.policy``, derived on access from
+    the kept step values.
+
+    ``steps[t]`` is A_t, the value of stepping at time t (A_n is 1 at the
+    origin).  Standing keeps x fixed, so with k = min(m-1-j, n-i)
+
+        v_i(x, j) = max(A_i(x), ..., A_{i+k}(x)),
+
+    and the tie-prefers-stand policy stands iff j < m-1 and
+    max(A_{i+1}(x), ..., A_{i+k}(x)) >= A_i(x).  Item i has shape
+    grid + (m,), indexed [x..., j]; ``at`` reads one cell without building
+    the slice.
+    """
+
+    def __init__(self, steps: np.ndarray, m: int, policy: bool):
+        self.steps = steps
+        self.m = m
+        self.policy = policy
+
+    def __len__(self) -> int:
+        return len(self.steps) - int(self.policy)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        n, m, a = len(self.steps) - 1, self.m, self.steps
+        # span[j] = k, the last offset the window of counter j reaches
+        span = np.minimum(np.arange(m - 1, -1, -1), n - i)
+        if not self.policy:
+            prefix = np.maximum.accumulate(a[i:i + span[0] + 1])
+            return np.moveaxis(prefix[span], 0, -1)
+        out = np.zeros(a.shape[1:] + (m,), dtype=np.int8)
+        if m >= 2:
+            later = np.maximum.accumulate(a[i + 1:i + span[0] + 1])
+            out[..., :m - 1] = np.moveaxis(later[span[:-1] - 1] >= a[i], 0, -1)
+        return out
+
+    def at(self, i: int, cell: tuple, j: int):
+        """values[i][cell + (j,)] or policy[i][cell + (j,)], from one column of A."""
+        i = range(len(self))[i]
+        if not 0 <= j < self.m:
+            raise IndexError(f"counter j={j} outside [0, {self.m - 1}]")
+        k = min(self.m - 1 - j, len(self.steps) - 1 - i)
+        column = self.steps[(slice(i, i + k + 1),) + cell]
+        if not self.policy:
+            return column.max()
+        return k >= 1 and column[1:].max() >= column[0]
+
+
 @dataclass
 class ValueTable:
     """Backward-induction output: the optimal value and, when kept, the
     per-time-slice value function and extracted policy.
 
-    Positions are stored on a centered grid of half-width n; ``values[i]``
-    has shape (2n+3,) x m in one dimension and (2n+3, 2n+3, m) in two (one
-    guard cell on each side).  ``policy[i]`` uses 1 for STAND, 0 for STEP.
+    Only the step values A_t (t = 0..n) are stored, one array per time on a
+    centered grid of half-width n with one guard cell on each side: shape
+    (2n+3,) in one dimension and (2n+3, 2n+3) in two.  ``values`` (length
+    n+1) and ``policy`` (length n) derive their items from them on access:
+    ``values[i]`` has shape grid + (m,), indexed [x..., j], and so has
+    ``policy[i]``, with 1 for STAND and 0 for STEP.
     """
 
     problem: Problem
     value: float
     keep: str = "none"
-    values: Optional[list] = None
-    policy: Optional[list] = None
+    values: Optional[Sequence] = None
+    policy: Optional[Sequence] = None
 
     @property
     def center(self) -> int:
         return self.problem.n + 1
 
+    def _cell(self, x) -> tuple:
+        c = self.center
+        return (c + x,) if self.problem.d == 1 else (c + x[0], c + x[1])
+
     def value_at(self, i: int, x, j: int) -> float:
         if self.values is None:
             raise ValueError("table was built with keep='none'")
-        c = self.center
-        if self.problem.d == 1:
-            return float(self.values[i][c + x, j])
-        return float(self.values[i][c + x[0], c + x[1], j])
+        return float(self.values.at(i, self._cell(x), j))
 
     def policy_at(self, i: int, x, j: int) -> Decision:
         if self.policy is None:
             raise ValueError("policy was not requested")
-        c = self.center
-        if self.problem.d == 1:
-            stand = self.policy[i][c + x, j]
-        else:
-            stand = self.policy[i][c + x[0], c + x[1], j]
-        return Decision.STAND if stand else Decision.STEP
+        return Decision.STAND if self.policy.at(i, self._cell(x), j) else Decision.STEP
 
     def policy_runs(self, i: int, j: int) -> list[tuple[int, int, Decision]]:
         """Run-length view of the d=1 policy row at (i, j): (x_lo, x_hi, decision)."""
         if self.problem.d != 1 or self.policy is None:
             raise ValueError("run-length view needs a kept d=1 policy")
         n, c = self.problem.n, self.center
+        row = self.policy[i][:, j]
         runs = []
-        xs = range(-n, n + 1)
         cur = None
         start = None
-        for x in xs:
-            val = bool(self.policy[i][c + x, j])
+        for x in range(-n, n + 1):
+            val = bool(row[c + x])
             if cur is None:
                 cur, start = val, x
             elif val != cur:
@@ -249,27 +298,38 @@ class ValueTable:
         n, m, c = self.problem.n, self.problem.m, self.center
         fh.write("i,x,j,V,policy\n")
         for i in range(n + 1):
-            reach = min(i, n)
-            for x in range(-reach, reach + 1):
+            values = self.values[i]
+            policy = self.policy[i] if self.policy is not None and i < n else None
+            for x in range(-i, i + 1):
                 for j in range(m):
-                    v = self.values[i][c + x, j]
-                    if self.policy is not None and i < n:
-                        pi = "stand" if self.policy[i][c + x, j] else "step"
+                    v = float(values[c + x, j])
+                    if policy is not None:
+                        pi = "stand" if policy[c + x, j] else "step"
                     else:
                         pi = ""
                     fh.write(f"{i},{x},{j},{v!r},{pi}\n")
 
 
-def _dp_budget_check(problem: Problem, budget: float) -> None:
-    width = 2 * problem.n + 1
-    transitions = float(width) ** problem.d * problem.m * problem.n
-    slice_bytes = 2 * (width + 2.0) ** problem.d * problem.m * 8
-    if transitions > budget:
+def _dp_budget_check(problem: Problem, budget: float, kept: bool) -> None:
+    n, m, d = problem.n, problem.m, problem.d
+    # backward step i updates the cone |x|_inf <= n - i: sum_{r=1..n} (2r+1)^d
+    updates = float(n * (n + 2) if d == 1
+                    else (n + 1) * (2 * n + 1) * (2 * n + 3) // 3 - 1)
+    window = min(m, n + 1)
+    slices = window + (n + 1 if kept else 0)
+    cells = float(2 * n + 3) ** d * slices
+    if updates > budget:
         raise BudgetError(
-            f"backward induction needs ~{transitions:.3g} transitions "
-            f"(budget {budget:.3g}) and ~{slice_bytes / 1e6:.0f} MB of slices; "
+            f"backward induction needs ~{updates:.3g} cell updates "
+            f"(budget {budget:.3g}) and ~{cells * 8 / 1e6:.0f} MB of slices; "
             f"raise the budget to force the run",
-            required_transitions=transitions, required_bytes=slice_bytes)
+            required_transitions=updates, required_bytes=cells * 8)
+    if cells > _FULL_TABLE_CELLS:
+        kept_note = f" and {n + 1} kept step slices" if kept else ""
+        raise BudgetError(
+            f"backward induction holds {cells:.3g} cells in {window} window "
+            f"slices{kept_note} (cap {_FULL_TABLE_CELLS:.3g})",
+            required_bytes=cells * 8)
 
 
 def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
@@ -277,92 +337,132 @@ def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
                   ) -> tuple[float, ValueTable]:
     """Optimal probability of ending at the origin, with policy extraction.
 
-    Backward induction over states (x, j): the value of a state is the max
-    of standing (allowed while j+1 <= m-1) and stepping (average over the 2d
-    neighbors with counter reset).  Ties prefer STAND, so the extracted
-    policy is deterministic and takes as few random steps as possible.
+    The value of a state (x, j) is the max of standing (allowed while
+    j+1 <= m-1) and stepping (average over the 2d neighbors with counter
+    reset).  Ties prefer STAND, so the extracted policy is deterministic and
+    takes as few random steps as possible.  Standing keeps x fixed, so the
+    recursion runs without the counter: see ``_step_values``.
 
     keep: "none" (value only), "full" (every time slice, small instances).
+    The table keeps the n+1 step-value slices when ``keep="full"`` or
+    ``want_policy``, and derives values and policy from them on access.
     """
     if keep not in ("none", "full"):
         raise ValueError(f"keep must be 'none' or 'full', got {keep!r}")
-    _dp_budget_check(problem, budget)
-    n, m = problem.n, problem.m
-    width = 2 * n + 3
-    c = n + 1
-    if keep == "full" or want_policy:
-        cells = (n + 1.0) * width ** problem.d * m
-        if cells > _FULL_TABLE_CELLS:
-            raise BudgetError(
-                f"keeping the full table needs {cells:.3g} cells "
-                f"(cap {_FULL_TABLE_CELLS:.3g}); use keep='none'",
-                required_bytes=cells * 8)
-    if problem.d == 1:
-        value, values, policy = _optimal_1d(n, m, width, c, keep, want_policy)
-    else:
-        value, values, policy = _optimal_2d(n, m, width, c, keep, want_policy)
+    kept = keep == "full" or want_policy
+    _dp_budget_check(problem, budget, kept)
+    value, steps = _step_values(problem.d, problem.n, problem.m, kept)
+    values = _DerivedSlices(steps, problem.m, policy=False) if keep == "full" else None
+    policy = _DerivedSlices(steps, problem.m, policy=True) if want_policy else None
     table = ValueTable(problem=problem, value=value, keep=keep,
                        values=values, policy=policy)
     return value, table
 
 
-def _optimal_1d(n, m, width, c, keep, want_policy):
-    v = np.zeros((width, m))
-    v[c, :] = 1.0
-    values = [None] * (n + 1) if keep == "full" else None
-    policy = [None] * n if want_policy else None
-    if values is not None:
-        values[n] = v.copy()
-    for i in range(n - 1, -1, -1):
-        step = np.zeros(width)
-        step[1:-1] = 0.5 * (v[:-2, 0] + v[2:, 0])
-        nv = np.empty_like(v)
-        nv[:, m - 1] = step
-        if m >= 2:
-            stand = v[:, 1:m]
-            nv[:, : m - 1] = np.maximum(step[:, None], stand)
-        if policy is not None:
-            pol = np.zeros((width, m), dtype=np.int8)
-            if m >= 2:
-                pol[:, : m - 1] = (stand >= step[:, None]).astype(np.int8)
-            policy[i] = pol
-        v = nv
-        if values is not None:
-            values[i] = v.copy()
-    return float(v[c, 0]), values, policy
+class _WindowMax:
+    """Max over the last ``length`` arrays pushed, kept as a two-stack queue
+    (the running-max form of van Herk 1992 and Gil & Werman 1993): O(1)
+    amortised numpy ops per push, whatever the length.
+
+    The arrays sit in a ring of ``length`` slots, oldest first.  The back
+    stack holds the raw arrays pushed since the last transfer, with their
+    running max.  When the front stack runs empty, a transfer rewrites the
+    back stack's slots, newest to oldest, into suffix maxima, so the oldest
+    slot of the front holds the max of the whole front.  Every operation
+    acts on a caller-given region that must cover the nonzero entries of
+    all stored arrays; outside it the buffers stay zero.
+    """
+
+    def __init__(self, length: int, shape: tuple):
+        self.ring = np.zeros((length,) + shape)
+        self.back_max = np.zeros(shape)
+        self.out = np.zeros(shape)
+        self.pushed = 0
+        self.front = 0
+        self.back = 0
+
+    def _slot(self, k: int) -> np.ndarray:
+        return self.ring[k % len(self.ring)]
+
+    def slot(self, region: tuple) -> np.ndarray:
+        """View of the next array's slot, dropping the oldest array if full."""
+        if self.front + self.back == len(self.ring):
+            if self.front == 0:
+                for k in range(self.pushed - 2, self.pushed - 1 - self.back, -1):
+                    older = self._slot(k)[region]
+                    np.maximum(older, self._slot(k + 1)[region], out=older)
+                self.front, self.back = self.back, 0
+            self.front -= 1
+        return self._slot(self.pushed)[region]
+
+    def commit(self, region: tuple) -> None:
+        """Push the array written into ``slot(region)``."""
+        new = self._slot(self.pushed)[region]
+        if self.back:
+            np.maximum(self.back_max[region], new, out=self.back_max[region])
+        else:
+            self.back_max[region] = new
+        self.pushed += 1
+        self.back += 1
+
+    def max(self, region: tuple) -> np.ndarray:
+        """Full-shape array holding the window max on ``region``; a buffer
+        of the queue, valid until the next ``commit``."""
+        if self.front == 0:
+            return self.back_max
+        oldest = self._slot(self.pushed - self.front - self.back)[region]
+        np.maximum(oldest, self.back_max[region], out=self.out[region])
+        return self.out
 
 
-def _optimal_2d(n, m, width, c, keep, want_policy):
-    v = np.zeros((width, width, m))
-    nv = np.zeros((width, width, m))
-    v[c, c, :] = 1.0
-    values = [None] * (n + 1) if keep == "full" else None
-    policy = [None] * n if want_policy else None
-    if values is not None:
-        values[n] = v.copy()
+def _box(c: int, r: int, d: int) -> tuple:
+    """Index of the cube |x|_inf <= r on a grid centered at c."""
+    return (slice(c - r, c + r + 1),) * d
+
+
+def _neighbour_mean(field: np.ndarray, box: tuple, out: np.ndarray) -> None:
+    """out = mean of ``field`` over the 2d lattice neighbours of each cell of
+    ``box``.  Terms are added axis by axis, -1 before +1, which rounds as
+    0.5*(a+b) in one dimension and 0.25*(a+b+c+d) in two."""
+    views = [field[box[:k] + (slice(s.start + e, s.stop + e),) + box[k + 1:]]
+             for k, s in enumerate(box) for e in (-1, 1)]
+    np.add(views[0], views[1], out=out)
+    for view in views[2:]:
+        out += view
+    out *= 1.0 / len(views)
+
+
+def _step_values(d: int, n: int, m: int, keep: bool):
+    """Backward induction without the stand counter.
+
+    A_t, the value of stepping at time t, is the neighbour mean of
+    v_{t+1}(., 0), and v_t(x, 0) = max(A_t(x), ..., A_{min(t+m-1, n)}(x))
+    with A_n = 1 at the origin.  So only A is built, and v(., 0) is a
+    sliding-window max over time.  A_t vanishes outside the cone
+    |x|_inf <= n - t, and all work at time t stays inside that cone.  Max is
+    exact in floating point, so the result equals the (x, j) recursion's bit
+    for bit.
+
+    Returns v_0(0, 0) and, when ``keep``, the (n+1,) + grid array of A.
+    """
+    c = n + 1
+    shape = (2 * n + 3,) * d
+    steps = np.zeros((n + 1,) + shape) if keep else None
+    window = _WindowMax(min(m, n + 1), shape)
+    origin = _box(c, 0, d)
+    window.slot(origin)[...] = 1.0
+    window.commit(origin)
+    if steps is not None:
+        steps[n][origin] = 1.0
     for i in range(n - 1, -1, -1):
-        # states farther than n - i from the origin in sup-norm cannot reach
-        # it in time, so their value is zero; the live box grows by one cell
-        # per backward step, which keeps the reused buffers consistent
-        a = min(n - i, n)
-        lo, hi = c - a, c + a + 1
-        v0 = v[:, :, 0]
-        step = 0.25 * (
-            v0[lo - 1:hi - 1, lo:hi] + v0[lo + 1:hi + 1, lo:hi]
-            + v0[lo:hi, lo - 1:hi - 1] + v0[lo:hi, lo + 1:hi + 1])
-        nv[lo:hi, lo:hi, m - 1] = step
-        if m >= 2:
-            stand = v[lo:hi, lo:hi, 1:m]
-            nv[lo:hi, lo:hi, : m - 1] = np.maximum(step[:, :, None], stand)
-        if policy is not None:
-            pol = np.zeros((width, width, m), dtype=np.int8)
-            if m >= 2:
-                pol[lo:hi, lo:hi, : m - 1] = (stand >= step[:, :, None]).astype(np.int8)
-            policy[i] = pol
-        v, nv = nv, v
-        if values is not None:
-            values[i] = v.copy()
-    return float(v[c, c, 0]), values, policy
+        v_next = window.max(_box(c, n - i - 1, d))
+        cone = _box(c, n - i, d)
+        a = window.slot(cone)
+        _neighbour_mean(v_next, cone, out=a)
+        window.commit(cone)
+        if steps is not None:
+            steps[i][cone] = a
+    return float(window.max(origin)[(c,) * d]), steps
 
 
 # ---------------------------------------------------------------------------

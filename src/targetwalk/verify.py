@@ -15,6 +15,7 @@ from . import analysis as _analysis
 from . import exact as _exact
 from . import strategies as _strategies
 from . import walk as _walk
+from .errors import ScheduleError
 from .mc import McConfig, estimate_success
 from .rng import trial_generator
 from .schedule import ScheduleParams1D, ScheduleParams2D, build_schedule_1d, build_schedule_2d
@@ -82,7 +83,7 @@ def _dominance_strategies(problem: Problem):
         try:
             sched = build_schedule_1d(ScheduleParams1D(n=problem.n, m=problem.m))
             yield _strategies.windowed_1d(sched, problem)
-        except Exception:
+        except ScheduleError:
             pass
 
 

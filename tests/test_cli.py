@@ -55,6 +55,23 @@ def test_exact_over_budget_exits_3(capsys):
     assert "refused" in err
 
 
+def test_exact_eval_uses_the_eval_budget(capsys):
+    # (2n+1) * n = 8.0e8 cell-steps: over the eval default (6e8), under the DP one (2e9)
+    code, _, err = run_cli(capsys, "exact", "--d", "1", "--n", "20000", "--m", "2",
+                           "--eval", "always_step")
+    assert code == 3
+    assert "refused" in err
+
+
+def test_zero_horizon_exits_2(capsys):
+    code, _, err = run_cli(capsys, "exact", "--d", "1", "--n", "0", "--m", "2")
+    assert code == 2 and "horizon" in err
+    code, _, err = run_cli(capsys, "simulate", "--d", "1", "--n", "0", "--m", "2",
+                           "--strategy", "always_step", "--trials", "10",
+                           "--seed", "1")
+    assert code == 2 and "horizon" in err
+
+
 def test_exact_policy_out(tmp_path, capsys):
     path = tmp_path / "policy.csv"
     code, out, _ = run_cli(capsys, "exact", "--d", "1", "--n", "4", "--m", "2",

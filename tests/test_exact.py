@@ -72,6 +72,87 @@ def test_policy_tie_breaks_to_stand():
     assert table.policy_at(0, 2, 0) is Decision.STAND
     assert table.policy_at(0, 1, 0) is Decision.STEP   # stepping hits 0 half the time
     assert table.policy_at(0, 0, 0) is Decision.STAND
+    # the same tie in two dimensions, outside the cone |x|_inf <= n - i
+    _, table = optimal_value(Problem(d=2, n=1, m=3), keep="full", want_policy=True)
+    assert table.policy_at(0, (2, 0), 0) is Decision.STAND
+    assert table.policy_at(0, (1, 0), 0) is Decision.STEP
+
+
+def _counter_recursion(problem):
+    """Backward induction over (x, j) carrying the stand counter, on the whole
+    grid: the reference the counter-free engine must match bit for bit.
+
+    Returns the value and, per time, the (grid..., m) value and int8 policy
+    arrays (1 = STAND where standing is allowed and ties or wins)."""
+    n, m, d = problem.n, problem.m, problem.d
+    c = n + 1
+    v = np.zeros((2 * n + 3,) * d + (m,))
+    v[(c,) * d] = 1.0
+    values, policy = [None] * (n + 1), [None] * n
+    values[n] = v
+    for i in range(n - 1, -1, -1):
+        v0 = v[..., 0]
+        step = np.zeros(v0.shape)
+        if d == 1:
+            step[1:-1] = 0.5 * (v0[:-2] + v0[2:])
+        else:
+            step[1:-1, 1:-1] = 0.25 * (v0[:-2, 1:-1] + v0[2:, 1:-1]
+                                       + v0[1:-1, :-2] + v0[1:-1, 2:])
+        nv = np.empty_like(v)
+        nv[..., m - 1] = step
+        pol = np.zeros(v.shape, dtype=np.int8)
+        if m >= 2:
+            stand = v[..., 1:]
+            nv[..., :m - 1] = np.maximum(step[..., None], stand)
+            pol[..., :m - 1] = stand >= step[..., None]
+        values[i], policy[i], v = nv, pol, nv
+    return float(v[(c,) * d + (0,)]), values, policy
+
+
+def _reachable(d, i, m):
+    """(x, j) a walk from the origin can occupy at time i: the last move was
+    at time i - j, so |x|_1 <= i - j."""
+    for j in range(min(i, m - 1) + 1):
+        r = i - j
+        if d == 1:
+            yield from ((x, j) for x in range(-r, r + 1))
+        else:
+            yield from (((a, b), j) for a in range(-r, r + 1)
+                        for b in range(abs(a) - r, r - abs(a) + 1))
+
+
+@pytest.mark.parametrize("d,ns", [(1, (1, 2, 3, 4, 6, 9, 17, 40)),
+                                  (2, (1, 2, 3, 5, 8, 13, 40))])
+def test_optimal_value_equals_counter_recursion(d, ns):
+    # max is exact in floating point and each step value is the same
+    # 0.5*(a+b) / 0.25*(a+b+c+d) expression, so equality is exact: a changed
+    # window length, stencil order or tie rule fails it
+    for n in ns:
+        for m in (1, 2, 3, 5, n + 3):
+            p = Problem(d=d, n=n, m=m)
+            want, want_values, want_policy = _counter_recursion(p)
+            assert optimal_value(p)[0] == want, (n, m)
+            v, table = optimal_value(p, keep="full", want_policy=True)
+            assert v == want, (n, m)
+            assert len(table.values) == n + 1 and len(table.policy) == n
+            for i in range(n + 1):
+                assert np.array_equal(table.values[i], want_values[i]), (n, m, i)
+                if i < n:
+                    assert np.array_equal(table.policy[i], want_policy[i]), (n, m, i)
+            for i in range(n + 1):
+                for x, j in _reachable(d, i, m):
+                    cell = (n + 1 + x,) if d == 1 else (n + 1 + x[0], n + 1 + x[1])
+                    assert table.value_at(i, x, j) == want_values[i][cell + (j,)]
+                    if i < n:
+                        want_stand = bool(want_policy[i][cell + (j,)])
+                        assert (table.policy_at(i, x, j) is Decision.STAND) == want_stand
+
+
+def test_full_table_cap_counts_kept_slices():
+    # 603^2 cells per slice, held for the 8-slice window and 301 kept slices
+    with pytest.raises(BudgetError) as err:
+        optimal_value(Problem(d=2, n=300, m=8), keep="full")
+    assert err.value.required_bytes == 8.0 * 603 ** 2 * (8 + 301)
 
 
 def test_value_table_csv_and_runs():
@@ -83,6 +164,8 @@ def test_value_table_csv_and_runs():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "i,x,j,V,policy"
     assert len(lines) > 10
+    row = lines[1].split(",")
+    assert float(row[3]) == table.value_at(int(row[0]), int(row[1]), int(row[2]))
     runs = table.policy_runs(0, 0)
     assert runs[0][0] == -p.n and runs[-1][1] == p.n
     covered = sum(hi - lo + 1 for lo, hi, _ in runs)
