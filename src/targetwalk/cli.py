@@ -100,13 +100,15 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    schedule = None
-    if args.schedule_json:
-        with open(args.schedule_json) as fh:
-            data = json.load(fh)
-        schedule = Schedule.from_json_dict(data.get("schedule", data))
     spec = _strategy_spec_from_args(args)
     try:
+        schedule = None
+        if args.schedule_json:
+            with open(args.schedule_json) as fh:
+                data = json.load(fh)
+            if isinstance(data, dict):
+                data = data.get("schedule", data)
+            schedule = Schedule.from_json_dict(data)
         problem = Problem(d=args.d, n=args.n, m=args.m)
         config = _mc.McConfig(problem=problem, strategy=spec, trials=args.trials,
                               master_seed=args.seed, threads=args.threads,
@@ -123,7 +125,7 @@ def _cmd_simulate(args) -> int:
         else:
             report = _mc.estimate_success(config)
             payload = report.to_json_dict()
-    except (ScheduleError, ValueError) as exc:
+    except (OSError, ScheduleError, ValueError) as exc:
         print(f"simulate failed: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except AdmissibilityError as exc:

@@ -258,7 +258,11 @@ class ValueTable:
 
     def _cell(self, x) -> tuple:
         c = self.center
-        return (c + x,) if self.problem.d == 1 else (c + x[0], c + x[1])
+        coords = (x,) if self.problem.d == 1 else tuple(x)
+        if any(abs(v) > c for v in coords):
+            raise ValueError(f"position {x} lies outside the stored grid "
+                             f"|x_i| <= n+1 = {c}")
+        return tuple(c + v for v in coords)
 
     def value_at(self, i: int, x, j: int) -> float:
         if self.values is None:

@@ -1,8 +1,9 @@
 """Monte Carlo estimation of success probabilities.
 
-Estimates are reproducible by construction: trial i draws from a stream that
-depends only on (master seed, i), trials are aggregated in fixed chunks with
-integer counters, and the thread count only changes who runs which chunk.
+Estimates are reproducible by construction: trials run in fixed chunks of
+``_CHUNK``, each chunk draws from streams that depend only on the master
+seed and its trial range, chunk results are integer counters, and the thread
+count only changes who runs which chunk.
 Wilson score intervals are used throughout; unlike the normal-approximation
 interval they stay sane at p_hat = 0 or 1, which lazy strategies produce.
 """
@@ -18,13 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .samplers import make_sampler
+from .samplers import _CHUNK, make_sampler
 from .schedule import Schedule
 from .strategies import Strategy, strategy_from_spec
 from .walk import Problem
 
 SCHEMA_VERSION = 1
-_CHUNK = 4096
 _Z95 = 1.959963984540054
 
 
@@ -74,6 +74,7 @@ class EstimateReport:
     failures: Optional[list] = None
     wall_time_s: float = 0.0
     threads: int = 1
+    sampler: str = "generic"
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
         out = {
@@ -92,7 +93,8 @@ class EstimateReport:
         if self.failures is not None:
             out["failures"] = self.failures
         if include_runtime:
-            out["runtime"] = {"wall_time_s": self.wall_time_s, "threads": self.threads}
+            out["runtime"] = {"wall_time_s": self.wall_time_s, "threads": self.threads,
+                              "sampler": self.sampler}
         return out
 
     def to_json(self, include_runtime: bool = True) -> str:
@@ -190,7 +192,7 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
         successes=successes, p_hat=successes / config.trials,
         wilson_lo=lo, wilson_hi=hi, stage_stats=stage_stats,
         failures=failures, wall_time_s=time.perf_counter() - t0,
-        threads=config.threads)
+        threads=config.threads, sampler=sampler.name)
 
 
 def window_conditionals(config: McConfig,

@@ -1,11 +1,13 @@
 """Reproducible randomness.
 
-Every trial draws from a stream that is a pure function of
-(master seed, trial index), so results never depend on execution order,
-chunking, or thread count.  Two mechanisms share the same key derivation:
+Every stream is a pure function of the master seed and a fixed index, so
+results never depend on execution order or thread count.  Three mechanisms
+share the same key derivation:
 
 * ``trial_generator`` wraps a counter-based Philox bit generator keyed by
-  the mixed (master, trial) pair; samplers that need many draws use it.
+  the mixed (master, trial) pair; the step-by-step reference sampler uses it.
+* ``chunk_generator`` is the same construction keyed by (master, chunk
+  index); the staged sampler draws all trials of a fixed-size chunk from it.
 * ``step_bits`` produces raw fair bits for a trial directly from the mix,
   vectorized across trials, for samplers whose whole trial is one batch of
   coin flips (endpoint-only walks).
@@ -19,6 +21,8 @@ _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# chunk keys set the top bit of the index, which no trial index reaches
+_CHUNK_TAG = 1 << 63
 
 
 def mix64(x: int) -> int:
@@ -42,6 +46,12 @@ def trial_key(master_seed: int, trial_index: int) -> int:
 def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent counter-based stream for one trial."""
     return np.random.Generator(np.random.Philox(key=trial_key(master_seed, trial_index)))
+
+
+def chunk_generator(master_seed: int, chunk_index: int) -> np.random.Generator:
+    """Independent counter-based stream for one chunk of trials."""
+    key = trial_key(master_seed, _CHUNK_TAG | chunk_index)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _mix64_vec(x: np.ndarray) -> np.ndarray:

@@ -1,25 +1,31 @@
-"""Law-exact per-trial samplers behind the Monte Carlo engine.
+"""Law-exact chunk samplers behind the Monte Carlo engine.
 
 Naive step-by-step simulation costs one draw per time step, which is
-hopeless at horizons of 10^6.  The built-in strategies all decompose a
-trajectory into segments whose endpoint laws are known exactly:
+hopeless at horizons of 10^6.  Every built-in strategy compiles to a short
+segment plan (``Strategy.plan``) whose pieces have exactly known laws:
 
-* seek segments (step every time until the origin is hit) are simulated
-  step-by-step but cost O(sqrt(stage length)) in expectation;
-* hold / lazy segments take one SSRW step every m-th time step, so the
-  checkpoint displacement is an endpoint of a fair +/-1 walk with a known
-  number of steps (or a Binomial(len, 1/m) number in delayed mode);
-* after a stage fails the strategy steps for the whole remaining horizon,
-  so every later checkpoint increment is again a plain walk endpoint.
+* a crawl of length L takes L // m fair steps, or Binomial(L, 1/m) of them
+  in delayed mode, so its displacement is one walk endpoint;
+* a seek steps every time until the origin is hit.  Positions are kept in
+  diagonal coordinates (x + y, x - y), in which a planar walk is two
+  independent +/-1 walks.  From max |coordinate| = M >= 2 the origin cannot
+  be reached within M - 1 steps, so those steps are drawn as one endpoint
+  (a walk-on-spheres jump, Muller 1956) and only unit moves can hit;
+* after a missed seek the trial steps at every time, so each later
+  checkpoint increment is again a walk endpoint.
 
-Each trial consumes only its own counter-based stream, so results are
-independent of chunking and thread count.  The generic sampler runs any
+``StagedSampler`` runs a plan for all trials of a chunk in lockstep on
+numpy arrays, drawing from one counter-based stream keyed by (master seed,
+chunk index); ``EndpointSampler`` covers plans that are one fixed batch of
+steps, from per-trial bit streams.  Chunks hold a fixed ``_CHUNK`` trials,
+so results do not depend on the thread count.  ``GenericSampler`` runs any
 strategy one step at a time and is the reference the fast paths are tested
 against.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,152 +34,12 @@ import numpy as np
 from . import rng as _rng
 from .errors import AdmissibilityError
 from .schedule import Schedule
-from .strategies import (AlwaysStep, DelayedWrapper, LazyMax, LazyThenSprint,
-                         Strategy, Windowed)
-from .walk import Problem, is_origin, run_trajectory
+from .strategies import Crawl, Plan, SeekHold, Strategy, Walk
+from .walk import Problem, run_trajectory
 
-_BLOCK0 = 256
-_BLOCK_MAX = 16384
+_CHUNK = 4096
 
-
-@dataclass
-class StageOutcome:
-    """Checkpoint summary for one trial of a windowed strategy."""
-
-    alive: bool      # the strategy had not failed before this stage
-    hit: bool        # the seek reached the origin within the stage
-    w: object        # position at the stage's checkpoint time
-
-
-@dataclass
-class TrialOutcome:
-    success: bool
-    final: object
-    stages: Optional[list[StageOutcome]] = None
-
-
-def _walk_endpoint_1d(g: np.random.Generator, steps: int) -> int:
-    if steps == 0:
-        return 0
-    return 2 * int(g.binomial(steps, 0.5)) - steps
-
-
-def _walk_endpoint_2d(g: np.random.Generator, steps: int) -> tuple[int, int]:
-    # diagonal coordinates of a 2d SSRW are independent 1d walks
-    s1 = _walk_endpoint_1d(g, steps)
-    s2 = _walk_endpoint_1d(g, steps)
-    return ((s1 + s2) // 2, (s1 - s2) // 2)
-
-
-def _sign_blocks(g: np.random.Generator, length: int, streams: int) -> np.ndarray:
-    """(streams, length) array of fair +/-1 signs, 8 steps per random byte."""
-    nbytes = streams * ((length + 7) // 8)
-    raw = np.frombuffer(g.bytes(nbytes), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(streams, -1), axis=1)[:, :length]
-    return bits.astype(np.int8) * 2 - 1
-
-
-def _seek_1d(g: np.random.Generator, x: int, t_cur: int, t_end: int):
-    """Step every time until the position hits 0 or t_end is reached.
-
-    Returns (tau, x_end): tau is the hit time in (t_cur, t_end] or None.
-    Draws signs in growing blocks; cost is proportional to the hit time.
-    """
-    block = _BLOCK0
-    while t_cur < t_end:
-        length = min(block, t_end - t_cur)
-        signs = _sign_blocks(g, length, 1)[0]
-        pos = x + np.cumsum(signs, dtype=np.int64)
-        hits = np.nonzero(pos == 0)[0]
-        if hits.size:
-            idx = int(hits[0])
-            return t_cur + idx + 1, 0
-        x = int(pos[-1])
-        t_cur += length
-        block = min(block * 4, _BLOCK_MAX)
-    return None, x
-
-
-def _seek_2d(g: np.random.Generator, x: tuple[int, int], t_cur: int, t_end: int):
-    a, b = x[0] + x[1], x[0] - x[1]
-    block = _BLOCK0
-    while t_cur < t_end:
-        length = min(block, t_end - t_cur)
-        signs = _sign_blocks(g, length, 2)
-        pa = a + np.cumsum(signs[0], dtype=np.int64)
-        pb = b + np.cumsum(signs[1], dtype=np.int64)
-        hits = np.nonzero((pa == 0) & (pb == 0))[0]
-        if hits.size:
-            idx = int(hits[0])
-            return t_cur + idx + 1, (0, 0)
-        a, b = int(pa[-1]), int(pb[-1])
-        t_cur += length
-        block = min(block * 4, _BLOCK_MAX)
-    return None, ((a + b) // 2, (a - b) // 2)
-
-
-def _windowed_trial(g: np.random.Generator, schedule: Schedule, delayed: bool,
-                    d: int) -> TrialOutcome:
-    m = schedule.m
-    times = schedule.times
-    u = schedule.u
-    origin = 0 if d == 1 else (0, 0)
-    seek = _seek_1d if d == 1 else _seek_2d
-    endpoint = _walk_endpoint_1d if d == 1 else _walk_endpoint_2d
-    x = origin
-    t = 0
-    failed = False
-    stages = []
-    for k in range(1, u + 2):
-        t_end = times[k]
-        if failed:
-            inc = endpoint(g, t_end - t)
-            x = x + inc if d == 1 else (x[0] + inc[0], x[1] + inc[1])
-            stages.append(StageOutcome(alive=False, hit=False, w=x))
-            t = t_end
-            continue
-        tau, x = seek(g, x, t, t_end)
-        if tau is None:
-            if k <= u:
-                failed = True
-            stages.append(StageOutcome(alive=True, hit=False, w=x))
-            t = t_end
-            continue
-        hold_len = t_end - tau
-        if delayed:
-            steps = int(g.binomial(hold_len, 1.0 / m)) if hold_len else 0
-        elif k == u + 1:
-            steps = 0                      # terminal stage stands to the horizon
-        else:
-            steps = hold_len // m
-        x = endpoint(g, steps)
-        stages.append(StageOutcome(alive=True, hit=True, w=x))
-        t = t_end
-    return TrialOutcome(success=is_origin(x), final=x, stages=stages)
-
-
-def _lazy_sprint_trial(g: np.random.Generator, problem: Problem,
-                       delayed: bool) -> TrialOutcome:
-    n, m, d = problem.n, problem.m, problem.d
-    endpoint = _walk_endpoint_1d if d == 1 else _walk_endpoint_2d
-    seek = _seek_1d if d == 1 else _seek_2d
-    switch = n - m
-    if switch >= 1:
-        steps = int(g.binomial(switch, 1.0 / m)) if delayed else switch // m
-        x = endpoint(g, steps)
-        t = switch
-    else:
-        x = 0 if d == 1 else (0, 0)
-        t = 0
-    tau, x = seek(g, x, t, n)
-    if tau is None:
-        return TrialOutcome(success=False, final=x)
-    if delayed:
-        steps = int(g.binomial(n - tau, 1.0 / m)) if n > tau else 0
-        x = endpoint(g, steps)
-    else:
-        x = 0 if d == 1 else (0, 0)
-    return TrialOutcome(success=is_origin(x), final=x)
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -194,33 +60,82 @@ def _new_stage_counters(u: int) -> dict[str, np.ndarray]:
     return {key: np.zeros(u + 2, dtype=np.int64) for key in _STAGE_KEYS}
 
 
-def _tally_stages(counters: dict[str, np.ndarray], schedule: Schedule,
-                  stages: list[StageOutcome]) -> None:
-    prev_in = True                      # W_0 is the origin, inside window 0
-    for k, rec in enumerate(stages, start=1):
-        in_k = schedule.in_window(rec.w, k)
-        if prev_in:
-            counters["cond"][k] += 1
-            if in_k:
-                counters["cond_stay"][k] += 1
-            if not rec.alive:
-                counters["cond_failed_prior"][k] += 1
-            elif not rec.hit:
-                counters["cond_nohit"][k] += 1
-            elif not in_k:
-                counters["cond_overshoot"][k] += 1
-        if rec.alive:
-            counters["alive"][k] += 1
-            if rec.hit:
-                counters["hit"][k] += 1
-                if not in_k:
-                    counters["overshoot"][k] += 1
-        prev_in = in_k
+def _tally_stage(counters: dict[str, np.ndarray], k: int, schedule: Schedule,
+                 pos: np.ndarray, alive: np.ndarray, hit: np.ndarray,
+                 was_in: np.ndarray) -> np.ndarray:
+    """Add stage k's checkpoint events; returns the in-window mask at t_k."""
+    # max(|x|, |y|) = (|x + y| + |x - y|) / 2, so the d-dim window test is
+    # sum |diagonal coordinate| <= d * h in both dimensions
+    inside = np.abs(pos).sum(axis=0) <= pos.shape[0] * schedule.half_widths[k]
+    held = alive & hit
+    for key, mask in (("cond", was_in), ("cond_stay", was_in & inside),
+                      ("cond_failed_prior", was_in & ~alive),
+                      ("cond_nohit", was_in & alive & ~hit),
+                      ("cond_overshoot", was_in & held & ~inside),
+                      ("alive", alive), ("hit", held),
+                      ("overshoot", held & ~inside)):
+        counters[key][k] += np.count_nonzero(mask)
+    return inside
+
+
+def _endpoints(g: np.random.Generator, steps: np.ndarray, d: int) -> np.ndarray:
+    """(d, k) diagonal displacements of fair walks of ``steps`` (k,) steps."""
+    return 2 * g.binomial(steps, 0.5, size=(d, steps.size)) - steps
+
+
+# Diagonal position of a finished walker: never the origin, and at t = t_end
+# it takes 0 steps, which draw nothing from the stream.
+_PARKED = 1 << 40
+
+
+def _seek(g: np.random.Generator, pos: np.ndarray, t0: int,
+          t_end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step (d, k) diagonal positions from t0 until each hits 0 or t_end.
+
+    Returns the end positions and the hit times (-1 where none).  Each round
+    moves every walker still seeking by min(max(M - 1, 1), t_end - t) steps
+    at once, M being its largest |coordinate|; only a unit move can land on
+    the origin, so the hit times have the exact step-by-step law.  Finished
+    walkers are parked and dropped once they fill half the working arrays,
+    so the arrays take few distinct sizes.
+    """
+    end = pos.copy()
+    tau = np.full(pos.shape[1], -1, dtype=np.int64)
+    idx = np.arange(pos.shape[1])
+    p = pos.copy()
+    t = np.full(idx.size, t0, dtype=np.int64)
+    live = idx.size
+    while live:
+        jump = np.minimum(np.maximum(np.abs(p).max(axis=0) - 1, 1), t_end - t)
+        p += _endpoints(g, jump, p.shape[0])
+        t += jump
+        hit = ~p.any(axis=0)
+        done = hit | ((t == t_end) & (jump > 0))
+        finished = np.count_nonzero(done)
+        if finished:
+            end[:, idx[done]] = p[:, done]
+            tau[idx[hit]] = t[hit]
+            p[:, done] = _PARKED
+            t[done] = t_end
+            live -= finished
+            if 2 * live <= idx.size:
+                keep = t < t_end
+                idx, p, t = idx[keep], p[:, keep], t[keep]
+    return end, tau
+
+
+def _lattice(col: np.ndarray):
+    """Lattice position of one diagonal-coordinate column."""
+    if col.size == 1:
+        return int(col[0])
+    a, b = int(col[0]), int(col[1])
+    return ((a + b) // 2, (a - b) // 2)
 
 
 class Sampler:
     """Base chunk runner; subclasses fill run_chunk."""
 
+    name = "sampler"
     collects_stages = False
 
     def run_chunk(self, master_seed: int, lo: int, hi: int,
@@ -235,6 +150,8 @@ class EndpointSampler(Sampler):
     step per stand block).  Endpoints come from the vectorized counter-based
     bit stream, so a 10^6-trial estimate is a handful of array operations.
     """
+
+    name = "endpoint"
 
     def __init__(self, problem: Problem, steps: int):
         self.problem = problem
@@ -263,101 +180,120 @@ class EndpointSampler(Sampler):
         return out
 
 
-class PerTrialSampler(Sampler):
-    """Chunk runner that loops trials, one Philox stream per trial."""
+class StagedSampler(Sampler):
+    """All trials of a chunk run a segment plan in lockstep.
 
-    def __init__(self, problem: Problem):
+    Chunk state is a (d, trials) array of diagonal coordinates plus one
+    mask of trials whose seek missed.  ``lo`` must be a multiple of
+    ``_CHUNK``: the chunk's stream is keyed by (master seed, lo // _CHUNK).
+    """
+
+    name = "staged"
+
+    def __init__(self, problem: Problem, plan: Plan):
         self.problem = problem
+        self.plan = plan
+        self.collects_stages = plan.schedule is not None
 
-    def run_trial(self, g: np.random.Generator) -> TrialOutcome:
-        raise NotImplementedError
+    def _crawl_steps(self, g: np.random.Generator, lengths: np.ndarray) -> np.ndarray:
+        if self.plan.delayed:
+            return g.binomial(lengths, 1.0 / self.problem.m)
+        return lengths // self.problem.m
 
     def run_chunk(self, master_seed, lo, hi, keep_failures=0):
-        out = ChunkCounts(n_trials=hi - lo)
-        if self.collects_stages:
-            out.stage_counters = _new_stage_counters(self.schedule.u)
-        for i in range(lo, hi):
-            g = _rng.trial_generator(master_seed, i)
-            try:
-                res = self.run_trial(g)
-            except AdmissibilityError as exc:
-                exc.trial_index = i
-                raise
-            if res.success:
-                out.successes += 1
-            elif keep_failures and (out.failure_samples is None
-                                    or len(out.failure_samples) < keep_failures):
-                if out.failure_samples is None:
-                    out.failure_samples = []
-                out.failure_samples.append((i, res.final))
-            if out.stage_counters is not None and res.stages is not None:
-                _tally_stages(out.stage_counters, self.schedule, res.stages)
+        g = _rng.chunk_generator(master_seed, lo // _CHUNK)
+        k = hi - lo
+        d = self.problem.d
+        sched = self.plan.schedule
+        pos = np.zeros((d, k), dtype=np.int64)
+        walking = np.zeros(k, dtype=bool)      # missed a seek: steps every time
+        out = ChunkCounts(n_trials=k)
+        if sched is not None:
+            out.stage_counters = _new_stage_counters(sched.u)
+            was_in = np.ones(k, dtype=bool)    # W_0 is the origin, inside window 0
+        t = 0
+        for stage, seg in enumerate(self.plan.segments, start=1):
+            if not isinstance(seg, SeekHold):
+                steps = np.full(k, seg.length, dtype=np.int64)
+                if isinstance(seg, Crawl):
+                    steps = self._crawl_steps(g, steps)
+                pos += _endpoints(g, steps, d)
+                t += seg.length
+                continue
+            free = np.nonzero(walking)[0]
+            pos[:, free] += _endpoints(g, np.full(free.size, seg.t_end - t), d)
+            alive = ~walking
+            seekers = np.nonzero(alive)[0]
+            end, tau = _seek(g, pos[:, seekers], t, seg.t_end)
+            got = tau >= 0
+            end[:, got] = _endpoints(g, self._crawl_steps(g, seg.t_end - tau[got]), d)
+            pos[:, seekers] = end
+            hit = np.zeros(k, dtype=bool)
+            hit[seekers] = got
+            walking |= alive & ~hit
+            t = seg.t_end
+            if sched is not None:
+                was_in = _tally_stage(out.stage_counters, stage, sched,
+                                      pos, alive, hit, was_in)
+        ok = ~pos.any(axis=0)
+        out.successes = int(np.count_nonzero(ok))
+        if keep_failures:
+            out.failure_samples = [(lo + int(i), _lattice(pos[:, i]))
+                                   for i in np.nonzero(~ok)[0][:keep_failures]]
         return out
 
 
-class WindowedSampler(PerTrialSampler):
-    collects_stages = True
+class GenericSampler(Sampler):
+    """Reference path: run any strategy one step at a time, each trial on
+    its own Philox stream keyed by (master seed, trial index)."""
 
-    def __init__(self, problem: Problem, schedule: Schedule, delayed: bool):
-        super().__init__(problem)
-        self.schedule = schedule
-        self.delayed = delayed
-
-    def run_trial(self, g):
-        return _windowed_trial(g, self.schedule, self.delayed, self.problem.d)
-
-
-class LazySprintSampler(PerTrialSampler):
-    def __init__(self, problem: Problem, delayed: bool):
-        super().__init__(problem)
-        self.delayed = delayed
-
-    def run_trial(self, g):
-        return _lazy_sprint_trial(g, self.problem, self.delayed)
-
-
-class DelayedEndpointSampler(PerTrialSampler):
-    """Delayed lazy_max: Binomial(n, 1/m) true steps, then a walk endpoint."""
-
-    def __init__(self, problem: Problem):
-        super().__init__(problem)
-
-    def run_trial(self, g):
-        steps = int(g.binomial(self.problem.n, 1.0 / self.problem.m))
-        if self.problem.d == 1:
-            x = _walk_endpoint_1d(g, steps)
-        else:
-            x = _walk_endpoint_2d(g, steps)
-        return TrialOutcome(success=is_origin(x), final=x)
-
-
-class GenericSampler(PerTrialSampler):
-    """Reference path: run any strategy one step at a time."""
+    name = "generic"
 
     def __init__(self, problem: Problem, strategy: Strategy):
-        super().__init__(problem)
+        self.problem = problem
         self.strategy = strategy
 
-    def run_trial(self, g):
-        traj, success = run_trajectory(self.strategy, self.problem, g)
-        return TrialOutcome(success=success, final=traj.positions[-1])
+    def run_chunk(self, master_seed, lo, hi, keep_failures=0):
+        out = ChunkCounts(n_trials=hi - lo)
+        failures = []
+        for i in range(lo, hi):
+            g = _rng.trial_generator(master_seed, i)
+            try:
+                traj, success = run_trajectory(self.strategy, self.problem, g)
+            except AdmissibilityError as exc:
+                exc.trial_index = i
+                raise
+            if success:
+                out.successes += 1
+            elif len(failures) < keep_failures:
+                failures.append((i, traj.positions[-1]))
+        if failures:
+            out.failure_samples = failures
+        return out
+
+
+def _fixed_steps(plan: Plan, m: int) -> Optional[int]:
+    """Step count of a plan that is one fixed batch of steps, else None."""
+    if len(plan.segments) != 1:
+        return None
+    seg = plan.segments[0]
+    if isinstance(seg, Walk):
+        return seg.length
+    if isinstance(seg, Crawl) and (not plan.delayed or m == 1):
+        return seg.length // m
+    return None
 
 
 def make_sampler(strategy: Strategy, problem: Problem,
                  force_generic: bool = False) -> Sampler:
     """Pick the fastest law-exact sampler for a strategy."""
-    if force_generic:
+    plan = strategy.plan(problem)
+    if plan is None or force_generic:
+        if plan is not None:
+            _log.warning("%s runs step by step on the generic sampler, orders of "
+                         "magnitude slower than its fast path", strategy.name)
         return GenericSampler(problem, strategy)
-    delayed = isinstance(strategy, DelayedWrapper)
-    inner = strategy.inner if delayed else strategy
-    if isinstance(inner, AlwaysStep):
-        return EndpointSampler(problem, steps=problem.n)
-    if isinstance(inner, LazyMax):
-        if delayed and problem.m > 1:
-            return DelayedEndpointSampler(problem)
-        return EndpointSampler(problem, steps=problem.n // problem.m)
-    if isinstance(inner, LazyThenSprint):
-        return LazySprintSampler(problem, delayed=delayed)
-    if isinstance(inner, Windowed):
-        return WindowedSampler(problem, inner.schedule, delayed=delayed)
-    return GenericSampler(problem, strategy)
+    steps = _fixed_steps(plan, problem.m)
+    if steps is not None:
+        return EndpointSampler(problem, steps)
+    return StagedSampler(problem, plan)

@@ -133,11 +133,38 @@ class Schedule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Schedule":
-        return cls(d=data["d"], n=data["n"], m=data["m"], u=data["u"],
-                   times=tuple(data["times"]), half_widths=tuple(data["half_widths"]),
-                   eps_m=data.get("eps_m"), eta=data.get("eta"),
-                   epsilon=data.get("epsilon"), theta=data.get("theta"),
-                   kappa=data.get("kappa"))
+        """Inverse of ``to_json_dict``.
+
+        Raises ScheduleError unless the u+2 times run strictly increasing
+        from 0 to n, the u+2 half-widths are non-negative, and the terminal
+        stage is at most m long (the staged samplers stand through it).
+        """
+        try:
+            sched = cls(d=data["d"], n=data["n"], m=data["m"], u=data["u"],
+                        times=tuple(data["times"]),
+                        half_widths=tuple(data["half_widths"]),
+                        eps_m=data.get("eps_m"), eta=data.get("eta"),
+                        epsilon=data.get("epsilon"), theta=data.get("theta"),
+                        kappa=data.get("kappa"))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ScheduleError(f"malformed schedule: missing or mistyped {exc}") from exc
+        times, widths, u = sched.times, sched.half_widths, sched.u
+        if not all(isinstance(v, int) for v in (u, sched.n, sched.m) + times + widths):
+            raise ScheduleError("schedule u, n, m, times and half_widths must be integers")
+        if u < 0 or len(times) != u + 2 or len(widths) != u + 2:
+            raise ScheduleError(f"need u+2 = {u + 2} times and half-widths, got "
+                                f"{len(times)} and {len(widths)}")
+        if times[0] != 0 or times[-1] != sched.n:
+            raise ScheduleError(f"times must run from 0 to n = {sched.n}, got "
+                                f"{times[0]} .. {times[-1]}")
+        if any(a >= b for a, b in zip(times, times[1:])):
+            raise ScheduleError(f"times must be strictly increasing, got {list(times)}")
+        if min(widths) < 0:
+            raise ScheduleError(f"half-widths must be non-negative, got {list(widths)}")
+        if times[-1] - times[-2] > sched.m:
+            raise ScheduleError(f"terminal stage ({times[-2]}, {times[-1]}] is longer "
+                                f"than m = {sched.m}")
+        return sched
 
 
 def _as_fraction(x: float) -> Fraction | None:

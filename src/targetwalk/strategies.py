@@ -12,11 +12,14 @@ The phase evolves through ``next_phase`` after every transition.  All
 built-in strategies ignore the position when deciding (``w_independent``)
 and their phase transitions depend on the new position only through whether
 it is the origin (``zero_split``); the exact evaluation engine and the fast
-Monte Carlo samplers rely on both properties.
+Monte Carlo samplers rely on both properties.  The built-in strategies also
+compile to a segment plan (``plan``), which the fast samplers run instead of
+calling ``decide`` at every step.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from .schedule import Schedule
@@ -28,6 +31,43 @@ FAILED = "failed"
 
 LAZY = "lazy"
 SPRINT = "sprint"
+
+
+@dataclass(frozen=True)
+class Walk:
+    """``length`` time steps that all step."""
+
+    length: int
+
+
+@dataclass(frozen=True)
+class Crawl:
+    """``length`` time steps of the lazy pattern from counter 0: a step at
+    every m-th time, or a delayed step at every time in delayed mode."""
+
+    length: int
+
+
+@dataclass(frozen=True)
+class SeekHold:
+    """Step every time until the origin is hit strictly after the segment
+    starts, then crawl until ``t_end``.  A trial whose seek misses steps at
+    every time for the rest of the horizon."""
+
+    t_end: int
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A strategy's trajectory as consecutive segments from time 0 to n.
+
+    ``delayed`` turns every crawl into delayed steps; with ``schedule`` set,
+    the SeekHold segments are the schedule's stages and get stage tallies.
+    """
+
+    segments: tuple
+    delayed: bool = False
+    schedule: Optional[Schedule] = None
 
 
 class Strategy:
@@ -54,9 +94,9 @@ class Strategy:
         at_zero, away = self.zero_split(phase, i_next, j_next)
         return at_zero if is_origin(w_next) else away
 
-    def phases(self, problem: Problem) -> Optional[list]:
-        """All phase values this strategy can visit, or None if unbounded."""
-        return [None]
+    def plan(self, problem: Problem) -> Optional[Plan]:
+        """Segment plan the staged samplers run, or None (generic path only)."""
+        return None
 
     def spec_dict(self) -> dict:
         return {"name": self.name}
@@ -74,6 +114,9 @@ class AlwaysStep(Strategy):
     def decide(self, w, j, i, phase):
         return Decision.STEP
 
+    def plan(self, problem):
+        return Plan((Walk(problem.n),))
+
 
 class LazyMax(Strategy):
     """Stand whenever allowed; one forced SSRW step every m-th time step."""
@@ -86,6 +129,9 @@ class LazyMax(Strategy):
 
     def decide(self, w, j, i, phase):
         return Decision.STAND if j + 1 <= self.m - 1 else Decision.STEP
+
+    def plan(self, problem):
+        return Plan((Crawl(problem.n),))
 
 
 class LazyThenSprint(Strategy):
@@ -122,8 +168,9 @@ class LazyThenSprint(Strategy):
             return HOLD, SPRINT
         return HOLD, HOLD
 
-    def phases(self, problem):
-        return [LAZY, SPRINT, HOLD]
+    def plan(self, problem):
+        lazy = (Crawl(self.switch),) if self.switch >= 1 else ()
+        return Plan(lazy + (SeekHold(self.n),))
 
 
 class Windowed(Strategy):
@@ -179,12 +226,9 @@ class Windowed(Strategy):
             return nxt, nxt
         return (k, HOLD), (k, HOLD)
 
-    def phases(self, problem):
-        out = [FAILED]
-        for k in range(1, self.schedule.u + 2):
-            out.append((k, SEEK))
-            out.append((k, HOLD))
-        return out
+    def plan(self, problem):
+        return Plan(tuple(SeekHold(t) for t in self.schedule.times[1:]),
+                    schedule=self.schedule)
 
     def spec_dict(self):
         out = {"name": self.name}
@@ -223,8 +267,9 @@ class DelayedWrapper(Strategy):
     def next_phase(self, phase, i_next, w_next, j_next):
         return self.inner.next_phase(phase, i_next, w_next, j_next)
 
-    def phases(self, problem):
-        return self.inner.phases(problem)
+    def plan(self, problem):
+        inner = self.inner.plan(problem)
+        return None if inner is None else replace(inner, delayed=True)
 
     def spec_dict(self):
         out = self.inner.spec_dict()

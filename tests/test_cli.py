@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from targetwalk.cli import main
 
 
@@ -129,6 +131,59 @@ def test_simulate_schedule_json_round_trip(tmp_path, capsys):
     a.pop("runtime")
     b.pop("runtime")
     assert a == b
+
+
+def test_simulate_missing_schedule_file_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--d", "1", "--n", "1000", "--m", "10",
+                           "--strategy", "windowed_1d", "--trials", "10", "--seed", "1",
+                           "--schedule-json", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert "simulate failed" in err and "Traceback" not in err
+
+
+def _break_times_order(s):
+    s["times"][1], s["times"][2] = s["times"][2], s["times"][1]
+
+
+def _drop_a_time(s):
+    s["times"].pop(1)
+
+
+def _shift_start(s):
+    s["times"][0] = 1
+
+
+def _stop_short_of_n(s):
+    s["times"][-1] -= 1
+
+
+def _drop_a_width(s):
+    s["half_widths"].pop(1)
+
+
+def _negative_width(s):
+    s["half_widths"][1] = -1
+
+
+def _long_terminal_stage(s):
+    s["times"][-2] -= s["m"] + 1
+
+
+@pytest.mark.parametrize("corrupt", [
+    _break_times_order, _drop_a_time, _shift_start, _stop_short_of_n,
+    _drop_a_width, _negative_width, _long_terminal_stage])
+def test_simulate_bad_schedule_file_exits_2(tmp_path, capsys, corrupt):
+    sched_path = tmp_path / "sched.json"
+    assert main(["schedule", "--d", "1", "--n", "1000", "--m", "10", "--eta", "0.5",
+                 "--out", str(sched_path)]) == 0
+    data = json.loads(sched_path.read_text())
+    corrupt(data["schedule"])
+    sched_path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", "--d", "1", "--n", "1000", "--m", "10",
+                           "--strategy", "windowed_1d", "--trials", "10", "--seed", "1",
+                           "--schedule-json", str(sched_path))
+    assert code == 2
+    assert "simulate failed" in err
 
 
 def test_simulate_csv_format(capsys):

@@ -78,6 +78,24 @@ def test_policy_tie_breaks_to_stand():
     assert table.policy_at(0, (1, 0), 0) is Decision.STEP
 
 
+def test_value_table_rejects_positions_off_the_grid():
+    # the stored grid is |x_i| <= n+1: one guard cell past the reachable cone
+    _, table = optimal_value(Problem(d=1, n=3, m=2), keep="full", want_policy=True)
+    assert table.value_at(0, 4, 0) == 0.0 and table.value_at(0, -4, 0) == 0.0
+    for x in (-5, 5, 40):
+        with pytest.raises(ValueError, match="outside the stored grid"):
+            table.value_at(0, x, 0)
+        with pytest.raises(ValueError, match="outside the stored grid"):
+            table.policy_at(0, x, 0)
+    _, table = optimal_value(Problem(d=2, n=3, m=2), keep="full", want_policy=True)
+    assert table.value_at(0, (4, -4), 0) == 0.0
+    for x in ((5, 0), (0, -5)):
+        with pytest.raises(ValueError, match="outside the stored grid"):
+            table.value_at(0, x, 0)
+        with pytest.raises(ValueError, match="outside the stored grid"):
+            table.policy_at(0, x, 0)
+
+
 def _counter_recursion(problem):
     """Backward induction over (x, j) carrying the stand counter, on the whole
     grid: the reference the counter-free engine must match bit for bit.

@@ -172,14 +172,22 @@ def test_window_conditionals_structure():
 
 
 def test_window_conditionals_insufficient_data():
+    # the rule, not one seed's draws: a stage with no conditioning event is
+    # "insufficient data", and then the stage product is undefined
     p = Problem(d=1, n=40, m=3)
     sched = build_schedule_1d(ScheduleParams1D(n=40, m=3, eta=0.5))
-    cfg = McConfig(problem=p, strategy={"name": "windowed_1d", "eta": 0.5},
-                   trials=2, master_seed=0, schedule=sched)
-    out = window_conditionals(cfg)
-    statuses = [r["status"] for r in out["stages"]]
-    assert "insufficient data" in statuses
-    assert out["stage_product"] is None
+    reached = 0
+    for seed in range(20):
+        cfg = McConfig(problem=p, strategy={"name": "windowed_1d", "eta": 0.5},
+                       trials=2, master_seed=seed, schedule=sched)
+        out = window_conditionals(cfg)
+        empty = [r["cond_events"] == 0 for r in out["stages"]]
+        for row, none in zip(out["stages"], empty):
+            assert (row["status"] == "insufficient data") == none
+            assert (row["p_stay"] is None) == none
+        assert (out["stage_product"] is None) == any(empty)
+        reached += any(empty)
+    assert reached >= 1
 
 
 def test_window_conditionals_requires_windowed():
