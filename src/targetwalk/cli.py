@@ -50,17 +50,17 @@ def _add_schedule_args(p: argparse.ArgumentParser) -> None:
                    help="d=2 stage exponent (default derived from epsilon)")
 
 
-def _strategy_spec_from_args(args) -> dict:
-    spec = {"name": args.strategy}
-    if args.strategy == "windowed_1d":
+def _strategy_spec_from_args(args, name: str) -> dict:
+    spec = {"name": name}
+    if name == "windowed_1d":
         spec["eta"] = args.eta if args.eta is not None else 0.5
-    if args.strategy == "windowed_2d":
+    if name == "windowed_2d":
         spec["epsilon"] = args.epsilon if args.epsilon is not None else 0.5
         if args.theta is not None:
             spec["theta"] = args.theta
         if args.kappa is not None:
             spec["kappa"] = args.kappa
-    if getattr(args, "delayed", False):
+    if args.delayed:
         spec["delayed"] = True
     return spec
 
@@ -100,7 +100,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = _strategy_spec_from_args(args)
+    spec = _strategy_spec_from_args(args, args.strategy)
     try:
         schedule = None
         if args.schedule_json:
@@ -147,18 +147,8 @@ def _cmd_exact(args) -> int:
     try:
         problem = Problem(d=args.d, n=args.n, m=args.m)
         if args.eval:
-            spec = {"name": args.eval}
-            if args.eta is not None:
-                spec["eta"] = args.eta
-            if args.epsilon is not None:
-                spec["epsilon"] = args.epsilon
-            if args.theta is not None:
-                spec["theta"] = args.theta
-            if args.kappa is not None:
-                spec["kappa"] = args.kappa
-            if args.delayed:
-                spec["delayed"] = True
-            strategy = strategy_from_spec(spec, problem)
+            strategy = strategy_from_spec(_strategy_spec_from_args(args, args.eval),
+                                          problem)
             budget = args.budget if args.budget is not None else _exact.DEFAULT_EVAL_BUDGET
             value = _exact.evaluate_strategy_exact(strategy, problem, budget=budget)
             payload = {"schema_version": 1, "mode": "evaluate",

@@ -9,6 +9,7 @@ rational arithmetic so they can back equality assertions.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from scipy.special import gammaln
 
 from .errors import AdmissibilityError, BudgetError, SignatureError
 from .strategies import Strategy
-from .walk import Decision, Problem
+from .walk import _MOVES, Decision, Problem, _add
 
 _LN2 = math.log(2.0)
 
@@ -482,14 +483,6 @@ def _trailing_stands(positions: tuple) -> int:
     return j
 
 
-def _moves(d: int):
-    return (1, -1) if d == 1 else ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-def _shift(w, mv, d):
-    return w + mv if d == 1 else (w[0] + mv[0], w[1] + mv[1])
-
-
 def brute_force_value(problem: Problem) -> Fraction:
     """Sup over all full-history strategies, by raw recursion on histories.
 
@@ -501,7 +494,7 @@ def brute_force_value(problem: Problem) -> Fraction:
     n, m, d = problem.n, problem.m, problem.d
     if n > 12:
         raise BudgetError(f"brute force oracle is exponential; n={n} is too large")
-    moves = _moves(d)
+    moves = _MOVES[d]
     p = Fraction(1, len(moves))
 
     def rec(positions: tuple) -> Fraction:
@@ -509,7 +502,7 @@ def brute_force_value(problem: Problem) -> Fraction:
         if i == n:
             return Fraction(int(positions[-1] == problem.origin))
         w = positions[-1]
-        best = sum((rec(positions + (_shift(w, mv, d),)) for mv in moves),
+        best = sum((rec(positions + (_add(w, mv, d),)) for mv in moves),
                    Fraction(0)) * p
         if _trailing_stands(positions) + 1 <= m - 1:
             stand = rec(positions + (w,))
@@ -526,7 +519,7 @@ def enumerate_decision_trees_value(problem: Problem) -> Fraction:
     n, m, d = problem.n, problem.m, problem.d
     if n > 3 or d != 1:
         raise BudgetError("tree enumeration is doubly exponential; use n <= 3, d = 1")
-    moves = _moves(d)
+    moves = _MOVES[d]
 
     nodes: list[tuple] = []
     options: dict[tuple, list[Decision]] = {}
@@ -541,7 +534,7 @@ def enumerate_decision_trees_value(problem: Problem) -> Fraction:
         nodes.append(positions)
         options[positions] = opts
         for mv in moves:
-            collect(positions + (_shift(positions[-1], mv, d),))
+            collect(positions + (_add(positions[-1], mv, d),))
         if Decision.STAND in opts:
             collect(positions + (positions[-1],))
 
@@ -554,7 +547,7 @@ def enumerate_decision_trees_value(problem: Problem) -> Fraction:
         w = positions[-1]
         if assign[positions] is Decision.STAND:
             return evaluate(assign, positions + (w,))
-        return sum((evaluate(assign, positions + (_shift(w, mv, d),))
+        return sum((evaluate(assign, positions + (_add(w, mv, d),))
                     for mv in moves), Fraction(0)) / len(moves)
 
     best = Fraction(0)
@@ -590,52 +583,80 @@ def evaluate_strategy_exact(strategy: Strategy, problem: Problem,
             f"forward propagation needs ~{cells:.3g} cell-steps (budget {budget:.3g})",
             required_transitions=cells)
     if strategy.w_independent and strategy.zero_split_ok:
-        if problem.d == 1:
-            return _propagate_1d(strategy, problem)
-        return _propagate_2d(strategy, problem)
+        return _propagate(strategy, problem)
     return _propagate_scalar(strategy, problem)
 
 
-def _band_add(store: dict, key, off: int, arr: np.ndarray, owned: bool) -> None:
-    """Accumulate a 1d band (offset, values) into store[key]."""
-    if key not in store:
-        store[key] = (off, arr if owned else arr.copy())
+# A band holds the mass of one (phase, counter) on the cube |x|_inf <= r,
+# as an array of side 2r+1 in every axis, centred on the origin.  Mass
+# starts at the origin (r = 0), a step widens the cube by one cell on every
+# side, a stand or a split keeps it, and a merge takes the larger one, so no
+# band needs an offset.
+
+def _band_add(store: dict, key, arr: np.ndarray, owned: bool) -> None:
+    """Accumulate a band into store[key], the smaller band into the centre
+    of the larger (float addition commutes, so which one is kept does not
+    change a sum)."""
+    held = store.get(key)
+    if held is None:
+        store[key] = arr if owned else arr.copy()
         return
-    o2, a2 = store[key]
-    lo = min(off, o2)
-    hi = max(off + len(arr), o2 + len(a2))
-    if lo == o2 and hi == o2 + len(a2):
-        a2[off - o2: off - o2 + len(arr)] += arr
-        return
-    merged = np.zeros(hi - lo)
-    merged[o2 - lo: o2 - lo + len(a2)] += a2
-    merged[off - lo: off - lo + len(arr)] += arr
-    store[key] = (lo, merged)
+    if held.shape[0] < arr.shape[0]:
+        held, arr = (arr if owned else arr.copy()), held
+        store[key] = held
+    r = (held.shape[0] - arr.shape[0]) // 2
+    held[(slice(r, r + arr.shape[0]),) * held.ndim] += arr
 
 
-def _deposit_split_1d(store, p_zero, p_away, j2, off, arr, owned):
-    """Deposit a band, routing the mass at x = 0 to its own phase."""
+def _deposit_split(store, p_zero, p_away, j2, arr, owned):
+    """Deposit a band, routing the mass at the origin to its own phase."""
     if p_zero == p_away:
-        _band_add(store, (p_zero, j2), off, arr, owned)
+        _band_add(store, (p_zero, j2), arr, owned)
         return
-    idx = -off
-    z = arr[idx] if 0 <= idx < len(arr) else 0.0
+    origin = (arr.shape[0] // 2,) * arr.ndim
+    z = arr[origin]
     if z != 0.0:
         if not owned:
             arr = arr.copy()
             owned = True
-        arr[idx] = 0.0
-        _band_add(store, (p_zero, j2), 0, np.array([z]), True)
-    _band_add(store, (p_away, j2), off, arr, owned)
+        arr[origin] = 0.0
+        _band_add(store, (p_zero, j2), np.array(z, ndmin=arr.ndim), True)
+    _band_add(store, (p_away, j2), arr, owned)
 
 
-def _propagate_1d(strategy: Strategy, problem: Problem) -> float:
-    n, m = problem.n, problem.m
+@functools.cache
+def _neighbour_slots(d: int) -> tuple:
+    """Indices of a band's 2*d neighbour copies inside a band one cell
+    wider on every side: axis by axis, -1 before +1."""
+    slots = []
+    for k in range(d):
+        for shifted in (slice(None, -2), slice(2, None)):
+            index = [slice(1, -1)] * d
+            index[k] = shifted
+            slots.append(tuple(index))
+    return tuple(slots)
+
+
+def _spread(arr: np.ndarray, weight: float) -> np.ndarray:
+    """``weight`` times one fair step of the band ``arr``, on a band one cell
+    wider on every side.  Adds (weight / 2d) * arr for each neighbour in the
+    order of ``_neighbour_slots``."""
+    q = (weight / (2 * arr.ndim)) * arr
+    res = np.zeros([s + 2 for s in arr.shape])
+    for index in _neighbour_slots(arr.ndim):
+        res[index] += q
+    return res
+
+
+def _propagate(strategy: Strategy, problem: Problem) -> float:
+    """Forward propagation of a position-blind strategy: one band of mass
+    over positions per (phase, counter), on Z^d."""
+    n, m, d = problem.n, problem.m, problem.d
     inv_m = 1.0 / m
-    cur = {(strategy.start_phase(problem), 0): (0, np.array([1.0]))}
+    cur = {(strategy.start_phase(problem), 0): np.ones((1,) * d)}
     for i in range(n):
         new: dict = {}
-        for (p, j), (off, arr) in cur.items():
+        for (p, j), arr in cur.items():
             dec = strategy.decide(None, j, i, p)
             if dec is Decision.STAND:
                 j2 = j + 1
@@ -644,106 +665,18 @@ def _propagate_1d(strategy: Strategy, problem: Problem) -> float:
                         f"strategy {strategy.name!r} stands at time {i + 1} with "
                         f"counter {j}", time_step=i + 1)
                 pz, pa = strategy.zero_split(p, i + 1, j2)
-                _deposit_split_1d(new, pz, pa, j2, off, arr, owned=False)
-            elif dec is Decision.STEP:
-                pz, pa = strategy.zero_split(p, i + 1, 0)
-                res = np.zeros(len(arr) + 2)
-                res[:-2] += 0.5 * arr
-                res[2:] += 0.5 * arr
-                _deposit_split_1d(new, pz, pa, 0, off - 1, res, owned=True)
-            else:
-                pz, pa = strategy.zero_split(p, i + 1, 0)
-                _deposit_split_1d(new, pz, pa, 0, off, (1.0 - inv_m) * arr, owned=True)
-                res = np.zeros(len(arr) + 2)
-                res[:-2] += 0.5 * inv_m * arr
-                res[2:] += 0.5 * inv_m * arr
-                _deposit_split_1d(new, pz, pa, 0, off - 1, res, owned=True)
-        cur = new
-    total = 0.0
-    for (_, _), (off, arr) in cur.items():
-        idx = -off
-        if 0 <= idx < len(arr):
-            total += float(arr[idx])
-    return total
-
-
-def _box_add(store: dict, key, off: tuple[int, int], arr: np.ndarray, owned: bool) -> None:
-    if key not in store:
-        store[key] = (off, arr if owned else arr.copy())
-        return
-    (ox2, oy2), a2 = store[key]
-    ox, oy = off
-    lx = min(ox, ox2)
-    ly = min(oy, oy2)
-    hx = max(ox + arr.shape[0], ox2 + a2.shape[0])
-    hy = max(oy + arr.shape[1], oy2 + a2.shape[1])
-    if (lx, ly) == (ox2, oy2) and (hx, hy) == (ox2 + a2.shape[0], oy2 + a2.shape[1]):
-        a2[ox - ox2: ox - ox2 + arr.shape[0], oy - oy2: oy - oy2 + arr.shape[1]] += arr
-        return
-    merged = np.zeros((hx - lx, hy - ly))
-    merged[ox2 - lx: ox2 - lx + a2.shape[0], oy2 - ly: oy2 - ly + a2.shape[1]] += a2
-    merged[ox - lx: ox - lx + arr.shape[0], oy - ly: oy - ly + arr.shape[1]] += arr
-    store[key] = ((lx, ly), merged)
-
-
-def _deposit_split_2d(store, p_zero, p_away, j2, off, arr, owned):
-    if p_zero == p_away:
-        _box_add(store, (p_zero, j2), off, arr, owned)
-        return
-    ix, iy = -off[0], -off[1]
-    z = 0.0
-    if 0 <= ix < arr.shape[0] and 0 <= iy < arr.shape[1]:
-        z = arr[ix, iy]
-    if z != 0.0:
-        if not owned:
-            arr = arr.copy()
-            owned = True
-        arr[ix, iy] = 0.0
-        _box_add(store, (p_zero, j2), (0, 0), np.array([[z]]), True)
-    _box_add(store, (p_away, j2), off, arr, owned)
-
-
-def _propagate_2d(strategy: Strategy, problem: Problem) -> float:
-    n, m = problem.n, problem.m
-    inv_m = 1.0 / m
-    cur = {(strategy.start_phase(problem), 0): ((0, 0), np.array([[1.0]]))}
-    for i in range(n):
-        new: dict = {}
-        for (p, j), (off, arr) in cur.items():
-            dec = strategy.decide(None, j, i, p)
-            if dec is Decision.STAND:
-                j2 = j + 1
-                if j2 > m - 1:
-                    raise AdmissibilityError(
-                        f"strategy {strategy.name!r} stands at time {i + 1} with "
-                        f"counter {j}", time_step=i + 1)
-                pz, pa = strategy.zero_split(p, i + 1, j2)
-                _deposit_split_2d(new, pz, pa, j2, off, arr, owned=False)
+                _deposit_split(new, pz, pa, j2, arr, owned=False)
                 continue
-            if dec is Decision.STEP:
-                parts = ((1.0, None),)
-            else:
-                parts = ((inv_m, None), (1.0 - inv_m, "stay"))
             pz, pa = strategy.zero_split(p, i + 1, 0)
-            for weight, kind in parts:
-                if kind == "stay":
-                    _deposit_split_2d(new, pz, pa, 0, off, weight * arr, owned=True)
-                    continue
-                h, w = arr.shape
-                res = np.zeros((h + 2, w + 2))
-                q = 0.25 * weight * arr
-                res[:-2, 1:-1] += q
-                res[2:, 1:-1] += q
-                res[1:-1, :-2] += q
-                res[1:-1, 2:] += q
-                _deposit_split_2d(new, pz, pa, 0, (off[0] - 1, off[1] - 1), res,
-                                  owned=True)
+            weight = 1.0
+            if dec is not Decision.STEP:
+                _deposit_split(new, pz, pa, 0, (1.0 - inv_m) * arr, owned=True)
+                weight = inv_m
+            _deposit_split(new, pz, pa, 0, _spread(arr, weight), owned=True)
         cur = new
     total = 0.0
-    for (_, _), (off, arr) in cur.items():
-        ix, iy = -off[0], -off[1]
-        if 0 <= ix < arr.shape[0] and 0 <= iy < arr.shape[1]:
-            total += float(arr[ix, iy])
+    for arr in cur.values():
+        total += float(arr[(arr.shape[0] // 2,) * d])
     return total
 
 
@@ -752,7 +685,7 @@ def state_distribution(strategy: Strategy, problem: Problem,
     """Probability mass over (phase, j, position) atoms at a fixed time.
 
     Scalar reference propagation: handles position-dependent decisions and
-    arbitrary phase transitions, at quadratic cost.  The banded engines are
+    arbitrary phase transitions, at quadratic cost.  The banded engine is
     validated against it on small instances.
     """
     n, m, d = problem.n, problem.m, problem.d
@@ -761,7 +694,7 @@ def state_distribution(strategy: Strategy, problem: Problem,
     if not 0 <= at_time <= n:
         raise ValueError(f"time must lie in [0, {n}], got {at_time}")
     inv_m = 1.0 / m
-    moves = _moves(d)
+    moves = _MOVES[d]
     pstep = 1.0 / len(moves)
     cur = {(strategy.start_phase(problem), 0, problem.origin): 1.0}
     for i in range(at_time):
@@ -786,7 +719,7 @@ def state_distribution(strategy: Strategy, problem: Problem,
             else:
                 w_step = mass
             for mv in moves:
-                x2 = _shift(x, mv, d)
+                x2 = _add(x, mv, d)
                 p2 = strategy.next_phase(p, i + 1, x2, 0)
                 targets.append(((p2, 0, x2), w_step * pstep))
             for key, val in targets:

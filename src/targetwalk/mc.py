@@ -10,7 +10,10 @@ interval they stay sane at p_hat = 0 or 1, which lazy strategies produce.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,6 +29,8 @@ from .walk import Problem
 
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
+
+_log = logging.getLogger(__name__)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -231,49 +236,72 @@ def window_conditionals(config: McConfig,
     }
 
 
-def _sweep_cell_result(cell: dict, master_seed: int, default_trials: int,
-                       threads: int) -> dict:
-    problem = Problem(d=cell.get("d", 1), n=cell["n"], m=cell["m"])
-    spec = dict(cell["strategy"])
-    trials = int(cell.get("trials", default_trials))
-    config = McConfig(problem=problem, strategy=spec, trials=trials,
-                      master_seed=master_seed, threads=threads)
-    report = estimate_success(config)
-    return {
-        "d": problem.d, "n": problem.n, "m": problem.m,
-        "strategy": spec.get("name"), "delayed": bool(spec.get("delayed", False)),
-        "params": json.dumps({k: v for k, v in spec.items()
-                              if k not in ("name", "delayed")}, sort_keys=True),
-        "trials": trials, "master_seed": master_seed,
-        "successes": report.successes, "p_hat": report.p_hat,
-        "wilson_lo": report.wilson_lo, "wilson_hi": report.wilson_hi,
-        "status": "ok", "error": "",
-    }
-
-
 SWEEP_COLUMNS = ("cell", "d", "n", "m", "strategy", "delayed", "params",
                  "trials", "master_seed", "successes", "p_hat",
                  "wilson_lo", "wilson_hi", "status", "error")
+
+
+def _sweep_row(spec: dict, d, n, m, trials, master_seed,
+               report: Optional[EstimateReport] = None, error: str = "") -> dict:
+    """A ``SWEEP_COLUMNS`` row without ``cell`` that echoes ``spec``: the
+    estimate in ``report``, or an error row without params when it is None."""
+    row = {"d": d, "n": n, "m": m, "strategy": spec.get("name"),
+           "delayed": bool(spec.get("delayed", False)), "params": "",
+           "trials": trials, "master_seed": master_seed, "successes": None,
+           "p_hat": None, "wilson_lo": None, "wilson_hi": None,
+           "status": "error", "error": error}
+    if report is not None:
+        params = {k: v for k, v in spec.items() if k not in ("name", "delayed")}
+        row.update(params=json.dumps(params, sort_keys=True),
+                   successes=report.successes, p_hat=report.p_hat,
+                   wilson_lo=report.wilson_lo, wilson_hi=report.wilson_hi,
+                   status="ok")
+    return row
 
 
 def report_to_csv(report: EstimateReport, fh) -> None:
     """One-row CSV rendering of an estimate (sweep column layout)."""
     import csv
 
-    spec = dict(report.strategy)
-    row = {
-        "cell": 0, "d": report.problem.d, "n": report.problem.n,
-        "m": report.problem.m, "strategy": spec.pop("name", ""),
-        "delayed": bool(spec.pop("delayed", False)),
-        "params": json.dumps(spec, sort_keys=True),
-        "trials": report.trials, "master_seed": report.master_seed,
-        "successes": report.successes, "p_hat": report.p_hat,
-        "wilson_lo": report.wilson_lo, "wilson_hi": report.wilson_hi,
-        "status": "ok", "error": "",
-    }
+    p = report.problem
+    row = _sweep_row(report.strategy, p.d, p.n, p.m, report.trials,
+                     report.master_seed, report)
     writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
-    writer.writerow(row)
+    writer.writerow(dict(row, cell=0))
+
+
+def _marker_key(cell: dict, master_seed: int, trials) -> str:
+    """Hash of everything a sweep cell's row depends on."""
+    blob = json.dumps([cell, master_seed, trials, SCHEMA_VERSION],
+                      sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _read_marker(path: str, key: str) -> Optional[dict]:
+    """The row stored in a marker, or None if there is none, or if it is
+    unreadable or keyed for another configuration (logged)."""
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            row = json.load(fh)
+    except (OSError, ValueError) as exc:
+        _log.warning("%s is unreadable (%s); recomputing the cell", path, exc)
+        return None
+    if not isinstance(row, dict) or row.pop("key", None) != key:
+        _log.warning("%s was written for another cell, seed, trial count or "
+                     "schema; recomputing the cell", path)
+        return None
+    return row
+
+
+def _write_marker(path: str, row: dict, key: str) -> None:
+    """Write a keyed marker whole or not at all: temp file, then rename."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(dict(row, key=key), fh, sort_keys=True)
+    os.replace(tmp, path)
 
 
 def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
@@ -283,36 +311,39 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
     Every cell uses the master seed directly (common random numbers across
     cells, and a one-cell sweep reproduces estimate_success exactly).  With
     ``out_dir`` set, each finished cell is written to cell_NNNN.json and
-    skipped on a rerun, making sweeps resumable per cell.
+    skipped on a rerun, making sweeps resumable per cell.  A marker is keyed
+    by a hash of (cell, master seed, trials, schema version) and written
+    atomically; a torn marker or one keyed for another configuration is
+    recomputed.
     """
-    import os
-
     rows = []
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     for idx, cell in enumerate(cells):
+        spec = cell.get("strategy", {})
+        trials = cell.get("trials", default_trials)
         marker = None
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
             marker = os.path.join(out_dir, f"cell_{idx:04d}.json")
-            if os.path.exists(marker):
-                with open(marker) as fh:
-                    row = json.load(fh)
+            key = _marker_key(cell, master_seed, trials)
+            row = _read_marker(marker, key)
+            if row is not None:
                 row["cell"] = idx
                 rows.append(row)
                 continue
         try:
-            row = _sweep_cell_result(cell, master_seed, default_trials, threads)
+            problem = Problem(d=cell.get("d", 1), n=cell["n"], m=cell["m"])
+            report = estimate_success(McConfig(
+                problem=problem, strategy=dict(cell["strategy"]), trials=int(trials),
+                master_seed=master_seed, threads=threads))
+            row = _sweep_row(spec, problem.d, problem.n, problem.m, report.trials,
+                             master_seed, report)
         except Exception as exc:  # record and continue
-            row = {"d": cell.get("d", 1), "n": cell.get("n"), "m": cell.get("m"),
-                   "strategy": cell.get("strategy", {}).get("name"),
-                   "delayed": bool(cell.get("strategy", {}).get("delayed", False)),
-                   "params": "", "trials": cell.get("trials", default_trials),
-                   "master_seed": master_seed, "successes": None, "p_hat": None,
-                   "wilson_lo": None, "wilson_hi": None,
-                   "status": "error", "error": f"{type(exc).__name__}: {exc}"}
+            row = _sweep_row(spec, cell.get("d", 1), cell.get("n"), cell.get("m"),
+                             trials, master_seed, error=f"{type(exc).__name__}: {exc}")
         row["cell"] = idx
         if marker is not None:
-            with open(marker, "w") as fh:
-                json.dump(row, fh, sort_keys=True)
+            _write_marker(marker, row, key)
         rows.append(row)
     return rows
 

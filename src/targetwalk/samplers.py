@@ -132,6 +132,17 @@ def _lattice(col: np.ndarray):
     return ((a + b) // 2, (a - b) // 2)
 
 
+def _counts(pos: np.ndarray, lo: int, keep_failures: int) -> ChunkCounts:
+    """Successes and the first failure positions of (d, k) diagonal end
+    positions of trials lo..lo+k-1."""
+    ok = ~pos.any(axis=0)
+    out = ChunkCounts(successes=int(np.count_nonzero(ok)), n_trials=pos.shape[1])
+    if keep_failures:
+        out.failure_samples = [(lo + int(i), _lattice(pos[:, i]))
+                               for i in np.nonzero(~ok)[0][:keep_failures]]
+    return out
+
+
 class Sampler:
     """Base chunk runner; subclasses fill run_chunk."""
 
@@ -159,25 +170,12 @@ class EndpointSampler(Sampler):
 
     def run_chunk(self, master_seed, lo, hi, keep_failures=0):
         idx = np.arange(lo, hi, dtype=np.uint64)
-        d = self.problem.d
-        if d == 1:
-            end = _rng.bit_sum_walk(master_seed, idx, self.steps)
-            ok = end == 0
-        else:
-            n_words = (self.steps + 63) // 64
-            s1 = _rng.bit_sum_walk(master_seed, idx, self.steps, word_offset=0)
-            s2 = _rng.bit_sum_walk(master_seed, idx, self.steps, word_offset=n_words)
-            ok = (s1 == 0) & (s2 == 0)
-        out = ChunkCounts(successes=int(ok.sum()), n_trials=hi - lo)
-        if keep_failures:
-            bad = np.nonzero(~ok)[0][:keep_failures]
-            if d == 1:
-                out.failure_samples = [(int(lo + i), int(end[i])) for i in bad]
-            else:
-                out.failure_samples = [
-                    (int(lo + i), ((int(s1[i]) + int(s2[i])) // 2,
-                                   (int(s1[i]) - int(s2[i])) // 2)) for i in bad]
-        return out
+        n_words = (self.steps + 63) // 64
+        # coordinate k (diagonal in d = 2) reads words k*n_words onwards
+        pos = np.stack([_rng.bit_sum_walk(master_seed, idx, self.steps,
+                                          word_offset=k * n_words)
+                        for k in range(self.problem.d)])
+        return _counts(pos, lo, keep_failures)
 
 
 class StagedSampler(Sampler):
@@ -207,10 +205,8 @@ class StagedSampler(Sampler):
         sched = self.plan.schedule
         pos = np.zeros((d, k), dtype=np.int64)
         walking = np.zeros(k, dtype=bool)      # missed a seek: steps every time
-        out = ChunkCounts(n_trials=k)
-        if sched is not None:
-            out.stage_counters = _new_stage_counters(sched.u)
-            was_in = np.ones(k, dtype=bool)    # W_0 is the origin, inside window 0
+        counters = _new_stage_counters(sched.u) if sched is not None else None
+        was_in = np.ones(k, dtype=bool)        # W_0 is the origin, inside window 0
         t = 0
         for stage, seg in enumerate(self.plan.segments, start=1):
             if not isinstance(seg, SeekHold):
@@ -232,14 +228,10 @@ class StagedSampler(Sampler):
             hit[seekers] = got
             walking |= alive & ~hit
             t = seg.t_end
-            if sched is not None:
-                was_in = _tally_stage(out.stage_counters, stage, sched,
-                                      pos, alive, hit, was_in)
-        ok = ~pos.any(axis=0)
-        out.successes = int(np.count_nonzero(ok))
-        if keep_failures:
-            out.failure_samples = [(lo + int(i), _lattice(pos[:, i]))
-                                   for i in np.nonzero(~ok)[0][:keep_failures]]
+            if counters is not None:
+                was_in = _tally_stage(counters, stage, sched, pos, alive, hit, was_in)
+        out = _counts(pos, lo, keep_failures)
+        out.stage_counters = counters
         return out
 
 

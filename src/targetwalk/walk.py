@@ -107,11 +107,13 @@ def admissible_decisions(state: WalkState, problem: Problem,
     return out
 
 
+#: unit lattice moves per dimension, in the order ``_draw_move`` indexes them
+_MOVES = {1: (-1, 1), 2: ((1, 0), (-1, 0), (0, 1), (0, -1))}
+
+
 def _draw_move(rng: RandomSource, d: int) -> Position:
-    if d == 1:
-        return int(rng.integers(0, 2)) * 2 - 1
-    k = int(rng.integers(0, 4))
-    return ((1, 0), (-1, 0), (0, 1), (0, -1))[k]
+    moves = _MOVES[d]
+    return moves[int(rng.integers(0, len(moves)))]
 
 
 def _add(w: Position, dw: Position, d: int) -> Position:

@@ -216,7 +216,9 @@ def test_banded_and_scalar_engines_agree():
         assert fast == pytest.approx(slow, abs=1e-12), strat.name
     p2 = Problem(d=2, n=40, m=3)
     s2 = build_schedule_2d(ScheduleParams2D(n=40, m=3, epsilon=0.5))
-    for strat in (always_step(), lazy_max(p2), windowed_2d(s2, p2)):
+    for strat in (always_step(), lazy_max(p2), windowed_2d(s2, p2),
+                  lazy_then_sprint(p2), delayed_wrapper(lazy_max(p2), p2),
+                  delayed_wrapper(windowed_2d(s2, p2), p2)):
         fast = evaluate_strategy_exact(strat, p2)
         slow = _propagate_scalar(strat, p2)
         assert fast == pytest.approx(slow, abs=1e-12), strat.name

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import pytest
@@ -244,6 +245,41 @@ def test_sweep_resumes_from_markers(tmp_path):
     second = sweep(cells, master_seed=12, out_dir=str(tmp_path))
     assert second[0]["p_hat"] == -1.0
     assert first[0]["p_hat"] != -1.0
+
+
+def test_sweep_recomputes_a_torn_marker(tmp_path, caplog):
+    cells = [{"d": 1, "n": 50, "m": 3, "strategy": {"name": "lazy_max"},
+              "trials": 500}]
+    first = sweep(cells, master_seed=12, out_dir=str(tmp_path))
+    marker = tmp_path / "cell_0000.json"
+    text = marker.read_text()
+    marker.write_text(text[:len(text) // 2])
+    with caplog.at_level(logging.WARNING, logger="targetwalk.mc"):
+        second = sweep(cells, master_seed=12, out_dir=str(tmp_path))
+    assert second == first
+    assert "cell_0000.json" in caplog.text
+    assert marker.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cell_0000.json"]
+
+
+def test_sweep_recomputes_a_marker_of_another_config(tmp_path, caplog):
+    cell = {"d": 1, "n": 50, "m": 3, "strategy": {"name": "lazy_max"},
+            "trials": 500}
+    sweep([cell], master_seed=12, out_dir=str(tmp_path))
+    changed = [dict(cell, strategy={"name": "always_step"})]
+    with caplog.at_level(logging.WARNING, logger="targetwalk.mc"):
+        rows = sweep(changed, master_seed=12, out_dir=str(tmp_path))
+    assert rows[0]["strategy"] == "always_step"
+    assert rows == sweep(changed, master_seed=12)
+    assert "cell_0000.json" in caplog.text
+    # the master seed and the trial count are part of the key as well
+    assert (sweep(changed, master_seed=13, out_dir=str(tmp_path))
+            == sweep(changed, master_seed=13))
+    assert (sweep(changed, master_seed=13, default_trials=300,
+                  out_dir=str(tmp_path)) == sweep(changed, master_seed=13))
+    fewer = [dict(changed[0], trials=400)]
+    assert (sweep(fewer, master_seed=13, out_dir=str(tmp_path))
+            == sweep(fewer, master_seed=13))
 
 
 def test_sweep_csv_columns(tmp_path):
