@@ -190,8 +190,12 @@ def _cmd_sweep(args) -> int:
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"bad sweep config: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    rows = _mc.sweep(cells, master_seed=args.seed, default_trials=default_trials,
-                     threads=args.threads, out_dir=args.state_dir)
+    try:
+        rows = _mc.sweep(cells, master_seed=args.seed, default_trials=default_trials,
+                         threads=args.threads, out_dir=args.state_dir)
+    except ValueError as exc:
+        print(f"bad sweep arguments: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.out:
         with open(args.out, "w", newline="") as fh:
             _mc.sweep_to_csv(rows, fh)

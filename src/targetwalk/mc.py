@@ -61,6 +61,10 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.store_failures < 0:
+            raise ValueError(f"store_failures must be >= 0, got {self.store_failures}")
 
 
 @dataclass
@@ -280,7 +284,7 @@ def _marker_key(cell: dict, master_seed: int, trials) -> str:
 
 def _read_marker(path: str, key: str) -> Optional[dict]:
     """The row stored in a marker, or None if there is none, or if it is
-    unreadable or keyed for another configuration (logged)."""
+    unreadable, keyed for another configuration (logged) or a failed row."""
     if not os.path.exists(path):
         return None
     try:
@@ -292,6 +296,10 @@ def _read_marker(path: str, key: str) -> Optional[dict]:
     if not isinstance(row, dict) or row.pop("key", None) != key:
         _log.warning("%s was written for another cell, seed, trial count or "
                      "schema; recomputing the cell", path)
+        return None
+    if row.get("status") != "ok":
+        # earlier versions also kept markers of failed cells
+        _log.info("%s records a failed cell; retrying it", path)
         return None
     return row
 
@@ -310,12 +318,15 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
 
     Every cell uses the master seed directly (common random numbers across
     cells, and a one-cell sweep reproduces estimate_success exactly).  With
-    ``out_dir`` set, each finished cell is written to cell_NNNN.json and
-    skipped on a rerun, making sweeps resumable per cell.  A marker is keyed
-    by a hash of (cell, master seed, trials, schema version) and written
-    atomically; a torn marker or one keyed for another configuration is
-    recomputed.
+    ``out_dir`` set, each cell that succeeds is written to cell_NNNN.json
+    and skipped on a rerun, making sweeps resumable per cell; a failed cell
+    leaves no marker, so a rerun retries it.  A marker is keyed by a hash of
+    (cell, master seed, trials, schema version) and written atomically; a
+    torn marker or one keyed for another configuration is recomputed.
+    ``threads`` below 1 raises ValueError before any cell runs.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     rows = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -342,7 +353,7 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
             row = _sweep_row(spec, cell.get("d", 1), cell.get("n"), cell.get("m"),
                              trials, master_seed, error=f"{type(exc).__name__}: {exc}")
         row["cell"] = idx
-        if marker is not None:
+        if marker is not None and row["status"] == "ok":
             _write_marker(marker, row, key)
         rows.append(row)
     return rows

@@ -262,3 +262,28 @@ def test_sweep_malformed_config_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "sweep", "--config", str(bad), "--seed", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [("--threads", "0"), ("--threads", "-1"),
+                                   ("--store-failures", "-1")])
+def test_simulate_bad_threads_or_store_failures_exit_2(capsys, flags):
+    code, out, err = run_cli(capsys, "simulate", "--d", "1", "--n", "40", "--m", "2",
+                             "--strategy", "always_step", "--trials", "100",
+                             "--seed", "1", *flags)
+    assert code == 2
+    assert out == "" and flags[0].lstrip("-").replace("-", "_") in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_bad_threads_exit_2_before_any_cell(tmp_path, capsys, threads):
+    config = {"trials": 100,
+              "cells": [{"d": 1, "n": 40, "m": 2, "strategy": {"name": "always_step"}},
+                        {"d": 1, "n": 40, "m": 4, "strategy": {"name": "lazy_max"}}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    state = tmp_path / "state"
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path), "--seed", "1",
+                             "--threads", threads, "--state-dir", str(state))
+    assert code == 2
+    assert out == "" and "threads" in err and "cell(s) failed" not in err
+    assert not state.exists() or list(state.iterdir()) == []

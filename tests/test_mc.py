@@ -232,6 +232,55 @@ def test_sweep_records_errors_and_continues():
     assert rows[1]["status"] == "ok"
 
 
+@pytest.mark.parametrize("bad", [{"threads": 0}, {"threads": -1},
+                                 {"store_failures": -1}])
+def test_config_rejects_bad_threads_and_store_failures(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        McConfig(problem=Problem(d=1, n=10, m=2), strategy={"name": "always_step"},
+                 trials=100, master_seed=1, **bad)
+
+
+def test_sweep_rejects_bad_threads_before_any_cell(tmp_path):
+    cells = [{"d": 1, "n": 10, "m": 2, "strategy": {"name": "always_step"}}]
+    with pytest.raises(ValueError, match="threads"):
+        sweep(cells, master_seed=11, default_trials=100, threads=0,
+              out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_retries_a_failed_cell_on_rerun(tmp_path, monkeypatch):
+    import targetwalk.mc as mc_mod
+
+    cells = [{"d": 1, "n": 50, "m": 3, "strategy": {"name": "lazy_max"},
+              "trials": 500},
+             {"d": 1, "n": 40, "m": 2, "strategy": {"name": "always_step"},
+              "trials": 500}]
+    fresh = sweep(cells, master_seed=12)
+    real = mc_mod.estimate_success
+    calls = []
+
+    def fails_once_on_cell_1(config, **kwargs):
+        calls.append(config.problem.n)
+        if config.problem.n == 40 and calls.count(40) == 1:
+            raise MemoryError("transient")
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(mc_mod, "estimate_success", fails_once_on_cell_1)
+    first = sweep(cells, master_seed=12, out_dir=str(tmp_path))
+    assert [r["status"] for r in first] == ["ok", "error"]
+    assert not (tmp_path / "cell_0001.json").exists()
+    second = sweep(cells, master_seed=12, out_dir=str(tmp_path))
+    assert calls == [50, 40, 40]            # cell 0 resumed, cell 1 retried
+    assert second == fresh
+    assert (tmp_path / "cell_0001.json").exists()
+    # a marker of a failed cell, as earlier versions wrote, is retried too
+    marker = tmp_path / "cell_0001.json"
+    mc_mod._write_marker(str(marker), first[1], mc_mod._marker_key(cells[1], 12, 500))
+    assert sweep(cells, master_seed=12, out_dir=str(tmp_path)) == fresh
+    assert calls == [50, 40, 40, 40]
+    assert json.loads(marker.read_text())["status"] == "ok"
+
+
 def test_sweep_resumes_from_markers(tmp_path):
     cells = [{"d": 1, "n": 50, "m": 3, "strategy": {"name": "lazy_max"},
               "trials": 500}]
