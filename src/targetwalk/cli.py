@@ -154,7 +154,8 @@ def _cmd_exact(args) -> int:
             payload = {"schema_version": 1, "mode": "evaluate",
                        "strategy": strategy.spec_dict(),
                        "problem": {"d": args.d, "n": args.n, "m": args.m},
-                       "value": value}
+                       "value": value,
+                       "runtime": {"engine": _exact.evaluation_engine(strategy, problem)}}
         else:
             want_policy = args.policy_out is not None
             budget = args.budget if args.budget is not None else _exact.DEFAULT_DP_BUDGET
@@ -167,7 +168,7 @@ def _cmd_exact(args) -> int:
                     table.to_csv(fh)
             payload = {"schema_version": 1, "mode": "optimal",
                        "problem": {"d": args.d, "n": args.n, "m": args.m},
-                       "value": value}
+                       "value": value, "runtime": {"engine": "backward"}}
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_OVER_BUDGET
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the optimal value/policy table as CSV")
     p.add_argument("--budget", type=float, default=None,
                    help="work cap: DP cell updates (default %g) or, with --eval, "
-                        "forward-propagation cell-steps (default %g)"
+                        "float entries the plan engine touches, or cell-steps for "
+                        "a strategy without a plan (default %g)"
                         % (_exact.DEFAULT_DP_BUDGET, _exact.DEFAULT_EVAL_BUDGET))
     p.add_argument("--json", action="store_true", help="emit JSON instead of the bare value")
     p.add_argument("--out", default=None)

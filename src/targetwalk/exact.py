@@ -1,6 +1,7 @@
 """Exact computations: optimal value by backward induction, exact strategy
-evaluation by forward distribution propagation, and SSRW functionals used as
-oracles elsewhere (hitting tails, return probabilities, local times).
+evaluation (by renewal over time from a segment plan, or by scalar forward
+distribution propagation), and SSRW functionals used as oracles elsewhere
+(hitting tails, return probabilities, local times).
 
 All float routines use 64-bit arithmetic; the small-instance oracles
 (``brute_force_value``, the integer hitting-tail counts) use exact integer /
@@ -21,13 +22,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import AdmissibilityError, BudgetError, SignatureError
-from .strategies import Strategy
+from .strategies import Crawl, Plan, SeekHold, Strategy, Walk
 from .walk import _MOVES, Decision, Problem, _add
 
 _LN2 = math.log(2.0)
 
 DEFAULT_DP_BUDGET = 2.0e9          # backward-induction cell updates
-DEFAULT_EVAL_BUDGET = 6.0e8        # forward-propagation cell-steps
+DEFAULT_EVAL_BUDGET = 6.0e8        # plan-engine float entries or scalar cell-steps
 _FULL_TABLE_CELLS = 5.0e7          # cap on backward-induction float cells held
 
 
@@ -50,14 +51,43 @@ def ssrw_pmf_1d(steps, offset) -> np.ndarray:
     return out
 
 
-def ssrw_return_probability(steps: int, d: int) -> float:
-    """P(Y_steps = 0) for SSRW on Z^d, d in {1, 2}.
+@functools.lru_cache(maxsize=4)
+def _return_table(size: int, d: int) -> np.ndarray:
+    """Read-only r(t) = P(S_t = 0) for t < size, SSRW on Z^d from the origin.
 
-    In two dimensions the diagonal coordinates (x+y, x-y) are independent 1d
-    walks, so the return probability is the 1d value squared.
+    Even entries follow the ratio recurrence r(2k+2) = r(2k)(2k+1)/(2k+2),
+    whose rounding errors add up like a random walk: about 1e-14 relative at
+    t = 10^6, where ``gammaln`` loses 7e-10.  Odd entries are exactly 0.  In
+    two dimensions the diagonal coordinates (x+y, x-y) are independent 1d
+    walks, so the table is the 1d one squared.
     """
-    p1 = ssrw_pmf_1d(steps, 0)
-    return float(p1) if d == 1 else float(p1) ** 2
+    r = np.zeros(size)
+    r[0] = 1.0
+    k = np.arange((size - 1) // 2, dtype=np.float64)
+    r[2::2] = np.cumprod((2.0 * k + 1.0) / (2.0 * k + 2.0))
+    if d == 2:
+        r *= r
+    r.flags.writeable = False
+    return r
+
+
+def _table_size(length: int) -> int:
+    """Cache size class for a table of ``length`` entries: a power of two,
+    so that growing horizons rebuild a table O(log n) times."""
+    return max(1024, 1 << (length - 1).bit_length())
+
+
+def _returns(length: int, d: int) -> np.ndarray:
+    """r(0), ..., r(length - 1) as a read-only view of a cached table."""
+    return _return_table(_table_size(length), d)[:length]
+
+
+def ssrw_return_probability(steps: int, d: int) -> float:
+    """P(Y_steps = 0) for SSRW on Z^d, d in {1, 2}, from the ratio-recurrence
+    table (see ``_return_table``)."""
+    if steps < 0:
+        return 0.0
+    return float(_returns(steps + 1, d)[steps])
 
 
 def return_probabilities_2d(x: tuple[int, int], horizon: int) -> np.ndarray:
@@ -560,124 +590,217 @@ def enumerate_decision_trees_value(problem: Problem) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact strategy evaluation by forward propagation
+# Exact strategy evaluation
 # ---------------------------------------------------------------------------
+
+def evaluation_engine(strategy: Strategy, problem: Problem) -> str:
+    """The engine ``evaluate_strategy_exact`` runs for a strategy: "plan"
+    when it compiles to a segment plan, "scalar" otherwise."""
+    return "plan" if strategy.plan(problem) is not None else "scalar"
+
 
 def evaluate_strategy_exact(strategy: Strategy, problem: Problem,
                             budget: float = DEFAULT_EVAL_BUDGET) -> float:
     """Exact success probability of a Markov-signature strategy.
 
-    Pushes the state distribution over (position, counter, phase) forward
-    from the origin, applying the strategy's deterministic decision per
-    state.  Exact up to float accumulation.  Full-history strategies are
-    refused: their state space is the trajectory itself.
+    A strategy that compiles to a segment plan (every built-in one) is
+    evaluated from the plan by renewal over time (``_evaluate_plan``), priced
+    in the float entries its convolutions touch.  Any other strategy gets
+    the scalar forward propagation of ``state_distribution``, priced in
+    (2n+1)^d * n cell-steps.  Exact up to float accumulation.  Full-history
+    strategies are refused: their state space is the trajectory itself.
     """
     if strategy.signature not in ("wj", "wji", "wjip"):
         raise SignatureError(
             f"strategy {strategy.name!r} declares signature {strategy.signature!r}; "
             "exact evaluation supports wj / wji / wjip only (use Monte Carlo)")
-    width = 2 * problem.n + 1
-    cells = float(width) ** problem.d * problem.n
+    plan = strategy.plan(problem)
+    if plan is not None:
+        entries = _plan_cost(plan, problem)
+        if entries > budget:
+            raise BudgetError(
+                f"plan evaluation touches ~{entries:.3g} float entries "
+                f"(budget {budget:.3g})", required_transitions=entries)
+        return _evaluate_plan(plan, problem)
+    cells = float(2 * problem.n + 1) ** problem.d * problem.n
     if cells > budget:
         raise BudgetError(
-            f"forward propagation needs ~{cells:.3g} cell-steps (budget {budget:.3g})",
-            required_transitions=cells)
-    if strategy.w_independent and strategy.zero_split_ok:
-        return _propagate(strategy, problem)
+            f"scalar forward propagation needs ~{cells:.3g} cell-steps "
+            f"(budget {budget:.3g})", required_transitions=cells)
     return _propagate_scalar(strategy, problem)
 
 
-# A band holds the mass of one (phase, counter) on the cube |x|_inf <= r,
-# as an array of side 2r+1 in every axis, centred on the origin.  Mass
-# starts at the origin (r = 0), a step widens the cube by one cell on every
-# side, a stand or a split keeps it, and a merge takes the larger one, so no
-# band needs an offset.
+# The plan engine.  At the start of every plan segment the walkers still on
+# the plan are a mixture over c of "c fair steps from the origin", with
+# weights w[c]: a hold starts at the origin, and a crawl takes a fixed (or,
+# delayed, a binomial) number of steps.  A walker of kind c is at the origin
+# t steps later with probability r(c + t), so the engine works on sequences
+# over time only, whatever d is.
 
-def _band_add(store: dict, key, arr: np.ndarray, owned: bool) -> None:
-    """Accumulate a band into store[key], the smaller band into the centre
-    of the larger (float addition commutes, so which one is kept does not
-    change a sum)."""
-    held = store.get(key)
-    if held is None:
-        store[key] = arr if owned else arr.copy()
-        return
-    if held.shape[0] < arr.shape[0]:
-        held, arr = (arr if owned else arr.copy()), held
-        store[key] = held
-    r = (held.shape[0] - arr.shape[0]) // 2
-    held[(slice(r, r + arr.shape[0]),) * held.ndim] += arr
+_DIRECT_CONVOLVE = 64      # shorter operand up to which np.convolve is used
 
 
-def _deposit_split(store, p_zero, p_away, j2, arr, owned):
-    """Deposit a band, routing the mass at the origin to its own phase."""
-    if p_zero == p_away:
-        _band_add(store, (p_zero, j2), arr, owned)
-        return
-    origin = (arr.shape[0] // 2,) * arr.ndim
-    z = arr[origin]
-    if z != 0.0:
-        if not owned:
-            arr = arr.copy()
-            owned = True
-        arr[origin] = 0.0
-        _band_add(store, (p_zero, j2), np.array(z, ndmin=arr.ndim), True)
-    _band_add(store, (p_away, j2), arr, owned)
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two float arrays: direct when one of them
+    is short, else by real FFT over a power-of-two length."""
+    if min(a.size, b.size) <= _DIRECT_CONVOLVE:
+        return np.convolve(a, b)
+    size = a.size + b.size - 1
+    nfft = 1 << (size - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:size]
 
 
-@functools.cache
-def _neighbour_slots(d: int) -> tuple:
-    """Indices of a band's 2*d neighbour copies inside a band one cell
-    wider on every side: axis by axis, -1 before +1."""
-    slots = []
-    for k in range(d):
-        for shifted in (slice(None, -2), slice(2, None)):
-            index = [slice(1, -1)] * d
-            index[k] = shifted
-            slots.append(tuple(index))
-    return tuple(slots)
+@functools.lru_cache(maxsize=4)
+def _first_entrance_table(size: int, d: int) -> np.ndarray:
+    """Read-only coefficients t < size of Q = 1/R, with R(z) = sum_t r(t) z^t.
+
+    The renewal equation for returns to the origin, U = 1 + F U (Feller,
+    *An Introduction to Probability Theory*, Vol. 1, ch. XIII), gives
+    Q = 1 - F, so -Q[t] is the first-return law for t >= 1.  In d = 1,
+    R = (1 - z^2)^(-1/2) and Q = sqrt(1 - z^2), whose coefficients are
+    -r(2k)/(2k-1).  In d = 2 Newton's iteration Q <- Q - Q (R Q - 1) doubles
+    the known coefficients per round, from the residual's new half only.
+    """
+    r = _return_table(size, d)
+    if d == 1:
+        q = np.zeros(size)
+        q[0] = 1.0
+        q[2::2] = -r[2::2] / np.arange(1, 2 * ((size - 1) // 2), 2)
+    else:
+        q = np.ones(1)
+        while q.size < size:
+            k = q.size
+            k2 = min(2 * k, size)
+            resid = _convolve(r[:k2], q)[k:k2]
+            q = np.concatenate([q, -_convolve(q[:k2 - k], resid)[:k2 - k]])
+    q.flags.writeable = False
+    return q
 
 
-def _spread(arr: np.ndarray, weight: float) -> np.ndarray:
-    """``weight`` times one fair step of the band ``arr``, on a band one cell
-    wider on every side.  Adds (weight / 2d) * arr for each neighbour in the
-    order of ``_neighbour_slots``."""
-    q = (weight / (2 * arr.ndim)) * arr
-    res = np.zeros([s + 2 for s in arr.shape])
-    for index in _neighbour_slots(arr.ndim):
-        res[index] += q
-    return res
+def _binomial_pmf(length: int, p: float) -> tuple[int, np.ndarray]:
+    """(lo, pmf) with pmf[i] = P(Binomial(length, p) = lo + i), cut to the
+    entries that do not underflow to 0.  Built by the ratio recurrence out
+    from the mode and normalised to sum 1, so no log-gamma rounding enters."""
+    if p == 1.0:
+        return length, np.ones(1)
+    mode = min(int((length + 1) * p), length)
+    odds = p / (1.0 - p)
+    down = np.arange(mode, 0, -1, dtype=np.float64)       # P(k-1) / P(k)
+    up = np.arange(mode, length, dtype=np.float64)        # P(k+1) / P(k)
+    pmf = np.concatenate([np.cumprod(down / ((length + 1.0 - down) * odds))[::-1],
+                          [1.0], np.cumprod((length - up) / (up + 1.0) * odds)])
+    pmf /= pmf.sum()
+    live = np.flatnonzero(pmf)
+    return int(live[0]), pmf[live[0]:live[-1] + 1]
 
 
-def _propagate(strategy: Strategy, problem: Problem) -> float:
-    """Forward propagation of a position-blind strategy: one band of mass
-    over positions per (phase, counter), on Z^d."""
+def _binomial_width(length: int, p: float) -> int:
+    """Upper bound on the entries 0, 1, ... of Binomial(length, p) that do
+    not underflow: by Bernstein's inequality P(X >= mean + x) is below
+    e^-745, under the smallest float64, once x^2 >= 1490 (var + x / 3)."""
+    a = 1490.0 / 3.0
+    x = 0.5 * (a + math.sqrt(a * a + 4 * 1490.0 * length * p * (1.0 - p)))
+    return min(length, math.ceil(length * p + x)) + 1
+
+
+def _binomial_mixture(hits: np.ndarray, p: float) -> np.ndarray:
+    """sum_s hits[s] * Binomial(len(hits) - 1 - s, p) as a pmf over the step
+    count: Horner's rule acc <- acc * Bernoulli(p) + hits[s], with the
+    support cut where its top entry underflows to 0."""
+    acc = np.zeros(hits.size)
+    acc[0] = hits[0]
+    top = 1
+    for h in hits[1:]:
+        moved = p * acc[:top]
+        acc[:top] *= 1.0 - p
+        acc[1:top + 1] += moved
+        if acc[top] != 0.0:
+            top += 1
+        acc[0] += h
+    return acc[:top]
+
+
+def _evaluate_plan(plan: Plan, problem: Problem) -> float:
+    """Success probability of a segment plan, by renewal over time.
+
+    ``w[i]`` weighs the walkers still on the plan that are c0 + i fair steps
+    from the origin.  ``Walk(L)`` shifts them by L, ``Crawl(L)`` by L // m
+    or, delayed, mixes them by Binomial(L, 1/m).  ``SeekHold`` over L steps:
+
+    * U_w(t) = sum_i w[i] r(c0 + i + t), the chance of being at the origin t
+      steps on, is one correlation;
+    * the first hit at s = 1..L has law (U_w - U_w(0)) Q (see
+      ``_first_entrance_table``), one product;
+    * a hit at s crawls the remaining L - s steps from the origin, so its
+      mass moves to (L - s) // m steps or, delayed, to Binomial(L - s, 1/m);
+    * a walker that misses steps at every time to n, and ends at the origin
+      with probability U_w(n - t0) - sum_s f(s) r(n - t0 - s).
+    """
     n, m, d = problem.n, problem.m, problem.d
-    inv_m = 1.0 / m
-    cur = {(strategy.start_phase(problem), 0): np.ones((1,) * d)}
-    for i in range(n):
-        new: dict = {}
-        for (p, j), arr in cur.items():
-            dec = strategy.decide(None, j, i, p)
-            if dec is Decision.STAND:
-                j2 = j + 1
-                if j2 > m - 1:
-                    raise AdmissibilityError(
-                        f"strategy {strategy.name!r} stands at time {i + 1} with "
-                        f"counter {j}", time_step=i + 1)
-                pz, pa = strategy.zero_split(p, i + 1, j2)
-                _deposit_split(new, pz, pa, j2, arr, owned=False)
-                continue
-            pz, pa = strategy.zero_split(p, i + 1, 0)
-            weight = 1.0
-            if dec is not Decision.STEP:
-                _deposit_split(new, pz, pa, 0, (1.0 - inv_m) * arr, owned=True)
-                weight = inv_m
-            _deposit_split(new, pz, pa, 0, _spread(arr, weight), owned=True)
-        cur = new
-    total = 0.0
-    for arr in cur.values():
-        total += float(arr[(arr.shape[0] // 2,) * d])
-    return total
+    p = 1.0 / m
+    r = _returns(n + 1, d)
+    q = None
+    c0, w = 0, np.ones(1)
+    value = 0.0
+    t = 0
+    for seg in plan.segments:
+        if isinstance(seg, Walk):
+            c0 += seg.length
+            t += seg.length
+            continue
+        if isinstance(seg, Crawl):
+            if plan.delayed:
+                lo, pmf = _binomial_pmf(seg.length, p)
+                c0, w = c0 + lo, _convolve(w, pmf)
+            else:
+                c0 += seg.length // m
+            t += seg.length
+            continue
+        if q is None:
+            q = _first_entrance_table(_table_size(n + 1), d)
+        length = seg.t_end - t
+        u = _convolve(r[c0:c0 + w.size + length], w[::-1])[w.size - 1:w.size + length]
+        hits = _convolve(u[1:], q[:length])[:length]        # s = 1..length
+        if seg.t_end < n:
+            rest = n - t
+            value += (np.dot(w, r[c0 + rest:c0 + rest + w.size])
+                      - np.dot(hits, r[rest - length:rest][::-1]))
+        if plan.delayed:
+            w = _binomial_mixture(hits, p)
+        else:
+            w = np.bincount((length - 1 - np.arange(length)) // m, weights=hits)
+        c0 = 0
+        t = seg.t_end
+    return float(value + np.dot(w, r[c0:c0 + w.size]))
+
+
+def _plan_cost(plan: Plan, problem: Problem) -> float:
+    """Float entries ``_evaluate_plan`` touches, an upper bound: the r and Q
+    tables, every correlation and first-hit product by output length, and
+    every binomial and Horner step of the delayed mode by its support."""
+    n, m, d = problem.n, problem.m, problem.d
+    p = 1.0 / m
+    cost, width, t = float(n + 1), 1, 0
+    if any(isinstance(seg, SeekHold) for seg in plan.segments):
+        # d = 2: about five output entries per coefficient over Newton's rounds
+        cost += (5 if d == 2 else 1) * _table_size(n + 1)
+    for seg in plan.segments:
+        if not isinstance(seg, SeekHold):
+            if isinstance(seg, Crawl) and plan.delayed:
+                spread = _binomial_width(seg.length, p)
+                cost += seg.length + 1 + width + spread
+                width += spread - 1
+            t += seg.length
+            continue
+        length = seg.t_end - t
+        cost += 2 * width + 3 * length
+        if plan.delayed:
+            width = _binomial_width(length - 1, p)
+            cost += length * width
+        else:
+            width = (length - 1) // m + 1
+        t = seg.t_end
+    return cost
 
 
 def state_distribution(strategy: Strategy, problem: Problem,
@@ -685,8 +808,9 @@ def state_distribution(strategy: Strategy, problem: Problem,
     """Probability mass over (phase, j, position) atoms at a fixed time.
 
     Scalar reference propagation: handles position-dependent decisions and
-    arbitrary phase transitions, at quadratic cost.  The banded engine is
-    validated against it on small instances.
+    arbitrary phase transitions, at quadratic cost.  It never reads
+    ``Strategy.plan``, so the plan engine is validated against it on small
+    instances.
     """
     n, m, d = problem.n, problem.m, problem.d
     if at_time is None:

@@ -8,13 +8,14 @@ depend on:
 * ``"wjip"``  - additionally a finite phase variable (extended Markov),
 * ``"history"`` - anything (phase carries the strategy's private state).
 
-The phase evolves through ``next_phase`` after every transition.  All
-built-in strategies ignore the position when deciding (``w_independent``)
-and their phase transitions depend on the new position only through whether
-it is the origin (``zero_split``); the exact evaluation engine and the fast
-Monte Carlo samplers rely on both properties.  The built-in strategies also
-compile to a segment plan (``plan``), which the fast samplers run instead of
-calling ``decide`` at every step.
+The phase evolves through ``next_phase`` after every transition; the
+built-in strategies define it through ``zero_split``, as their phase
+transitions depend on the new position only through whether it is the
+origin.  The built-in strategies also compile to a segment plan (``plan``),
+which the fast Monte Carlo samplers and the exact evaluation engine run
+instead of calling ``decide`` at every step.  ``decide`` and ``next_phase``
+stay the reference: the generic sampler and the scalar exact engine use
+them, and never the plan.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class Strategy:
 
     name: str = "strategy"
     signature: str = "wj"
-    #: decisions do not read the position (given j, i, phase)
-    w_independent: bool = True
-    #: phase transitions depend on the new position only through w == origin
-    zero_split_ok: bool = True
 
     def start_phase(self, problem: Problem) -> Any:
         return None
@@ -95,7 +92,8 @@ class Strategy:
         return at_zero if is_origin(w_next) else away
 
     def plan(self, problem: Problem) -> Optional[Plan]:
-        """Segment plan the staged samplers run, or None (generic path only)."""
+        """Segment plan that the staged sampler and the exact plan engine run,
+        or None (generic sampler and scalar exact engine only)."""
         return None
 
     def spec_dict(self) -> dict:
@@ -251,8 +249,6 @@ class DelayedWrapper(Strategy):
         self.inner = inner
         self.name = inner.name + "+delayed"
         self.signature = inner.signature
-        self.w_independent = inner.w_independent
-        self.zero_split_ok = inner.zero_split_ok
 
     def start_phase(self, problem):
         return self.inner.start_phase(problem)

@@ -13,10 +13,10 @@ from targetwalk import (McConfig, Problem, ScheduleParams1D, ScheduleParams2D,
                         brute_force_value, build_schedule_1d, build_schedule_2d,
                         check_hoeffding, check_local_time_ratio, check_reflection,
                         estimate_success, evaluate_strategy_exact, fit_scaling,
-                        optimal_value, ssrw_return_probability)
+                        optimal_value, ssrw_return_probability, wilson_interval)
 from targetwalk.cli import main as cli_main
 from targetwalk.strategies import (always_step, delayed_wrapper, lazy_max,
-                                   lazy_then_sprint, windowed_1d)
+                                   lazy_then_sprint, windowed_1d, windowed_2d)
 
 
 def _report(capsys, idx, ok, detail):
@@ -232,3 +232,56 @@ def test_criterion_10_reproducibility(tmp_path, capsys):
     _report(capsys, 10, ok,
             f"3 runs (threads 1/8/1) byte-identical after dropping wall time; "
             f"{dt:.1f}s")
+
+
+def test_exact_values_at_paper_scale(capsys):
+    """Criteria 8 and 9 on exact plan values, and one Monte Carlo cell per
+    dimension inside a z = 4 Wilson interval around the exact value (false
+    alarm about 6e-5 per cell)."""
+    t0 = time.perf_counter()
+    n = 10**6
+    rows1 = []
+    for m in (10**3, 10**4, 10**5):
+        p = Problem(d=1, n=n, m=m)
+        sched = build_schedule_1d(ScheduleParams1D(n=n, m=m, eta=0.5))
+        rows1.append((m, evaluate_strategy_exact(windowed_1d(sched, p), p),
+                      ssrw_return_probability(n // m, 1), p, sched))
+    nondecreasing = all(a[1] <= b[1] for a, b in zip(rows1, rows1[1:]))
+    beats_lazy = all(value > lazy for _, value, lazy, _, _ in rows1)
+    rows2 = []
+    for n2 in (10**4, 10**5, 10**6):
+        m = int(round(n2 ** 0.5))
+        p = Problem(d=2, n=n2, m=m)
+        sched = build_schedule_2d(ScheduleParams2D(n=n2, m=m, epsilon=0.5))
+        rows2.append((n2, evaluate_strategy_exact(windowed_2d(sched, p), p),
+                      ssrw_return_probability(n2, 2), p, sched))
+    smallest = min(rows2, key=lambda r: r[1])
+    above_baseline = smallest[1] > 10.0 * smallest[2]
+    values2 = [r[1] for r in rows2]
+    bounded_spread = max(values2) / min(values2) < 3.0
+
+    covered = []
+    for (_, exact, _, p, sched), spec, seed in (
+            (rows1[1], {"name": "windowed_1d", "eta": 0.5}, 1201),
+            (rows2[2], {"name": "windowed_2d", "epsilon": 0.5}, 1202)):
+        rep = estimate_success(McConfig(problem=p, strategy=spec, trials=10**4,
+                                        master_seed=seed, schedule=sched))
+        lo, hi = wilson_interval(rep.successes, rep.trials, z=4.0)
+        covered.append((p.d, rep.p_hat, exact, lo <= exact <= hi))
+    dt = time.perf_counter() - t0
+    detail = "; ".join([
+        "d=1 " + ", ".join(f"m=1e{int(math.log10(m))}: {v:.6f}>{q:.4f}"
+                           for m, v, q, _, _ in rows1),
+        "d=2 " + ", ".join(f"n=1e{int(math.log10(n2))}: {v:.6f}"
+                           for n2, v, _, _, _ in rows2),
+        f"spread {max(values2) / min(values2):.2f} < 3",
+        ", ".join(f"MC d={d} {p_hat:.4f} vs exact {exact:.4f} "
+                  f"{'inside' if ok else 'OUTSIDE'} z=4 Wilson"
+                  for d, p_hat, exact, ok in covered),
+        f"{dt:.1f}s"])
+    ok = (nondecreasing and beats_lazy and above_baseline and bounded_spread
+          and all(c[3] for c in covered))
+    with capsys.disabled():
+        print(f"ACCEPTANCE exact PASS: {detail}" if ok
+              else f"ACCEPTANCE exact FAIL: {detail}")
+    assert ok, detail

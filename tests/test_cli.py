@@ -58,11 +58,30 @@ def test_exact_over_budget_exits_3(capsys):
 
 
 def test_exact_eval_uses_the_eval_budget(capsys):
-    # (2n+1) * n = 8.0e8 cell-steps: over the eval default (6e8), under the DP one (2e9)
-    code, _, err = run_cli(capsys, "exact", "--d", "1", "--n", "20000", "--m", "2",
-                           "--eval", "always_step")
+    # the delayed hit mixtures price this plan at ~1.2e9 float entries: over
+    # the eval default (6e8), under the DP one (2e9)
+    code, _, err = run_cli(capsys, "exact", "--d", "1", "--n", "1000000", "--m", "2000",
+                           "--eval", "windowed_1d", "--delayed")
     assert code == 3
-    assert "refused" in err
+    assert "refused" in err and "float entries" in err
+
+
+def test_exact_eval_at_paper_scale(capsys):
+    code, out, _ = run_cli(capsys, "exact", "--d", "1", "--n", "1000000", "--m", "10000",
+                           "--eval", "windowed_1d")
+    assert code == 0
+    assert float(out.strip()) == pytest.approx(0.948258, abs=1e-6)
+
+
+def test_exact_json_names_the_engine(capsys):
+    code, out, _ = run_cli(capsys, "exact", "--d", "2", "--n", "300", "--m", "8",
+                           "--eval", "always_step", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["runtime"] == {"engine": "plan"}
+    assert data["value"] == pytest.approx(0.0021185320835944233, rel=1e-12)
+    code, out, _ = run_cli(capsys, "exact", "--d", "1", "--n", "4", "--m", "2", "--json")
+    assert code == 0 and json.loads(out)["runtime"] == {"engine": "backward"}
 
 
 def test_zero_horizon_exits_2(capsys):

@@ -5,13 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from targetwalk import (BudgetError, Decision, Problem, ScheduleParams1D,
-                        ScheduleParams2D, SignatureError, brute_force_value,
+from targetwalk import (BudgetError, Decision, Problem, ScheduleError,
+                        ScheduleParams1D, ScheduleParams2D, SignatureError,
+                        brute_force_value,
                         build_schedule_1d, build_schedule_2d,
                         evaluate_strategy_exact, expected_local_time,
                         hitting_tail_1d, optimal_value, return_probabilities_2d,
                         ssrw_return_probability)
-from targetwalk.exact import (_propagate_scalar, enumerate_decision_trees_value,
+from targetwalk.exact import (_binomial_pmf, _first_entrance_table, _propagate_scalar,
+                              enumerate_decision_trees_value, evaluation_engine,
                               hitting_survivor_counts, hitting_tail_curve,
                               reflection_window_count)
 from targetwalk.strategies import (Strategy, always_step, delayed_wrapper, lazy_max,
@@ -206,22 +208,47 @@ def test_evaluate_2d_lazy_closed_form():
     assert evaluate_strategy_exact(lazy_max(p), p) == pytest.approx(want, abs=1e-12)
 
 
-def test_banded_and_scalar_engines_agree():
-    p = Problem(d=1, n=60, m=4)
-    sched = build_schedule_1d(ScheduleParams1D(n=60, m=4, eta=0.5))
-    for strat in (always_step(), lazy_max(p), lazy_then_sprint(p),
-                  windowed_1d(sched, p), delayed_wrapper(lazy_max(p), p)):
-        fast = evaluate_strategy_exact(strat, p)
-        slow = _propagate_scalar(strat, p)
-        assert fast == pytest.approx(slow, abs=1e-12), strat.name
-    p2 = Problem(d=2, n=40, m=3)
-    s2 = build_schedule_2d(ScheduleParams2D(n=40, m=3, epsilon=0.5))
-    for strat in (always_step(), lazy_max(p2), windowed_2d(s2, p2),
-                  lazy_then_sprint(p2), delayed_wrapper(lazy_max(p2), p2),
-                  delayed_wrapper(windowed_2d(s2, p2), p2)):
-        fast = evaluate_strategy_exact(strat, p2)
-        slow = _propagate_scalar(strat, p2)
-        assert fast == pytest.approx(slow, abs=1e-12), strat.name
+def _built_ins(p):
+    """Every built-in strategy that applies to problem p, plain and delayed;
+    a windowed strategy is left out where no schedule exists."""
+    strats = [always_step(), lazy_max(p), lazy_then_sprint(p)]
+    try:
+        if p.d == 1:
+            sched = build_schedule_1d(ScheduleParams1D(n=p.n, m=p.m, eta=0.5))
+            strats.append(windowed_1d(sched, p))
+        else:
+            sched = build_schedule_2d(ScheduleParams2D(n=p.n, m=p.m, epsilon=0.5))
+            strats.append(windowed_2d(sched, p))
+    except (ScheduleError, ValueError):
+        pass
+    return strats + [delayed_wrapper(s, p) for s in strats]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_plan_and_scalar_engines_agree():
+    """The plan engine against ``_propagate_scalar``, which follows
+    ``decide``/``next_phase`` step by step and never reads the plan.
+
+    Power: on this grid, each of these one-off slips moves some value by
+    more than 0.01, against the 1e-12 tolerance (the engines agree within
+    5e-15): a hit crawling (L - s + 1) // m or (L - s - 1) // m steps; the
+    seek's first-hit law read from s = 0, or cut at L - 1; a delayed hit
+    taking Binomial(L - s + 1, 1/m) steps; a missed walker's return
+    probability read one step early."""
+    problems = [Problem(d=1, n=60, m=4), Problem(d=1, n=61, m=4),
+                Problem(d=1, n=97, m=9), Problem(d=2, n=40, m=3),
+                Problem(d=2, n=41, m=3), Problem(d=2, n=30, m=5)]
+    edges = [Problem(d=1, n=12, m=1), Problem(d=2, n=9, m=1),   # m = 1
+             Problem(d=1, n=5, m=8), Problem(d=2, n=5, m=8),    # n < m
+             Problem(d=1, n=6, m=6), Problem(d=1, n=7, m=6)]    # n - m in {0, 1}
+    windowed = 0
+    for p in problems + edges:
+        for strat in _built_ins(p):
+            windowed += strat.name.startswith("windowed")
+            fast = evaluate_strategy_exact(strat, p)
+            slow = _propagate_scalar(strat, p)
+            assert fast == pytest.approx(slow, abs=1e-12), (p, strat.name)
+    assert windowed >= 2 * len(problems)
 
 
 def test_evaluate_position_dependent_strategy_uses_scalar_path():
@@ -229,8 +256,6 @@ def test_evaluate_position_dependent_strategy_uses_scalar_path():
         # steps whenever away from the origin, stands when on it
         name = "drift_home"
         signature = "wj"
-        w_independent = False
-        zero_split_ok = False
 
         def decide(self, w, j, i, phase):
             if w == 0 and j + 1 <= 3:
@@ -272,9 +297,25 @@ def test_evaluate_refuses_history_signature():
 
 
 def test_evaluate_budget_refusal():
-    with pytest.raises(BudgetError):
-        evaluate_strategy_exact(always_step(), Problem(d=1, n=10**6, m=2),
-                                budget=1e6)
+    # the plan engine is priced in float entries: about 5e6 here
+    p = Problem(d=1, n=10**6, m=10**4)
+    sched = build_schedule_1d(ScheduleParams1D(n=p.n, m=p.m, eta=0.5))
+    with pytest.raises(BudgetError) as err:
+        evaluate_strategy_exact(windowed_1d(sched, p), p, budget=1e6)
+    assert err.value.required_transitions > 1e6
+    assert "float entries" in str(err.value)
+
+    # a strategy without a plan is priced in (2n+1)^d * n scalar cell-steps
+    class NoPlan(Strategy):
+        name = "no_plan"
+
+        def decide(self, w, j, i, phase):
+            return Decision.STEP
+
+    with pytest.raises(BudgetError) as err:
+        evaluate_strategy_exact(NoPlan(), Problem(d=2, n=1000, m=2), budget=1e6)
+    assert err.value.required_transitions == 2001.0 ** 2 * 1000
+    assert "cell-steps" in str(err.value)
 
 
 def test_delayed_lazy_matches_two_level_binomial():
@@ -378,3 +419,52 @@ def test_ssrw_return_probability():
     assert ssrw_return_probability(10, 1) == pytest.approx(252 / 1024, abs=1e-13)
     assert ssrw_return_probability(9, 1) == 0.0
     assert ssrw_return_probability(10, 2) == pytest.approx((252 / 1024) ** 2, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**4 + 2, 10**5])
+def test_ssrw_return_probability_matches_big_integers(n):
+    # comb / 2**n is a correctly rounded big-integer division; the gammaln
+    # form was off by 6.2e-14 at n = 1e4 and 1.8e-10 at 1e5
+    want = math.comb(n, n // 2) / 2**n
+    assert ssrw_return_probability(n, 1) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert ssrw_return_probability(n, 2) == pytest.approx(want**2, rel=1e-13, abs=0.0)
+    assert ssrw_return_probability(n + 1, 1) == 0.0
+
+
+@pytest.mark.parametrize("length,m", [(0, 3), (1, 2), (7, 1), (40, 2), (200, 7),
+                                      (3000, 50)])
+def test_binomial_pmf_matches_exact_rationals(length, m):
+    lo, pmf = _binomial_pmf(length, 1.0 / m)
+    # big-integer true division rounds correctly
+    want = [math.comb(length, k) * (m - 1) ** (length - k) / m**length
+            for k in range(length + 1)]
+    assert all(x == 0.0 for x in want[:lo] + want[lo + pmf.size:])
+    # subnormal tail entries keep fewer digits, hence the absolute floor
+    np.testing.assert_allclose(pmf, want[lo:lo + pmf.size], rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_first_entrance_table_is_the_first_return_law(d):
+    # direct renewal recursion f(t) = r(t) - sum_{0<s<t} f(s) r(t - s)
+    horizon = 300
+    r = np.array([ssrw_return_probability(t, d) for t in range(horizon)])
+    f = np.zeros(horizon)
+    for t in range(1, horizon):
+        f[t] = r[t] - np.dot(f[1:t], r[t - 1:0:-1])
+    q = _first_entrance_table(1024, d)
+    assert q[0] == 1.0
+    np.testing.assert_allclose(-q[1:horizon], f[1:], rtol=0.0, atol=1e-15)
+
+
+def test_evaluation_engine_names():
+    p = Problem(d=1, n=20, m=4)
+    assert evaluation_engine(lazy_max(p), p) == "plan"
+    assert evaluation_engine(delayed_wrapper(lazy_then_sprint(p), p), p) == "plan"
+
+    class NoPlan(Strategy):
+        def decide(self, w, j, i, phase):
+            return Decision.STEP
+
+    assert evaluation_engine(NoPlan(), p) == "scalar"
+    assert evaluate_strategy_exact(NoPlan(), p) == pytest.approx(
+        math.comb(20, 10) / 2**20, abs=1e-14)
