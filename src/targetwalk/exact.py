@@ -63,8 +63,10 @@ def _return_table(size: int, d: int) -> np.ndarray:
     """
     r = np.zeros(size)
     r[0] = 1.0
-    k = np.arange((size - 1) // 2, dtype=np.float64)
-    r[2::2] = np.cumprod((2.0 * k + 1.0) / (2.0 * k + 2.0))
+    even = r[2::2]                       # built in place: one temporary
+    even[:] = np.arange(1.0, 2.0 * even.size, 2.0)
+    even /= even + 1.0
+    np.cumprod(even, out=even)
     if d == 2:
         r *= r
     r.flags.writeable = False
@@ -72,9 +74,11 @@ def _return_table(size: int, d: int) -> np.ndarray:
 
 
 def _table_size(length: int) -> int:
-    """Cache size class for a table of ``length`` entries: a power of two,
-    so that growing horizons rebuild a table O(log n) times."""
-    return max(1024, 1 << (length - 1).bit_length())
+    """Cache size class for a table of ``length`` entries: rounded up to a
+    multiple of 2^(b-3) for a length of b bits, so that a table is at most a
+    quarter too long and a growing horizon rebuilds it O(log n) times."""
+    step = 1 << max(0, length.bit_length() - 3)
+    return max(1024, -(-length // step) * step)
 
 
 def _returns(length: int, d: int) -> np.ndarray:
@@ -729,12 +733,13 @@ def _evaluate_plan(plan: Plan, problem: Problem) -> float:
 
     * U_w(t) = sum_i w[i] r(c0 + i + t), the chance of being at the origin t
       steps on, is one correlation;
-    * the first hit at s = 1..L has law (U_w - U_w(0)) Q (see
+    * the first hit at s = 1..L has law f = (U_w - U_w(0)) Q (see
       ``_first_entrance_table``), one product;
     * a hit at s crawls the remaining L - s steps from the origin, so its
       mass moves to (L - s) // m steps or, delayed, to Binomial(L - s, 1/m);
     * a walker that misses steps at every time to n, and ends at the origin
-      with probability U_w(n - t0) - sum_s f(s) r(n - t0 - s).
+      with probability U_w(n - t0) - sum_s f(s) r(n - t0 - s); none does
+      when the seek ends at n, as ending at the origin is a hit.
     """
     n, m, d = problem.n, problem.m, problem.d
     p = 1.0 / m
