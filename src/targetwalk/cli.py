@@ -144,6 +144,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    if args.policy_out is not None and (args.eval or args.d != 1):
+        print("exact failed: --policy-out writes the d=1 optimal table, without --eval",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         problem = Problem(d=args.d, n=args.n, m=args.m)
         if args.eval:
@@ -186,9 +190,13 @@ def _cmd_sweep(args) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"expected a JSON object, got {type(config).__name__}")
         cells = config["cells"]
-        default_trials = int(config.get("trials", 10_000))
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+        default_trials = config.get("trials", 10_000)
+        if not isinstance(cells, list) or type(default_trials) is not int or default_trials < 1:
+            raise ValueError("'cells' must be a list and 'trials' a positive integer")
+    except (OSError, KeyError, ValueError) as exc:
         print(f"bad sweep config: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
@@ -225,6 +233,9 @@ def _verify_suites(args) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        print(f"verify failed: trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     results = _verify_suites(args)
     failed = 0
     for name, ok, detail in results:

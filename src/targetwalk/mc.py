@@ -323,7 +323,8 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
     leaves no marker, so a rerun retries it.  A marker is keyed by a hash of
     (cell, master seed, trials, schema version) and written atomically; a
     torn marker or one keyed for another configuration is recomputed.
-    ``threads`` below 1 raises ValueError before any cell runs.
+    ``threads`` below 1 raises ValueError before any cell runs; a cell that
+    is not an object with a ``strategy`` object is an error row.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -331,8 +332,10 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     for idx, cell in enumerate(cells):
-        spec = cell.get("strategy", {})
-        trials = cell.get("trials", default_trials)
+        fields = cell if isinstance(cell, dict) else {}
+        shaped = isinstance(fields.get("strategy"), dict)
+        spec = fields["strategy"] if shaped else {}
+        trials = fields.get("trials", default_trials)
         marker = None
         if out_dir is not None:
             marker = os.path.join(out_dir, f"cell_{idx:04d}.json")
@@ -343,14 +346,17 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
                 rows.append(row)
                 continue
         try:
-            problem = Problem(d=cell.get("d", 1), n=cell["n"], m=cell["m"])
+            if not shaped:
+                raise TypeError(f"a cell must be an object with a 'strategy' object, "
+                                f"got {cell!r}")
+            problem = Problem(d=fields.get("d", 1), n=fields["n"], m=fields["m"])
             report = estimate_success(McConfig(
-                problem=problem, strategy=dict(cell["strategy"]), trials=int(trials),
+                problem=problem, strategy=dict(spec), trials=int(trials),
                 master_seed=master_seed, threads=threads))
             row = _sweep_row(spec, problem.d, problem.n, problem.m, report.trials,
                              master_seed, report)
         except Exception as exc:  # record and continue
-            row = _sweep_row(spec, cell.get("d", 1), cell.get("n"), cell.get("m"),
+            row = _sweep_row(spec, fields.get("d", 1), fields.get("n"), fields.get("m"),
                              trials, master_seed, error=f"{type(exc).__name__}: {exc}")
         row["cell"] = idx
         if marker is not None and row["status"] == "ok":

@@ -16,11 +16,9 @@ segment plan (``Strategy.plan``) whose pieces have exactly known laws:
 
 ``StagedSampler`` runs a plan for all trials of a chunk in lockstep on
 numpy arrays, drawing from one counter-based stream keyed by (master seed,
-chunk index); ``EndpointSampler`` covers plans that are one fixed batch of
-steps, from per-trial bit streams.  Chunks hold a fixed ``_CHUNK`` trials,
-so results do not depend on the thread count.  ``GenericSampler`` runs any
-strategy one step at a time and is the reference the fast paths are tested
-against.
+chunk index); chunks hold a fixed ``_CHUNK`` trials, so results do not
+depend on the thread count.  ``GenericSampler`` runs any strategy one step
+at a time and is the reference the staged sampler is tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import AdmissibilityError
 from .schedule import Schedule
-from .strategies import Crawl, Plan, SeekHold, Strategy, Walk
+from .strategies import Crawl, Plan, SeekHold, Strategy
 from .walk import Problem, run_trajectory
 
 _CHUNK = 4096
@@ -132,17 +130,6 @@ def _lattice(col: np.ndarray):
     return ((a + b) // 2, (a - b) // 2)
 
 
-def _counts(pos: np.ndarray, lo: int, keep_failures: int) -> ChunkCounts:
-    """Successes and the first failure positions of (d, k) diagonal end
-    positions of trials lo..lo+k-1."""
-    ok = ~pos.any(axis=0)
-    out = ChunkCounts(successes=int(np.count_nonzero(ok)), n_trials=pos.shape[1])
-    if keep_failures:
-        out.failure_samples = [(lo + int(i), _lattice(pos[:, i]))
-                               for i in np.nonzero(~ok)[0][:keep_failures]]
-    return out
-
-
 class Sampler:
     """Base chunk runner; subclasses fill run_chunk."""
 
@@ -152,30 +139,6 @@ class Sampler:
     def run_chunk(self, master_seed: int, lo: int, hi: int,
                   keep_failures: int = 0) -> ChunkCounts:
         raise NotImplementedError
-
-
-class EndpointSampler(Sampler):
-    """Strategies whose whole trajectory is one batch of fair steps.
-
-    Covers always_step (n steps) and lazy_max (floor(n/m) steps, one forced
-    step per stand block).  Endpoints come from the vectorized counter-based
-    bit stream, so a 10^6-trial estimate is a handful of array operations.
-    """
-
-    name = "endpoint"
-
-    def __init__(self, problem: Problem, steps: int):
-        self.problem = problem
-        self.steps = steps
-
-    def run_chunk(self, master_seed, lo, hi, keep_failures=0):
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        n_words = (self.steps + 63) // 64
-        # coordinate k (diagonal in d = 2) reads words k*n_words onwards
-        pos = np.stack([_rng.bit_sum_walk(master_seed, idx, self.steps,
-                                          word_offset=k * n_words)
-                        for k in range(self.problem.d)])
-        return _counts(pos, lo, keep_failures)
 
 
 class StagedSampler(Sampler):
@@ -230,8 +193,12 @@ class StagedSampler(Sampler):
             t = seg.t_end
             if counters is not None:
                 was_in = _tally_stage(counters, stage, sched, pos, alive, hit, was_in)
-        out = _counts(pos, lo, keep_failures)
-        out.stage_counters = counters
+        ok = ~pos.any(axis=0)
+        out = ChunkCounts(successes=int(np.count_nonzero(ok)), n_trials=k,
+                          stage_counters=counters)
+        if keep_failures:
+            out.failure_samples = [(lo + int(i), _lattice(pos[:, i]))
+                                   for i in np.nonzero(~ok)[0][:keep_failures]]
         return out
 
 
@@ -264,28 +231,14 @@ class GenericSampler(Sampler):
         return out
 
 
-def _fixed_steps(plan: Plan, m: int) -> Optional[int]:
-    """Step count of a plan that is one fixed batch of steps, else None."""
-    if len(plan.segments) != 1:
-        return None
-    seg = plan.segments[0]
-    if isinstance(seg, Walk):
-        return seg.length
-    if isinstance(seg, Crawl) and (not plan.delayed or m == 1):
-        return seg.length // m
-    return None
-
-
 def make_sampler(strategy: Strategy, problem: Problem,
                  force_generic: bool = False) -> Sampler:
-    """Pick the fastest law-exact sampler for a strategy."""
+    """The staged sampler of the strategy's plan; the generic one if it has
+    no plan or ``force_generic`` is set."""
     plan = strategy.plan(problem)
     if plan is None or force_generic:
         if plan is not None:
             _log.warning("%s runs step by step on the generic sampler, orders of "
                          "magnitude slower than its fast path", strategy.name)
         return GenericSampler(problem, strategy)
-    steps = _fixed_steps(plan, problem.m)
-    if steps is not None:
-        return EndpointSampler(problem, steps)
     return StagedSampler(problem, plan)

@@ -50,7 +50,7 @@ def _hoeffding_one(problem: Problem, schedule, spec, trials, seed) -> Result:
 
 
 def _suite_hoeffding(trials, seed, fast) -> list[Result]:
-    trials = trials or (2000 if fast else 10_000)
+    trials = (2000 if fast else 10_000) if trials is None else trials
     out = []
     if fast:
         p1 = Problem(d=1, n=10_000, m=100)
@@ -142,7 +142,7 @@ def _suite_invariants(trials, seed, fast) -> list[Result]:
 
     # with m = 1 the process is pure SSRW: endpoint law must match exactly
     p = Problem(d=1, n=10, m=1)
-    n_trials = trials or (20_000 if fast else 100_000)
+    n_trials = (20_000 if fast else 100_000) if trials is None else trials
     config = McConfig(problem=p, strategy={"name": "lazy_max"}, trials=n_trials,
                       master_seed=seed)
     rep = estimate_success(config)
@@ -157,7 +157,7 @@ def _suite_invariants(trials, seed, fast) -> list[Result]:
     p = Problem(d=1, n=20, m=4)
     strat = _strategies.delayed_wrapper(_strategies.lazy_max(p), p)
     counts = []
-    for t in range(n_trials // 10):
+    for t in range(max(n_trials // 10, 1)):
         traj, _ = _walk.run_trajectory(strat, p, trial_generator(seed + 1, t))
         steps = sum(1 for a, b in zip(traj.positions, traj.positions[1:]) if a != b)
         counts.append(steps)

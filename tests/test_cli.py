@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -101,6 +103,23 @@ def test_exact_policy_out(tmp_path, capsys):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i,x,j,V,policy"
     assert len(lines) > 5
+
+
+@pytest.mark.parametrize("flags", [("--d", "2"), ("--d", "1", "--eval", "always_step")])
+def test_exact_policy_out_refused_up_front(tmp_path, capsys, monkeypatch, flags):
+    from targetwalk import exact
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed before refusing --policy-out")
+
+    monkeypatch.setattr(exact, "optimal_value", never)
+    monkeypatch.setattr(exact, "evaluate_strategy_exact", never)
+    path = tmp_path / "policy.csv"
+    code, out, err = run_cli(capsys, "exact", *flags, "--n", "40", "--m", "2",
+                             "--policy-out", str(path))
+    assert code == 2
+    assert out == "" and "policy-out" in err
+    assert not path.exists()
 
 
 def test_simulate_requires_seed(capsys):
@@ -237,6 +256,22 @@ def test_verify_dominance_suite(capsys):
     assert "[PASS] dominance.grid" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_trials_below_1_exits_2(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--suite", "invariants", "--fast",
+                             "--trials", trials)
+    assert code == 2
+    assert out == "" and "trials" in err
+
+
+def test_verify_one_trial_runs_every_invariant(capsys):
+    # the delayed-step check runs trials // 10 walks, at least one
+    code, out, _ = run_cli(capsys, "verify", "--suite", "invariants", "--fast",
+                           "--trials", "1")
+    assert code == 0
+    assert "[PASS] invariants.delayed_step_mean" in out
+
+
 def test_verify_detects_corrupted_build(capsys, monkeypatch):
     # simulate an off-by-one stand-budget bug and watch the invariants suite fail
     from targetwalk import strategies as strategies_mod
@@ -281,6 +316,31 @@ def test_sweep_malformed_config_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "sweep", "--config", str(bad), "--seed", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("config", [[1, 2], {"cells": 5}, {"cells": [], "trials": "x"},
+                                    {"cells": [], "trials": 0}, "cells"])
+def test_sweep_config_of_the_wrong_shape_exits_2(tmp_path, capsys, config):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(bad), "--seed", "1")
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_sweep_cells_of_the_wrong_shape_are_error_rows(tmp_path, capsys):
+    good = {"d": 1, "n": 40, "m": 2, "strategy": {"name": "always_step"}}
+    config = {"trials": 100,
+              "cells": [3, dict(good, strategy="always_step"), good, {"d": 1}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path), "--seed", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["status"] for row in rows] == ["error", "error", "ok", "error"]
+    assert rows[0]["error"].startswith("TypeError")
+    assert rows[1]["error"].startswith("TypeError")
+    assert "3 cell(s) failed" in err
 
 
 @pytest.mark.parametrize("flags", [("--threads", "0"), ("--threads", "-1"),

@@ -15,7 +15,8 @@ import pytest
 from scipy.stats import chi2
 
 from targetwalk import (McConfig, Problem, ScheduleParams1D, build_schedule_1d,
-                        estimate_success, evaluate_strategy_exact)
+                        estimate_success, evaluate_strategy_exact,
+                        ssrw_return_probability, wilson_interval)
 from targetwalk.rng import chunk_generator
 from targetwalk.samplers import _seek
 from targetwalk.strategies import strategy_from_spec
@@ -172,8 +173,45 @@ def test_fast_and_generic_agree_with_exact(spec, d, n, m):
         assert abs(rep.p_hat - exact) < 3 * se, (generic, rep.p_hat, exact)
 
 
+@pytest.mark.parametrize("name, delayed, d, n, m", [
+    ("always_step", False, 1, 100, 3), ("always_step", False, 2, 100, 3),
+    ("lazy_max", False, 1, 1000, 10), ("lazy_max", False, 2, 1000, 10),
+    ("lazy_max", False, 1, 1001, 7),                         # 143 steps: p = 0
+    # m = 1
+    ("always_step", False, 1, 64, 1), ("lazy_max", False, 1, 64, 1),
+    ("lazy_max", False, 2, 64, 1), ("lazy_max", True, 1, 64, 1),
+    ("lazy_max", True, 2, 64, 1),
+    # n < m
+    ("always_step", False, 2, 6, 8), ("lazy_max", False, 1, 5, 8),
+    ("lazy_max", False, 2, 5, 8),
+])
+def test_one_segment_plans_match_ssrw_return_probability(name, delayed, d, n, m):
+    """``always_step`` (one Walk of n steps) and ``lazy_max`` (one Crawl of
+    n // m steps; delayed at m = 1, Binomial(n, 1) = n steps) on the staged
+    sampler against the exact SSRW return law.
+
+    The exact value must lie inside the z = 4 Wilson interval of 4 * 10^5
+    trials, which misses it with probability about 6e-5.  A bias of 5.3
+    standard errors is caught with probability 0.9: about 3% relative at
+    p = 0.08-0.1 (every d = 1 cell with p > 0, and always_step at d = 2,
+    n = 6) and 8-11% at p = 0.0063-0.0099 (the other d = 2 cells).  A step
+    count off by one is always caught, as its parity gives p = 0 against
+    p > 0, and so are the cells with exact p = 0 (an odd step count) and
+    p = 1 (lazy_max with n < m takes no step), where one wrong trial fails.
+    """
+    p = Problem(d=d, n=n, m=m)
+    trials = 400_000
+    spec = {"name": name, "delayed": True} if delayed else {"name": name}
+    rep = estimate_success(McConfig(problem=p, strategy=spec, trials=trials,
+                                    master_seed=35))
+    assert rep.to_json_dict()["runtime"]["sampler"] == "staged"
+    exact = ssrw_return_probability(n if name == "always_step" else n // m, d)
+    lo, hi = wilson_interval(rep.successes, trials, z=4.0)
+    assert lo <= exact <= hi, (rep.p_hat, exact)
+
+
 def test_runtime_names_the_sampler_and_warns_on_generic(caplog):
-    cases = [({"name": "always_step"}, "endpoint"), ({"name": "lazy_max"}, "endpoint"),
+    cases = [({"name": "always_step"}, "staged"), ({"name": "lazy_max"}, "staged"),
              ({"name": "lazy_max", "delayed": True}, "staged"),
              ({"name": "lazy_then_sprint"}, "staged"),
              ({"name": "windowed_1d", "eta": 0.5}, "staged")]
