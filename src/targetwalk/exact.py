@@ -3,9 +3,13 @@ evaluation (by renewal over time from a segment plan, or by scalar forward
 distribution propagation), and SSRW functionals used as oracles elsewhere
 (hitting tails, return probabilities, local times).
 
-All float routines use 64-bit arithmetic; the small-instance oracles
-(``brute_force_value``, the integer hitting-tail counts) use exact integer /
-rational arithmetic so they can back equality assertions.
+All float routines use 64-bit arithmetic.  Every SSRW and binomial
+probability comes from ratio recurrences of binomial coefficients (the
+return table ``_return_table``, point probabilities ``_point_probabilities``
+and ``_binomial_pmf``), never from log-gamma differences, whose cancellation
+costs digits at large t.  The small-instance oracles (``brute_force_value``,
+the integer hitting-tail counts) use exact integer / rational arithmetic so
+they can back equality assertions.
 """
 
 from __future__ import annotations
@@ -19,13 +23,10 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AdmissibilityError, BudgetError, SignatureError
 from .strategies import Crawl, Plan, SeekHold, Strategy, Walk
 from .walk import _MOVES, Decision, Problem, _add
-
-_LN2 = math.log(2.0)
 
 DEFAULT_DP_BUDGET = 2.0e9          # backward-induction cell updates
 DEFAULT_EVAL_BUDGET = 6.0e8        # plan-engine float entries or scalar cell-steps
@@ -36,28 +37,13 @@ _FULL_TABLE_CELLS = 5.0e7          # cap on backward-induction float cells held
 # SSRW point probabilities and derived quantities
 # ---------------------------------------------------------------------------
 
-def ssrw_pmf_1d(steps, offset) -> np.ndarray:
-    """P(Y_steps = offset) for 1d SSRW, vectorized over either argument."""
-    steps = np.asarray(steps, dtype=np.int64)
-    offset = np.asarray(offset, dtype=np.int64)
-    valid = ((steps + offset) % 2 == 0) & (np.abs(offset) <= steps)
-    k = (steps + offset) // 2
-    with np.errstate(invalid="ignore"):
-        logp = (gammaln(steps + 1.0) - gammaln(k + 1.0) - gammaln(steps - k + 1.0)
-                - steps * _LN2)
-    out = np.where(valid, np.exp(np.where(valid, logp, 0.0)), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @functools.lru_cache(maxsize=4)
 def _return_table(size: int, d: int) -> np.ndarray:
     """Read-only r(t) = P(S_t = 0) for t < size, SSRW on Z^d from the origin.
 
-    Even entries follow the ratio recurrence r(2k+2) = r(2k)(2k+1)/(2k+2),
-    whose rounding errors add up like a random walk: about 1e-14 relative at
-    t = 10^6, where ``gammaln`` loses 7e-10.  Odd entries are exactly 0.  In
+    Even entries follow the ratio recurrence r(2k+2) = r(2k)(2k+1)/(2k+2)
+    (Feller, Vol. 1, ch. III), whose rounding errors add up like a random
+    walk: about 1e-14 relative at t = 10^6.  Odd entries are exactly 0.  In
     two dimensions the diagonal coordinates (x+y, x-y) are independent 1d
     walks, so the table is the 1d one squared.
     """
@@ -94,6 +80,31 @@ def ssrw_return_probability(steps: int, d: int) -> float:
     return float(_returns(steps + 1, d)[steps])
 
 
+def _point_probabilities(a: int, size: int) -> np.ndarray:
+    """P(S_t = a) for t < size, 1d SSRW from the origin.
+
+    At fixed t the offset walks outward from r(t) (even a) or from
+    P(S_t = 1) = r(t-1) t/(t+1) (odd a) by the ratio
+    P(S_t = c+2) / P(S_t = c) = (t-c)/(t+c+2), so every entry is a product
+    of binomial ratios like the r table itself, and none underflows before
+    its true value does.
+    """
+    a = abs(a)
+    out = np.zeros(size)
+    if a >= size:
+        return out
+    r = _returns(size, 1)
+    t = np.arange(a, size, dtype=np.float64)
+    p = out[a:]
+    if a % 2 == 0:
+        p[:] = r[a:]
+    else:
+        p[:] = r[a - 1:-1] * (t / (t + 1.0))
+    for c in range(a % 2, a - 1, 2):
+        p *= (t - c) / (t + (c + 2.0))
+    return out
+
+
 def return_probabilities_2d(x: tuple[int, int], horizon: int) -> np.ndarray:
     """p_i = P(Y_i = (0,0) | Y_0 = x) for i = 1..horizon, 2d SSRW.
 
@@ -101,8 +112,8 @@ def return_probabilities_2d(x: tuple[int, int], horizon: int) -> np.ndarray:
     diagonal coordinates are independent 1d walks started at a and b.
     """
     a, b = x[0] + x[1], x[0] - x[1]
-    i = np.arange(1, horizon + 1, dtype=np.int64)
-    return ssrw_pmf_1d(i, -a) * ssrw_pmf_1d(i, -b)
+    return (_point_probabilities(a, horizon + 1)[1:]
+            * _point_probabilities(b, horizon + 1)[1:])
 
 
 def expected_local_time(x: tuple[int, int], horizon: int) -> float:
@@ -176,8 +187,10 @@ def hitting_tail_1d(x: int, l: int) -> HittingTail:
         refl = float(Fraction(reflection_window_count(x, l), 2 ** l))
     else:
         tail = hitting_tail_curve(x, [l])[l]
-        ys = np.arange(-abs(x) + 1, abs(x))
-        refl = float(np.sum(ssrw_pmf_1d(np.int64(l), ys)))
+        # S_l = 2K - l with K ~ Binomial(l, 1/2): the window is |2K - l| < |x|
+        lo, pmf = _binomial_pmf(l, 0.5)
+        k_lo, k_hi = (l - abs(x)) // 2 + 1, (l + abs(x) - 1) // 2
+        refl = float(pmf[max(k_lo - lo, 0):max(k_hi + 1 - lo, 0)].sum())
     return HittingTail(x=x, l=l, tail=tail, reflection=refl, opposite_parity=opp)
 
 
@@ -349,6 +362,13 @@ class ValueTable:
                     fh.write(f"{i},{x},{j},{v!r},{pi}\n")
 
 
+def _check_budget(budget: float) -> None:
+    """A budget is a positive number; NaN, which no comparison refuses, and
+    values <= 0 raise ValueError."""
+    if not budget > 0:
+        raise ValueError(f"budget must be a positive number, got {budget!r}")
+
+
 def _dp_budget_check(problem: Problem, budget: float, kept: bool) -> None:
     n, m, d = problem.n, problem.m, problem.d
     # backward step i updates the cone |x|_inf <= n - i: sum_{r=1..n} (2r+1)^d
@@ -385,9 +405,11 @@ def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
     keep: "none" (value only), "full" (every time slice, small instances).
     The table keeps the n+1 step-value slices when ``keep="full"`` or
     ``want_policy``, and derives values and policy from them on access.
+    A budget that is NaN or not positive raises ValueError.
     """
     if keep not in ("none", "full"):
         raise ValueError(f"keep must be 'none' or 'full', got {keep!r}")
+    _check_budget(budget)
     kept = keep == "full" or want_policy
     _dp_budget_check(problem, budget, kept)
     value, steps = _step_values(problem.d, problem.n, problem.m, kept)
@@ -612,12 +634,14 @@ def evaluate_strategy_exact(strategy: Strategy, problem: Problem,
     in the float entries its convolutions touch.  Any other strategy gets
     the scalar forward propagation of ``state_distribution``, priced in
     (2n+1)^d * n cell-steps.  Exact up to float accumulation.  Full-history
-    strategies are refused: their state space is the trajectory itself.
+    strategies are refused: their state space is the trajectory itself.  A
+    budget that is NaN or not positive raises ValueError.
     """
     if strategy.signature not in ("wj", "wji", "wjip"):
         raise SignatureError(
             f"strategy {strategy.name!r} declares signature {strategy.signature!r}; "
             "exact evaluation supports wj / wji / wjip only (use Monte Carlo)")
+    _check_budget(budget)
     plan = strategy.plan(problem)
     if plan is not None:
         entries = _plan_cost(plan, problem)

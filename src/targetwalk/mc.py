@@ -25,7 +25,7 @@ import numpy as np
 from .samplers import _CHUNK, make_sampler
 from .schedule import Schedule
 from .strategies import Strategy, strategy_from_spec
-from .walk import Problem
+from .walk import Problem, _check_integer
 
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
@@ -59,6 +59,7 @@ class McConfig:
     schedule: Optional[Schedule] = None
 
     def __post_init__(self):
+        _check_integer("trials", self.trials)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
@@ -324,7 +325,8 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
     (cell, master seed, trials, schema version) and written atomically; a
     torn marker or one keyed for another configuration is recomputed.
     ``threads`` below 1 raises ValueError before any cell runs; a cell that
-    is not an object with a ``strategy`` object is an error row.
+    is not an object with a ``strategy`` object, or whose ``d``, ``n``, ``m``
+    or ``trials`` is not an integer in range, is an error row.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -351,7 +353,7 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
                                 f"got {cell!r}")
             problem = Problem(d=fields.get("d", 1), n=fields["n"], m=fields["m"])
             report = estimate_success(McConfig(
-                problem=problem, strategy=dict(spec), trials=int(trials),
+                problem=problem, strategy=dict(spec), trials=trials,
                 master_seed=master_seed, threads=threads))
             row = _sweep_row(spec, problem.d, problem.n, problem.m, report.trials,
                              master_seed, report)

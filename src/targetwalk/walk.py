@@ -15,6 +15,7 @@ takes an SSRW step with probability ``1/m``, with no consecutive-use limit.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -28,6 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Position = Union[int, tuple[int, int]]
 RandomSource = np.random.Generator
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool
+    or a float with an integral value is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class Decision(enum.Enum):
@@ -49,6 +57,8 @@ class Problem:
     m: int
 
     def __post_init__(self):
+        for name in ("d", "n", "m"):
+            _check_integer(name, getattr(self, name))
         if self.d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.d}")
         if self.n < 1:

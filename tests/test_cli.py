@@ -59,6 +59,17 @@ def test_exact_over_budget_exits_3(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("mode", [(), ("--eval", "lazy_max")])
+@pytest.mark.parametrize("budget", ["nan", "0", "-5"])
+def test_exact_bad_budget_exits_2(capsys, budget, mode):
+    # NaN used to run unbounded (every comparison with it is false), and a
+    # budget <= 0 was reported as "refused" with exit 3
+    code, out, err = run_cli(capsys, "exact", "--d", "1", "--n", "3000", "--m", "64",
+                             "--budget", budget, *mode)
+    assert code == 2
+    assert out == "" and "budget must be a positive number" in err
+
+
 def test_exact_eval_uses_the_eval_budget(capsys):
     # the delayed hit mixtures price this plan at ~1.2e9 float entries: over
     # the eval default (6e8), under the DP one (2e9)

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +15,9 @@ from targetwalk import (BudgetError, Decision, Problem, ScheduleParams1D,
                         evaluate_strategy_exact, expected_local_time,
                         hitting_tail_1d, optimal_value, return_probabilities_2d,
                         ssrw_return_probability)
-from targetwalk.exact import (_binomial_pmf, _first_entrance_table, _propagate_scalar,
+import targetwalk
+from targetwalk.exact import (_binomial_pmf, _first_entrance_table, _point_probabilities,
+                              _propagate_scalar, _return_table,
                               enumerate_decision_trees_value, evaluation_engine,
                               hitting_survivor_counts, hitting_tail_curve,
                               reflection_window_count)
@@ -422,12 +428,120 @@ def test_ssrw_return_probability():
 
 @pytest.mark.parametrize("n", [10**4, 10**4 + 2, 10**5])
 def test_ssrw_return_probability_matches_big_integers(n):
-    # comb / 2**n is a correctly rounded big-integer division; the gammaln
+    # comb / 2**n is a correctly rounded big-integer division; a log-gamma
     # form was off by 6.2e-14 at n = 1e4 and 1.8e-10 at 1e5
     want = math.comb(n, n // 2) / 2**n
     assert ssrw_return_probability(n, 1) == pytest.approx(want, rel=1e-13, abs=0.0)
     assert ssrw_return_probability(n, 2) == pytest.approx(want**2, rel=1e-13, abs=0.0)
     assert ssrw_return_probability(n + 1, 1) == 0.0
+
+
+def _pmf_big(t: int, a: int) -> float:
+    """P(S_t = a) for 1d SSRW as a correctly rounded big-integer division."""
+    if (t + a) % 2 or abs(a) > t:
+        return 0.0
+    return math.comb(t, (t + a) // 2) / 2**t
+
+
+def _pmf_decimal(t: int, a: int) -> float:
+    """P(S_t = a) for 1d SSRW by the multiplicative formula
+    C(t, k) = prod_j (t - k + j) / j in 40-digit decimals, times 2^-t: within
+    1e-30 relative, where ``math.comb`` at t = 10^6 takes over 10 s."""
+    if (t + a) % 2 or abs(a) > t:
+        return 0.0
+    k = (t + a) // 2
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p = Decimal(1)
+        for j in range(1, k + 1):
+            p = p * (t - k + j) / (2 * j)
+        return float(p * Decimal(2) ** (k - t))
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+@pytest.mark.parametrize("x,horizon", [((0, 0), 3000), ((1, 0), 3000), ((3, 2), 3000),
+                                       ((10, -7), 3000), ((48, 0), 3000),
+                                       ((1638, 0), 4096)])
+def test_return_probabilities_2d_match_big_integers(x, horizon):
+    # (1638, 0) at 4096 is the deep tail of the local-time suite's grid: a
+    # recurrence forward in t from 2^-a underflows there and returns 0.0
+    a, b = x[0] + x[1], x[0] - x[1]
+    got = return_probabilities_2d(x, horizon)
+    assert got.shape == (horizon,)
+    normal = 0
+    for i in range(1, horizon + 1):
+        want = _pmf_big(i, a) * _pmf_big(i, b)
+        if want >= _SMALLEST_NORMAL:
+            assert got[i - 1] == pytest.approx(want, rel=1e-12, abs=0.0), (x, i)
+            normal += 1
+        elif (i + a) % 2 or max(abs(a), abs(b)) > i:
+            assert got[i - 1] == 0.0, (x, i)
+    assert normal > 0
+
+
+@pytest.mark.parametrize("t,a", [(10**6, 100), (10**6 - 1, 99), (10**5, 10),
+                                 (10**4, 2), (3, 3), (3, 5), (0, 0), (0, 1)])
+def test_point_probabilities_match_exact_values(t, a):
+    # log-gamma differences gave 2.1e-12 relative at (10^4, 2), 2.3e-11 at
+    # (10^5, 10) and 1.8e-9 at (10^6, 100)
+    want = _pmf_big(t, a) if t <= 10**5 else _pmf_decimal(t, a)
+    p = _point_probabilities(a, t + 1)
+    assert p.shape == (t + 1,)
+    assert p[t] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert _point_probabilities(-a, t + 1)[t] == p[t]
+
+
+def test_decimal_reference_matches_big_integers():
+    for t, a in ((10**5, 10), (10**5 - 1, 99), (4096, 1638)):
+        assert _pmf_decimal(t, a) == pytest.approx(_pmf_big(t, a), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("l", [2049, 5000])
+@pytest.mark.parametrize("x", [1, 2, 3, 10])
+def test_hitting_tail_1d_beyond_the_integer_counts(x, l):
+    # l > 2048 takes the float path: the reflection window from the binomial
+    # pmf, the tail from the clipped absorbing sweep
+    ht = hitting_tail_1d(x, l)
+    want = reflection_window_count(x, l) / 2**l
+    assert ht.reflection == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert ht.opposite_parity == ((x + l) % 2 == 1)
+    if ht.opposite_parity:
+        # the reflection identity: the two agree up to the sweep's rounding
+        # and its clip bias (below 1e-8)
+        assert ht.tail == pytest.approx(ht.reflection, abs=1e-8)
+
+
+def _seed_return_table(size: int, d: int) -> np.ndarray:
+    """The return table as first built: even ratios (2k+1)/(2k+2), cumprod."""
+    r = np.zeros(size)
+    r[0] = 1.0
+    even = r[2::2]
+    even[:] = np.arange(1.0, 2.0 * even.size, 2.0)
+    even /= even + 1.0
+    np.cumprod(even, out=even)
+    if d == 2:
+        r *= r
+    return r
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("size", [1024, 3000, 2**20])
+def test_return_table_is_bit_identical_to_the_seed(size, d):
+    # every plan-engine value is built from this table
+    assert np.array_equal(_return_table(size, d), _seed_return_table(size, d))
+
+
+def test_package_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(targetwalk.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, targetwalk, targetwalk.verify, targetwalk.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("length,m", [(0, 3), (1, 2), (7, 1), (40, 2), (200, 7),

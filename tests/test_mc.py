@@ -232,6 +232,37 @@ def test_sweep_records_errors_and_continues():
     assert rows[1]["status"] == "ok"
 
 
+@pytest.mark.parametrize("sizes,field", [({"n": 100.5}, "n"), ({"m": 2.5}, "m"),
+                                         ({"n": True, "m": True}, "n"),
+                                         ({"d": 1.0}, "d")])
+def test_sweep_non_integer_sizes_are_error_rows(sizes, field):
+    good = {"d": 1, "n": 100, "m": 4, "strategy": {"name": "lazy_max"}}
+    rows = sweep([dict(good, **sizes), good], master_seed=3, default_trials=100)
+    assert rows[0]["status"] == "error"
+    assert rows[0]["error"].startswith(f"ValueError: {field} must be an integer")
+    assert rows[0]["successes"] is None
+    assert rows[1]["status"] == "ok"
+
+
+@pytest.mark.parametrize("trials", [2.5, 1e4, True, "7", 0, -3, None])
+def test_sweep_cell_trials_must_be_a_positive_integer(tmp_path, trials):
+    # int(trials) used to run 2.5 as 2 trials, true as 1 and "7" as 7
+    good = {"d": 1, "n": 100, "m": 4, "strategy": {"name": "lazy_max"}}
+    rows = sweep([dict(good, trials=trials), good], master_seed=3,
+                 default_trials=100, out_dir=str(tmp_path))
+    assert rows[0]["status"] == "error"
+    assert rows[0]["error"].startswith("ValueError: trials must be")
+    assert rows[1]["status"] == "ok" and rows[1]["trials"] == 100
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cell_0001.json"]
+
+
+@pytest.mark.parametrize("trials", [2.5, True, "7"])
+def test_config_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        McConfig(problem=Problem(d=1, n=10, m=2), strategy={"name": "always_step"},
+                 trials=trials, master_seed=1)
+
+
 @pytest.mark.parametrize("bad", [{"threads": 0}, {"threads": -1},
                                  {"store_failures": -1}])
 def test_config_rejects_bad_threads_and_store_failures(bad):

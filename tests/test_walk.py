@@ -37,6 +37,24 @@ def test_problem_validation():
         Problem(d=1, n=10, m=0)
 
 
+@pytest.mark.parametrize("field,value", [("d", 1.0), ("d", True), ("n", 10.5),
+                                         ("n", 100.0), ("n", True), ("n", "10"),
+                                         ("m", 2.5), ("m", True), ("m", None)])
+def test_problem_rejects_non_integer_sizes(field, value):
+    # floats and bools used to pass and crash the exact engines later (a
+    # TypeError in optimal_value, an AttributeError in evaluate_strategy_exact)
+    # or feed the samplers meaningless sizes
+    sizes = {"d": 1, "n": 10, "m": 3}
+    sizes[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        Problem(**sizes)
+
+
+def test_problem_accepts_numpy_integers():
+    p = Problem(d=np.int64(2), n=np.int32(10), m=np.uint8(3))
+    assert (p.d, p.n, p.m) == (2, 10, 3)
+
+
 def test_admissible_decisions_examples():
     p = Problem(d=1, n=10, m=3)
     state = initial_state(p)
