@@ -91,8 +91,6 @@ def _point_probabilities(a: int, size: int) -> np.ndarray:
     """
     a = abs(a)
     out = np.zeros(size)
-    if a >= size:
-        return out
     r = _returns(size, 1)
     t = np.arange(a, size, dtype=np.float64)
     p = out[a:]

@@ -62,8 +62,8 @@ def test_exact_over_budget_exits_3(capsys):
 @pytest.mark.parametrize("mode", [(), ("--eval", "lazy_max")])
 @pytest.mark.parametrize("budget", ["nan", "0", "-5"])
 def test_exact_bad_budget_exits_2(capsys, budget, mode):
-    # NaN used to run unbounded (every comparison with it is false), and a
-    # budget <= 0 was reported as "refused" with exit 3
+    # NaN passes every "cost > budget" refusal, since each comparison with it
+    # is false; a budget <= 0 is bad input, not an over-budget computation
     code, out, err = run_cli(capsys, "exact", "--d", "1", "--n", "3000", "--m", "64",
                              "--budget", budget, *mode)
     assert code == 2

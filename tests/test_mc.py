@@ -246,7 +246,8 @@ def test_sweep_non_integer_sizes_are_error_rows(sizes, field):
 
 @pytest.mark.parametrize("trials", [2.5, 1e4, True, "7", 0, -3, None])
 def test_sweep_cell_trials_must_be_a_positive_integer(tmp_path, trials):
-    # int(trials) used to run 2.5 as 2 trials, true as 1 and "7" as 7
+    # truncating 2.5 to 2 trials, true to 1 or "7" to 7 would report a run
+    # nobody asked for as status=ok
     good = {"d": 1, "n": 100, "m": 4, "strategy": {"name": "lazy_max"}}
     rows = sweep([dict(good, trials=trials), good], master_seed=3,
                  default_trials=100, out_dir=str(tmp_path))

@@ -41,9 +41,9 @@ def test_problem_validation():
                                          ("n", 100.0), ("n", True), ("n", "10"),
                                          ("m", 2.5), ("m", True), ("m", None)])
 def test_problem_rejects_non_integer_sizes(field, value):
-    # floats and bools used to pass and crash the exact engines later (a
-    # TypeError in optimal_value, an AttributeError in evaluate_strategy_exact)
-    # or feed the samplers meaningless sizes
+    # a float or bool size that got past the constructor would crash the
+    # exact engines (a TypeError in optimal_value, an AttributeError in
+    # evaluate_strategy_exact) or feed the samplers a meaningless size
     sizes = {"d": 1, "n": 10, "m": 3}
     sizes[field] = value
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
