@@ -513,8 +513,9 @@ def test_hitting_tail_1d_beyond_the_integer_counts(x, l):
         assert ht.tail == pytest.approx(ht.reflection, abs=1e-8)
 
 
-def _seed_return_table(size: int, d: int) -> np.ndarray:
-    """The return table as first built: even ratios (2k+1)/(2k+2), cumprod."""
+def _reference_return_table(size: int, d: int) -> np.ndarray:
+    """The return table's construction, frozen: even ratios (2k+1)/(2k+2),
+    then one cumprod, squared in d = 2."""
     r = np.zeros(size)
     r[0] = 1.0
     even = r[2::2]
@@ -528,9 +529,9 @@ def _seed_return_table(size: int, d: int) -> np.ndarray:
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("size", [1024, 3000, 2**20])
-def test_return_table_is_bit_identical_to_the_seed(size, d):
+def test_return_table_is_bit_identical_to_the_reference(size, d):
     # every plan-engine value is built from this table
-    assert np.array_equal(_return_table(size, d), _seed_return_table(size, d))
+    assert np.array_equal(_return_table(size, d), _reference_return_table(size, d))
 
 
 def test_package_imports_no_scipy():

@@ -257,13 +257,6 @@ def test_sweep_cell_trials_must_be_a_positive_integer(tmp_path, trials):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cell_0001.json"]
 
 
-@pytest.mark.parametrize("trials", [2.5, True, "7"])
-def test_config_rejects_non_integer_trials(trials):
-    with pytest.raises(ValueError, match="trials must be an integer"):
-        McConfig(problem=Problem(d=1, n=10, m=2), strategy={"name": "always_step"},
-                 trials=trials, master_seed=1)
-
-
 @pytest.mark.parametrize("bad", [{"threads": 0}, {"threads": -1},
                                  {"store_failures": -1}])
 def test_config_rejects_bad_threads_and_store_failures(bad):
