@@ -59,7 +59,8 @@ class McConfig:
     schedule: Optional[Schedule] = None
 
     def __post_init__(self):
-        _check_integer("trials", self.trials)
+        for name in ("trials", "threads", "store_failures"):
+            _check_integer(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:

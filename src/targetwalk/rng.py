@@ -8,6 +8,9 @@ share the same key derivation:
   the mixed (master, trial) pair; the step-by-step reference sampler uses it.
 * ``chunk_generator`` is the same construction keyed by (master, chunk
   index); the staged sampler draws all trials of a fixed-size chunk from it.
+* ``step_chunk_generator`` is keyed by (master, chunk index) with another
+  tag, for the step-by-step reference sampler, so that the two samplers of
+  a law test never share draws.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ import numpy as np
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# chunk keys set the top bit of the index, which no trial index reaches
+# chunk keys set one of the top two bits of the index, which no trial index
+# reaches
 _CHUNK_TAG = 1 << 63
+_STEP_CHUNK_TAG = 1 << 62
 
 
 def mix64(x: int) -> int:
@@ -47,4 +52,10 @@ def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
 def chunk_generator(master_seed: int, chunk_index: int) -> np.random.Generator:
     """Independent counter-based stream for one chunk of trials."""
     key = trial_key(master_seed, _CHUNK_TAG | chunk_index)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def step_chunk_generator(master_seed: int, chunk_index: int) -> np.random.Generator:
+    """Independent counter-based stream for one chunk of step-by-step trials."""
+    key = trial_key(master_seed, _STEP_CHUNK_TAG | chunk_index)
     return np.random.Generator(np.random.Philox(key=key))

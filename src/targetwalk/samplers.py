@@ -18,7 +18,10 @@ segment plan (``Strategy.plan``) whose pieces have exactly known laws:
 numpy arrays, drawing from one counter-based stream keyed by (master seed,
 chunk index); chunks hold a fixed ``_CHUNK`` trials, so results do not
 depend on the thread count.  ``GenericSampler`` runs any strategy one step
-at a time and is the reference the staged sampler is tested against.
+at a time, calling ``decide`` and ``next_phase`` and never reading the plan,
+and is the reference the staged sampler is tested against.  It too runs a
+chunk in lockstep, on the step-by-step engine of ``walk``, from a stream
+keyed by (master seed, chunk index) with a tag of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from . import rng as _rng
 from .errors import AdmissibilityError
 from .schedule import Schedule
 from .strategies import Crawl, Plan, SeekHold, Strategy
-from .walk import Problem, run_trajectory
+from .walk import Problem, _lockstep, _position
 
 _CHUNK = 4096
 
@@ -203,8 +206,9 @@ class StagedSampler(Sampler):
 
 
 class GenericSampler(Sampler):
-    """Reference path: run any strategy one step at a time, each trial on
-    its own Philox stream keyed by (master seed, trial index)."""
+    """Reference path: run any strategy one step at a time, all trials of a
+    chunk in lockstep (``walk._lockstep``) on one stream keyed by (master
+    seed, lo // _CHUNK), which the staged sampler's keys never equal."""
 
     name = "generic"
 
@@ -213,21 +217,18 @@ class GenericSampler(Sampler):
         self.strategy = strategy
 
     def run_chunk(self, master_seed, lo, hi, keep_failures=0):
-        out = ChunkCounts(n_trials=hi - lo)
-        failures = []
-        for i in range(lo, hi):
-            g = _rng.trial_generator(master_seed, i)
-            try:
-                traj, success = run_trajectory(self.strategy, self.problem, g)
-            except AdmissibilityError as exc:
-                exc.trial_index = i
-                raise
-            if success:
-                out.successes += 1
-            elif len(failures) < keep_failures:
-                failures.append((i, traj.positions[-1]))
-        if failures:
-            out.failure_samples = failures
+        g = _rng.step_chunk_generator(master_seed, lo // _CHUNK)
+        try:
+            for _, _, pos in _lockstep(self.strategy, self.problem, hi - lo, g):
+                pass
+        except AdmissibilityError as exc:
+            exc.trial_index += lo
+            raise
+        ok = ~pos.any(axis=0)
+        out = ChunkCounts(successes=int(np.count_nonzero(ok)), n_trials=hi - lo)
+        if keep_failures:
+            out.failure_samples = [(lo + int(i), _position(pos[:, i]))
+                                   for i in np.flatnonzero(~ok)[:keep_failures]]
         return out
 
 

@@ -135,9 +135,11 @@ class Schedule:
     def from_json_dict(cls, data: dict) -> "Schedule":
         """Inverse of ``to_json_dict``.
 
-        Raises ScheduleError unless the u+2 times run strictly increasing
-        from 0 to n, the u+2 half-widths are non-negative, and the terminal
-        stage is at most m long (the staged samplers stand through it).
+        Raises ScheduleError naming the field unless d is 1 or 2; d, n, m,
+        u, the times and the half-widths are integers (not bools); the u+2
+        times run strictly increasing from 0 to n; the u+2 half-widths are
+        non-negative; and the terminal stage is at most m long (the staged
+        samplers stand through it).
         """
         try:
             sched = cls(d=data["d"], n=data["n"], m=data["m"], u=data["u"],
@@ -148,9 +150,14 @@ class Schedule:
                         kappa=data.get("kappa"))
         except (KeyError, TypeError, AttributeError) as exc:
             raise ScheduleError(f"malformed schedule: missing or mistyped {exc}") from exc
+        for name in ("d", "n", "m", "u", "times", "half_widths"):
+            value = getattr(sched, name)
+            if not all(isinstance(v, int) and not isinstance(v, bool)
+                       for v in (value if isinstance(value, tuple) else (value,))):
+                raise ScheduleError(f"schedule {name} must be integers, got {value!r}")
+        if sched.d not in (1, 2):
+            raise ScheduleError(f"schedule d must be 1 or 2, got {sched.d}")
         times, widths, u = sched.times, sched.half_widths, sched.u
-        if not all(isinstance(v, int) for v in (u, sched.n, sched.m) + times + widths):
-            raise ScheduleError("schedule u, n, m, times and half_widths must be integers")
         if u < 0 or len(times) != u + 2 or len(widths) != u + 2:
             raise ScheduleError(f"need u+2 = {u + 2} times and half-widths, got "
                                 f"{len(times)} and {len(widths)}")

@@ -2,7 +2,10 @@
 
 Each suite returns (check name, passed, detail) tuples; the CLI prints one
 line per check and exits nonzero if any fails.  Default sizes match the
-acceptance settings; ``fast`` shrinks them for smoke tests.
+acceptance settings; ``fast`` shrinks them for smoke tests.  The
+``invariants`` suite runs each built-in strategy as one lockstep batch on the
+step-by-step engine of ``walk`` and checks every step of it with the same
+validator as ``validate_trajectory``.
 """
 
 from __future__ import annotations
@@ -113,10 +116,9 @@ def _suite_dominance(trials, seed, fast) -> list[Result]:
 def _suite_invariants(trials, seed, fast) -> list[Result]:
     out = []
     reps = 100 if fast else 300
-    # trajectory invariants under every built-in strategy
-    problems = [Problem(d=1, n=60, m=4), Problem(d=2, n=40, m=3)]
-    bad = None
-    for problem in problems:
+    # trajectory invariants under every built-in strategy, one batch each
+    cases = []
+    for problem in (Problem(d=1, n=60, m=4), Problem(d=2, n=40, m=3)):
         strategies = [_strategies.always_step(), _strategies.lazy_max(problem),
                       _strategies.lazy_then_sprint(problem)]
         if problem.d == 1:
@@ -124,18 +126,14 @@ def _suite_invariants(trials, seed, fast) -> list[Result]:
             strategies.append(_strategies.windowed_1d(sched, problem))
         strategies += [_strategies.delayed_wrapper(s, problem)
                        for s in list(strategies)]
-        for strat in strategies:
-            for t in range(reps):
-                g = trial_generator(seed + t, t)
-                try:
-                    traj, _ = _walk.run_trajectory(strat, problem, g)
-                    _walk.validate_trajectory(traj, problem)
-                except Exception as exc:
-                    bad = f"{strat.name} on d={problem.d}: {exc}"
-                    break
-            if bad:
-                break
-        if bad:
+        cases += [(problem, strat) for strat in strategies]
+    bad = None
+    for index, (problem, strat) in enumerate(cases):
+        steps = _walk._lockstep(strat, problem, reps, trial_generator(seed, index))
+        try:
+            _walk._validate_steps(steps, problem)
+        except ValueError as exc:       # AdmissibilityError included
+            bad = f"{strat.name} on d={problem.d}: {exc}"
             break
     out.append(("invariants.trajectories", bad is None,
                 bad or f"{reps} runs per strategy satisfy all invariants"))
@@ -156,14 +154,13 @@ def _suite_invariants(trials, seed, fast) -> list[Result]:
     # delayed mode: step count over a pure-delayed horizon is Binomial(n, 1/m)
     p = Problem(d=1, n=20, m=4)
     strat = _strategies.delayed_wrapper(_strategies.lazy_max(p), p)
-    counts = []
-    for t in range(max(n_trials // 10, 1)):
-        traj, _ = _walk.run_trajectory(strat, p, trial_generator(seed + 1, t))
-        steps = sum(1 for a, b in zip(traj.positions, traj.positions[1:]) if a != b)
-        counts.append(steps)
-    mean = float(np.mean(counts))
+    k = max(n_trials // 10, 1)
+    counts = np.zeros(k, dtype=np.int64)
+    for _, before, after in _walk._lockstep(strat, p, k, trial_generator(seed + 1, 0)):
+        counts += (before != after).any(axis=0)
+    mean = float(counts.mean())
     expected = p.n / p.m
-    se = math.sqrt(p.n * (1 / p.m) * (1 - 1 / p.m) / len(counts))
+    se = math.sqrt(p.n * (1 / p.m) * (1 - 1 / p.m) / k)
     ok = abs(mean - expected) <= 3 * se
     out.append(("invariants.delayed_step_mean", ok,
                 f"mean true steps {mean:.3f} vs n/m = {expected} (3se = {3 * se:.3f})"))

@@ -10,6 +10,14 @@ throughout the package is to end at the origin at time ``n``.
 A delayed-step mode is also supported: instead of a hard stand, the walker
 may choose a delayed step, which stands with probability ``1 - 1/m`` and
 takes an SSRW step with probability ``1/m``, with no consecutive-use limit.
+
+Every step-by-step simulation runs on one engine, ``_lockstep``, which moves
+k trials at once on numpy arrays of positions, counters and phase ids, and
+calls ``decide`` and ``next_phase`` once per distinct state rather than once
+per trial.  ``run_trajectory`` is its one-trial case; the generic sampler
+and the ``invariants`` suite of ``verify`` run it on whole batches, and
+``_validate_steps`` checks a batch's steps as ``validate_trajectory`` checks
+one trajectory.  The engine keeps no history: it yields each step.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, SignatureError
 from .rng import trial_generator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -157,31 +165,166 @@ def advance(state: WalkState, decision: Decision, rng: RandomSource,
     raise ValueError(f"unknown decision {decision!r}")
 
 
+# decision codes of the lockstep engine, indexed by ``_DECISIONS``
+_STAND, _STEP, _DELAYED = 0, 1, 2
+_DECISIONS = (Decision.STAND, Decision.STEP, Decision.DELAYED_STEP)
+#: (d, 2d) columns of ``_MOVES``, so a drawn index picks the same move
+_MOVE_COLUMNS = {d: np.array(moves).reshape(2 * d, d).T for d, moves in _MOVES.items()}
+_KEY_LIMIT = 1 << 62
+_ONE_CLASS = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+
+
+def _position(col) -> Position:
+    """Lattice position of one column of d coordinates (a list or a (d,)
+    array), as ``Problem.origin`` spells it."""
+    if len(col) == 1:
+        return int(col[0])
+    return (int(col[0]), int(col[1]))
+
+
+def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the distinct columns of an integer (r, k) array:
+    the lowest trial of each distinct column, and each trial's class.
+
+    Each row is shifted to start at 0 and packed into one int64 key by its
+    span; when the next span would overflow the key, the key is first
+    renumbered densely, so any values work.
+    """
+    if rows.shape[1] == 1:
+        return _ONE_CLASS
+    lo = rows.min(axis=1)
+    spans = (rows.max(axis=1) - lo + 1).tolist()
+    key = np.zeros(rows.shape[1], dtype=np.int64)
+    size = 1
+    for row, low, span in zip(rows, lo, spans):
+        if size * span >= _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            size = int(key.max()) + 1
+        key = key * span + (row - low)
+        size *= span
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource):
+    """Run k trials of ``strategy`` from the origin in lockstep.
+
+    Yields (decisions, before, after) for each time step 1..n: the (k,)
+    decision codes (indices into ``_DECISIONS``) and the (d, k) positions
+    before and after the step.  The state of a trial is its position, its
+    counter j and its phase; phases are interned, so they must be hashable
+    (``SignatureError`` otherwise).  ``decide`` is called once per distinct
+    (position, j, phase) and ``next_phase`` once per distinct (phase, new
+    position, new j), so both must be functions of their arguments.  Each
+    step draws the delayed-step coins (``rng.random``), then the moves
+    (``rng.integers``), for the trials that need them in trial order; at
+    k = 1 that is the draw sequence of a scalar step-by-step loop.
+
+    A trial that stands with j = m - 1 is inadmissible.  The trials from it
+    on are dropped, so the yielded arrays narrow, and the others run on, as
+    one of them may violate later; at the end AdmissibilityError names the
+    lowest offending trial and its time step.
+    """
+    d, m = problem.d, problem.m
+    moves = _MOVE_COLUMNS[d]
+    phases: list = []
+    ids: dict = {}
+
+    def intern(phase) -> int:
+        try:
+            pid = ids.setdefault(phase, len(ids))
+        except TypeError:
+            raise SignatureError(
+                f"strategy {strategy.name!r} has the unhashable phase {phase!r}; "
+                "the step-by-step engine needs hashable phases") from None
+        if pid == len(phases):
+            phases.append(phase)
+        return pid
+
+    # rows: the d coordinates, the counter j, the phase id
+    state = np.zeros((d + 2, k), dtype=np.int64)
+    uniform = np.arange(len(_DECISIONS)).repeat(k).reshape(-1, k)  # one row per code
+    uniform.flags.writeable = False
+    state[d + 1] = intern(strategy.start_phase(problem))
+    violation = None
+    for i in range(problem.n):
+        first, inverse = _classes(state)
+        codes = []              # decision code per class
+        offending = []
+        for col in state.take(first, axis=1).T.tolist():
+            dec = strategy.decide(_position(col), col[d], i, phases[col[d + 1]])
+            try:
+                code = _DECISIONS.index(dec)
+            except ValueError:
+                raise ValueError(f"unknown decision {dec!r}") from None
+            if code == _STAND and col[d] >= m - 1:
+                offending.append(len(codes))
+            codes.append(code)
+        if offending:
+            c = int(first[offending].min())
+            violation = (c, i + 1, int(state[d, c]) + 1)
+            if c == 0:
+                break
+            state, inverse = state[:, :c], inverse[:c]
+        after = state.copy()
+        move = None             # the trials that move: None for all of them
+        if codes.count(codes[0]) == len(codes):
+            # one decision for every trial, so no per-trial masks
+            code = codes[0]
+            dec = uniform[code][:state.shape[1]]
+            after[d] = state[d] + 1 if code == _STAND else 0
+            movers = dec.size if code == _STEP else 0
+            if code == _DELAYED:
+                move = rng.random(dec.size) < 1.0 / m
+                movers = np.count_nonzero(move)
+        else:
+            dec = np.array(codes).take(inverse)
+            after[d] = np.where(dec == _STAND, state[d] + 1, 0)
+            move = dec == _STEP
+            if _DELAYED in codes:
+                delayed = dec == _DELAYED
+                move[delayed] = rng.random(np.count_nonzero(delayed)) < 1.0 / m
+            movers = np.count_nonzero(move)
+        if movers:
+            if movers > 1:
+                shift = moves.take(rng.integers(0, 2 * d, size=movers), axis=1)
+            else:
+                # the scalar call draws the same value at a third of the cost
+                draw = rng.integers(0, 2 * d)
+                shift = moves[:, draw:draw + 1]
+            if move is None:
+                np.add(state[:d], shift, out=after[:d])
+            else:
+                after[:d, move] += shift
+        first, inverse = _classes(after)
+        pids = [intern(strategy.next_phase(phases[col[d + 1]], i + 1, _position(col), col[d]))
+                for col in after.take(first, axis=1).T.tolist()]
+        after[d + 1] = pids[0] if len(pids) == 1 else np.array(pids).take(inverse)
+        yield dec, state[:d], after[:d]
+        state = after
+    if violation is not None:
+        trial, t, count = violation
+        raise AdmissibilityError(
+            f"strategy {strategy.name!r} emitted an inadmissible stand at time {t} "
+            f"(counter would reach {count} > {m - 1})",
+            time_step=t, trial_index=trial)
+
+
 def run_trajectory(strategy: "Strategy", problem: Problem,
                    seed: int | RandomSource) -> tuple[Trajectory, bool]:
     """Run one full trajectory under ``strategy``; success means w_n = origin.
 
-    Deterministic function of (strategy, problem, seed).  A strategy that
-    emits an inadmissible decision aborts with AdmissibilityError naming the
-    time step.
+    Deterministic function of (strategy, problem, seed): the one-trial case
+    of the lockstep engine.  A strategy that emits an inadmissible decision
+    aborts with AdmissibilityError naming the time step.
     """
     rng = seed if isinstance(seed, np.random.Generator) else trial_generator(seed, 0)
-    state = initial_state(problem)
-    phase = strategy.start_phase(problem)
-    positions = [state.w]
+    positions = [problem.origin]
     decisions = []
-    for i in range(problem.n):
-        decision = strategy.decide(state.w, state.j, i, phase)
-        if decision is Decision.STAND and state.j + 1 > problem.m - 1:
-            raise AdmissibilityError(
-                f"strategy {strategy.name!r} emitted an inadmissible stand at time {i + 1} "
-                f"(counter would reach {state.j + 1} > {problem.m - 1})",
-                time_step=i + 1)
-        state = advance(state, decision, rng, problem)
-        phase = strategy.next_phase(phase, state.i, state.w, state.j)
-        positions.append(state.w)
-        decisions.append(decision)
-    return Trajectory(positions, decisions), is_origin(state.w)
+    for dec, _, after in _lockstep(strategy, problem, 1, rng):
+        positions.append(_position(after[:, 0]))
+        decisions.append(_DECISIONS[dec[0]])
+    return Trajectory(positions, decisions), is_origin(positions[-1])
 
 
 def reconstruct_counters(decisions: list[Decision]) -> list[int]:
@@ -194,33 +337,57 @@ def reconstruct_counters(decisions: list[Decision]) -> list[int]:
     return out
 
 
+def _validate_steps(steps, problem: Problem) -> None:
+    """Check the structural invariants of a batch of trials, step by step.
+
+    ``steps`` yields (decisions, before, after) as ``_lockstep`` does.
+    Raises ValueError at the first time step that breaks an invariant,
+    naming its lowest offending trial when the batch holds more than one: a
+    start away from the origin, a stand that moves, a step that is not a
+    unit lattice move, a delayed step that moves by more than one, or a
+    counter, rebuilt from the decisions alone, past m - 1.
+    """
+    j = None
+    for t, (dec, before, after) in enumerate(steps, start=1):
+        k = dec.size
+        if j is None:
+            j = np.zeros(k, dtype=np.int64)
+            checks = [(before.any(axis=0), "trajectory must start at the origin")]
+        else:
+            checks = []
+        dist = np.abs(after - before).sum(axis=0)
+        j = np.where(dec == _STAND, j[:k] + 1, 0)
+        checks += [
+            ((dec == _STAND) & (dist != 0), f"stand at time {t} changed the position"),
+            ((dec == _STEP) & (dist != 1), f"step at time {t} is not a unit lattice move"),
+            ((dec == _DELAYED) & (dist > 1), f"delayed step at time {t} made an illegal move"),
+            (j > problem.m - 1, f"stand-still counter passed m-1 = {problem.m - 1} at time {t}"),
+        ]
+        for bad, message in checks:
+            hits = np.flatnonzero(bad)
+            if hits.size:
+                c = int(hits[0])
+                where = f" in trial {c}" if k > 1 else ""
+                raise ValueError(f"{message}{where}: {_position(before[:, c])} -> "
+                                 f"{_position(after[:, c])}")
+
+
 def validate_trajectory(traj: Trajectory, problem: Problem) -> None:
     """Assert the structural invariants of a recorded trajectory.
 
-    Raises ValueError on the first violation: wrong start, an illegal move
-    (stand must freeze, step must move to a lattice neighbor), or a counter
-    excursion past m - 1.
+    Raises ValueError on the first violation: a length other than the
+    horizon, wrong start, an illegal move (stand must freeze, step must move
+    to a lattice neighbor), or a counter excursion past m - 1.  The checks
+    are those of a batch of one trial.
     """
-    if traj.positions[0] != problem.origin:
-        raise ValueError(f"trajectory must start at the origin, got {traj.positions[0]}")
     if len(traj.positions) != len(traj.decisions) + 1:
         raise ValueError("positions/decisions length mismatch")
-    for t, dec in enumerate(traj.decisions, start=1):
-        prev, cur = traj.positions[t - 1], traj.positions[t]
-        if dec is Decision.STAND and cur != prev:
-            raise ValueError(f"stand at time {t} changed the position")
-        if dec is Decision.STEP and not _is_unit_move(prev, cur, problem.d):
-            raise ValueError(f"step at time {t} is not a unit lattice move: {prev} -> {cur}")
-        if dec is Decision.DELAYED_STEP and cur != prev \
-                and not _is_unit_move(prev, cur, problem.d):
-            raise ValueError(f"delayed step at time {t} made an illegal move: {prev} -> {cur}")
-    for t, j in enumerate(reconstruct_counters(traj.decisions), start=1):
-        if j > problem.m - 1:
-            raise ValueError(f"stand-still counter reached {j} > m-1 = {problem.m - 1} "
-                             f"at time {t}")
-
-
-def _is_unit_move(a: Position, b: Position, d: int) -> bool:
-    if d == 1:
-        return abs(b - a) == 1
-    return abs(b[0] - a[0]) + abs(b[1] - a[1]) == 1
+    if len(traj.decisions) != problem.n:
+        raise ValueError(f"trajectory has {len(traj.decisions)} steps, "
+                         f"the horizon is {problem.n}")
+    pos = np.array(traj.positions, dtype=np.int64).reshape(len(traj.positions), -1)
+    if pos.shape[1] != problem.d:
+        raise ValueError(f"positions are not {problem.d}-dimensional")
+    codes = [np.array([_DECISIONS.index(dec)]) for dec in traj.decisions]
+    _validate_steps(((codes[t], pos[t, :, None], pos[t + 1, :, None])
+                     for t in range(len(codes))), problem)

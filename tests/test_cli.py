@@ -235,6 +235,22 @@ def test_simulate_bad_schedule_file_exits_2(tmp_path, capsys, corrupt):
     assert "simulate failed" in err
 
 
+@pytest.mark.parametrize("field, value", [("m", True), ("n", True), ("d", True),
+                                          ("d", 3)])
+def test_simulate_schedule_file_with_a_bad_size_exits_2(tmp_path, capsys, field, value):
+    sched_path = tmp_path / "sched.json"
+    assert main(["schedule", "--d", "1", "--n", "1000", "--m", "10", "--eta", "0.5",
+                 "--out", str(sched_path)]) == 0
+    data = json.loads(sched_path.read_text())
+    data["schedule"][field] = value
+    sched_path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", "--d", "1", "--n", "1000", "--m", "10",
+                           "--strategy", "windowed_1d", "--trials", "10", "--seed", "1",
+                           "--schedule-json", str(sched_path))
+    assert code == 2
+    assert f"schedule {field} must be" in err and "Traceback" not in err
+
+
 def test_simulate_csv_format(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--d", "1", "--n", "20", "--m", "4",
                            "--strategy", "lazy_max", "--trials", "500",

@@ -87,6 +87,65 @@ def test_batch_aborts_with_offending_trial_index():
     assert err.value.time_step is not None
 
 
+def test_batch_names_the_lowest_offending_trial_not_the_earliest():
+    """A lockstep chunk reports the lowest trial index that violates, as the
+    per-trial loop did, even when a higher trial violates earlier in time.
+
+    The strategy steps twice and then, by its position w at time 2, stands
+    from time 2 (w = 2, inadmissible at time 4 with m = 2), stands from time
+    6 (w = -2, inadmissible at time 8) or keeps stepping (w = 0).  Both of
+    its first two steps draw one move for every trial, as always_step's do,
+    so always_step over two steps on the same chunk stream gives each
+    trial's w at time 2."""
+    from targetwalk import AdmissibilityError, Decision
+    from targetwalk.rng import step_chunk_generator
+    from targetwalk.samplers import GenericSampler
+    from targetwalk.strategies import Strategy, always_step
+    from targetwalk.walk import _lockstep
+
+    class StandLaterOnTheLeft(Strategy):
+        name = "stand_later_on_the_left"
+        signature = "wjip"
+
+        def decide(self, w, j, i, phase):
+            if (phase == 2 and i >= 2) or (phase == -2 and i >= 6):
+                return Decision.STAND
+            return Decision.STEP
+
+        def next_phase(self, phase, i_next, w_next, j_next):
+            return w_next if i_next == 2 else phase
+
+    k, seed = 16, 15
+    *_, (_, _, at_2) = _lockstep(always_step(), Problem(d=1, n=2, m=2), k,
+                                 step_chunk_generator(seed, 0))
+    w2 = at_2[0]
+    offenders = [i for i in range(k) if w2[i] != 0]
+    lowest = offenders[0]
+    # the case under test: the lowest offender violates at time 8 and a
+    # higher trial at time 4
+    assert w2[lowest] == -2 and any(w2[i] == 2 for i in offenders[1:])
+    with pytest.raises(AdmissibilityError) as err:
+        GenericSampler(Problem(d=1, n=10, m=2), StandLaterOnTheLeft()).run_chunk(
+            master_seed=seed, lo=0, hi=k)
+    assert err.value.trial_index == lowest
+    assert err.value.time_step == 8
+
+
+@pytest.mark.parametrize("spec", [{"name": "lazy_then_sprint"},
+                                  {"name": "windowed_1d", "delayed": True}])
+def test_generic_reports_identical_across_thread_counts(spec):
+    # three chunks, the last one short; failures are stored as well
+    p = Problem(d=1, n=40, m=4)
+    reports = [estimate_success(McConfig(problem=p, strategy=spec, trials=9_000,
+                                         master_seed=8, threads=threads,
+                                         store_failures=6), force_generic=True)
+               for threads in (1, 2)]
+    assert reports[0].sampler == "generic"
+    assert len(reports[0].failures) == 6
+    assert reports[0].to_json(include_runtime=False) == \
+        reports[1].to_json(include_runtime=False)
+
+
 def test_fast_and_generic_samplers_agree_in_law():
     p = Problem(d=1, n=80, m=4)
     cfg = McConfig(problem=p, strategy={"name": "lazy_then_sprint"},
@@ -258,7 +317,9 @@ def test_sweep_cell_trials_must_be_a_positive_integer(tmp_path, trials):
 
 
 @pytest.mark.parametrize("bad", [{"threads": 0}, {"threads": -1},
-                                 {"store_failures": -1}])
+                                 {"store_failures": -1}, {"threads": 1.5},
+                                 {"threads": True}, {"store_failures": 0.5},
+                                 {"store_failures": "2"}])
 def test_config_rejects_bad_threads_and_store_failures(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         McConfig(problem=Problem(d=1, n=10, m=2), strategy={"name": "always_step"},

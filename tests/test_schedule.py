@@ -164,3 +164,16 @@ def test_schedule_json_round_trip():
         blob = s.to_json()
         back = Schedule.from_json_dict(json.loads(blob))
         assert back == s
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", True), ("n", True), ("u", False), ("d", True), ("d", 3), ("d", 0),
+    ("d", 1.0), ("times", [0, True, 10000]), ("half_widths", [0, False, 0])])
+def test_schedule_from_json_rejects_bools_and_bad_d(field, value):
+    # a bool passes isinstance(v, int); unchecked, "m": true failed later
+    # with "terminal stage ... longer than m = True", and "d": true or 3
+    # loaded without complaint
+    data = build_schedule_1d(ScheduleParams1D(n=10**4, m=100, eta=0.5)).to_json_dict()
+    data[field] = value
+    with pytest.raises(ScheduleError, match=f"schedule {field} must be"):
+        Schedule.from_json_dict(data)

@@ -1,15 +1,20 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetwalk import (AdmissibilityError, Decision, Problem, admissible_decisions,
-                        advance, initial_state, run_trajectory, validate_trajectory)
+from targetwalk import (AdmissibilityError, Decision, Problem, ScheduleParams1D,
+                        ScheduleParams2D, SignatureError, admissible_decisions, advance,
+                        build_schedule_1d, build_schedule_2d, initial_state,
+                        run_trajectory, validate_trajectory)
 from targetwalk.rng import trial_generator
-from targetwalk.strategies import Strategy, always_step, lazy_max
-from targetwalk.walk import Trajectory, reconstruct_counters
+from targetwalk.strategies import (Strategy, always_step, delayed_wrapper, lazy_max,
+                                   lazy_then_sprint, windowed_1d, windowed_2d)
+from targetwalk.walk import (_DECISIONS, Trajectory, _lockstep, _validate_steps,
+                             reconstruct_counters)
 
 
 class StandForever(Strategy):
@@ -218,3 +223,211 @@ def test_validate_trajectory_catches_corruption():
                      decisions=[Decision.STAND] * 3)
     with pytest.raises(ValueError):
         validate_trajectory(bad, Problem(d=1, n=3, m=3))
+
+
+def _seed_run_trajectory(strategy, problem, rng):
+    """The scalar step-by-step loop that ran trajectories before the lockstep
+    engine, frozen here as the bit-identity reference: per step one
+    ``decide``, a coin ``rng.random()`` for a delayed step, one
+    ``rng.integers(0, 2d)`` per move, one ``next_phase``."""
+    moves = {1: (-1, 1), 2: ((1, 0), (-1, 0), (0, 1), (0, -1))}[problem.d]
+
+    def moved(w):
+        dw = moves[int(rng.integers(0, len(moves)))]
+        return w + dw if problem.d == 1 else (w[0] + dw[0], w[1] + dw[1])
+
+    w, j = problem.origin, 0
+    phase = strategy.start_phase(problem)
+    positions, decisions = [w], []
+    for i in range(problem.n):
+        dec = strategy.decide(w, j, i, phase)
+        if dec is Decision.STAND:
+            if j + 1 > problem.m - 1:
+                raise AdmissibilityError("inadmissible stand", time_step=i + 1)
+            j += 1
+        elif dec is Decision.STEP:
+            w, j = moved(w), 0
+        else:
+            if rng.random() < 1.0 / problem.m:
+                w = moved(w)
+            j = 0
+        phase = strategy.next_phase(phase, i + 1, w, j)
+        positions.append(w)
+        decisions.append(dec)
+    return positions, decisions
+
+
+def _built_ins(p):
+    """Every built-in strategy for problem p, plain and delayed; a windowed
+    strategy is left out where no schedule exists."""
+    strats = [always_step(), lazy_max(p), lazy_then_sprint(p)]
+    try:
+        if p.d == 1:
+            strats.append(windowed_1d(build_schedule_1d(
+                ScheduleParams1D(n=p.n, m=p.m, eta=0.5)), p))
+        else:
+            strats.append(windowed_2d(build_schedule_2d(
+                ScheduleParams2D(n=p.n, m=p.m, epsilon=0.5)), p))
+    except ValueError:          # ScheduleError included
+        pass
+    return strats + [delayed_wrapper(s, p) for s in strats]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("p", [
+    Problem(d=1, n=60, m=4), Problem(d=1, n=97, m=9), Problem(d=2, n=40, m=3),
+    Problem(d=2, n=41, m=5), Problem(d=1, n=12, m=1), Problem(d=2, n=9, m=1),
+    Problem(d=1, n=5, m=8), Problem(d=2, n=5, m=8)], ids=str)
+def test_run_trajectory_is_bit_identical_to_the_scalar_loop(p):
+    """run_trajectory, the one-trial case of the lockstep engine, gives the
+    positions and decisions of the frozen scalar loop from equal streams,
+    and leaves both streams at the same place."""
+    windowed = 0
+    for strat in _built_ins(p):
+        windowed += strat.name.startswith("windowed")
+        for seed in range(6):
+            g_new, g_old = trial_generator(seed, 3), trial_generator(seed, 3)
+            traj, success = run_trajectory(strat, p, g_new)
+            positions, decisions = _seed_run_trajectory(strat, p, g_old)
+            assert traj.positions == positions, (strat.name, seed)
+            assert traj.decisions == decisions, (strat.name, seed)
+            assert success == (positions[-1] == p.origin)
+            assert g_new.random() == g_old.random()
+    assert windowed == (2 if p.n > p.m > 1 else 0)
+
+
+def _batch(strategy, p, k, seed):
+    """A lockstep batch as a list of (decisions, before, after) copies."""
+    return [(dec.copy(), before.copy(), after.copy())
+            for dec, before, after in _lockstep(strategy, p, k, trial_generator(seed, 0))]
+
+
+def _first_step(steps, trial, code):
+    return next(t for t, (dec, _, _) in enumerate(steps) if dec[trial] == code)
+
+
+def _stand_moves(steps, d):
+    t = _first_step(steps, 3, 0)
+    steps[t][2][0, 3] += 1
+    return f"stand at time {t + 1} changed the position in trial 3"
+
+
+def _step_of(length):
+    def corrupt(steps, d):
+        t = _first_step(steps, 3, 1)
+        dec, before, after = steps[t]
+        after[:, 3] = before[:, 3]
+        after[d - 1, 3] += length
+        return f"step at time {t + 1} is not a unit lattice move in trial 3"
+    corrupt.__name__ = f"_step_of_{length}"
+    return corrupt
+
+
+def _delayed_move_of_2(steps, d):
+    t = _first_step(steps, 3, 2)
+    dec, before, after = steps[t]
+    after[:, 3] = before[:, 3]
+    after[0, 3] += 2
+    return f"delayed step at time {t + 1} made an illegal move in trial 3"
+
+
+def _counter_past_m(steps, d):
+    # trial 3 stands at times 1..m = 4, so its counter reaches m at time 4
+    for t in range(4):
+        dec, before, after = steps[t]
+        dec[3] = 0
+        before[:, 3] = after[:, 3] = 0
+    return "stand-still counter passed m-1 = 3 at time 4 in trial 3"
+
+
+def _start_away(steps, d):
+    steps[0][1][0, 3] = 1
+    return "trajectory must start at the origin in trial 3"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("corrupt", [_stand_moves, _step_of(0), _step_of(2),
+                                     _delayed_move_of_2, _counter_past_m, _start_away],
+                         ids=lambda f: f.__name__)
+def test_batch_validator_flags_one_corrupted_trial(corrupt, d):
+    """One corrupted trial in the middle of a batch of 7 is flagged by name.
+
+    lazy_max stands and steps, its delayed version makes delayed steps; the
+    clean batches pass, so the flagged violation is the corruption."""
+    p = Problem(d=d, n=30, m=4)
+    strat = lazy_max(p)
+    if corrupt is _delayed_move_of_2:
+        strat = delayed_wrapper(strat, p)
+    steps = _batch(strat, p, 7, seed=40 + d)
+    _validate_steps(iter(steps), p)
+    message = corrupt(steps, d)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        _validate_steps(iter(steps), p)
+
+
+def test_validate_trajectory_runs_the_batch_checks():
+    # one trial is a batch of one: the same checks, with no trial named
+    p = Problem(d=2, n=3, m=3)
+    good = Trajectory(positions=[(0, 0), (0, 0), (1, 0), (1, 0)],
+                      decisions=[Decision.STAND, Decision.STEP, Decision.DELAYED_STEP])
+    validate_trajectory(good, p)
+    for positions, decisions, message in [
+            ([(0, 0), (0, 0), (1, 1), (1, 1)], good.decisions, "step at time 2"),
+            ([(0, 0), (0, 0), (1, 0), (3, 0)], good.decisions, "delayed step at time 3"),
+            ([(0, 1), (0, 1), (1, 1), (1, 1)], good.decisions, "trajectory must start"),
+            (good.positions[:3], good.decisions[:2], "trajectory has 2 steps")]:
+        with pytest.raises(ValueError, match=message) as err:
+            validate_trajectory(Trajectory(positions, decisions), p)
+        assert "trial" not in str(err.value)
+
+
+class _ListPhase(Strategy):
+    name = "list_phase"
+    signature = "history"
+
+    def start_phase(self, problem):
+        return []
+
+    def decide(self, w, j, i, phase):
+        return Decision.STEP
+
+
+class _DictPhaseLater(_ListPhase):
+    name = "dict_phase_later"
+
+    def start_phase(self, problem):
+        return 0
+
+    def next_phase(self, phase, i_next, w_next, j_next):
+        return {"time": i_next} if i_next >= 3 else phase
+
+
+@pytest.mark.parametrize("strategy", [_ListPhase(), _DictPhaseLater()], ids=repr)
+def test_unhashable_phase_raises_signature_error(strategy):
+    from targetwalk.samplers import GenericSampler
+
+    p = Problem(d=1, n=6, m=2)
+    with pytest.raises(SignatureError, match="unhashable phase"):
+        run_trajectory(strategy, p, 1)
+    with pytest.raises(SignatureError, match="unhashable phase"):
+        GenericSampler(p, strategy).run_chunk(master_seed=1, lo=0, hi=50)
+
+
+def test_lockstep_decides_once_per_distinct_state():
+    # always_step in d = 1: at time i at most i + 1 distinct positions
+    calls = []
+
+    class Counting(Strategy):
+        name = "counting"
+
+        def decide(self, w, j, i, phase):
+            calls.append(i)
+            return Decision.STEP
+
+    p = Problem(d=1, n=12, m=2)
+    for dec, before, after in _lockstep(Counting(), p, 500, trial_generator(2, 0)):
+        assert dec.shape == (500,) and before.shape == after.shape == (1, 500)
+        assert (dec == _DECISIONS.index(Decision.STEP)).all()
+    per_time = np.bincount(calls, minlength=p.n)
+    assert per_time[0] == 1
+    assert all(1 <= c <= i + 1 for i, c in enumerate(per_time))
