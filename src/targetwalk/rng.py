@@ -1,11 +1,12 @@
 """Reproducible randomness.
 
 Every stream is a pure function of the master seed and a fixed index, so
-results never depend on execution order or thread count.  Two mechanisms
+results never depend on execution order or thread count.  Three mechanisms
 share the same key derivation:
 
 * ``trial_generator`` wraps a counter-based Philox bit generator keyed by
-  the mixed (master, trial) pair; the step-by-step reference sampler uses it.
+  the mixed (master, index) pair; ``run_trajectory`` with an integer seed
+  and the ``verify`` suites use it.
 * ``chunk_generator`` is the same construction keyed by (master, chunk
   index); the staged sampler draws all trials of a fixed-size chunk from it.
 * ``step_chunk_generator`` is keyed by (master, chunk index) with another

@@ -227,7 +227,8 @@ class GenericSampler(Sampler):
         ok = ~pos.any(axis=0)
         out = ChunkCounts(successes=int(np.count_nonzero(ok)), n_trials=hi - lo)
         if keep_failures:
-            out.failure_samples = [(lo + int(i), _position(pos[:, i]))
+            d = self.problem.d
+            out.failure_samples = [(lo + int(i), _position(pos[:, i], d))
                                    for i in np.flatnonzero(~ok)[:keep_failures]]
         return out
 

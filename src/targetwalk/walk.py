@@ -174,10 +174,10 @@ _KEY_LIMIT = 1 << 62
 _ONE_CLASS = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
 
-def _position(col) -> Position:
-    """Lattice position of one column of d coordinates (a list or a (d,)
+def _position(col, d: int) -> Position:
+    """Lattice position from the first d entries of a column (a list or an
     array), as ``Problem.origin`` spells it."""
-    if len(col) == 1:
+    if d == 1:
         return int(col[0])
     return (int(col[0]), int(col[1]))
 
@@ -252,7 +252,7 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
         codes = []              # decision code per class
         offending = []
         for col in state.take(first, axis=1).T.tolist():
-            dec = strategy.decide(_position(col), col[d], i, phases[col[d + 1]])
+            dec = strategy.decide(_position(col, d), col[d], i, phases[col[d + 1]])
             try:
                 code = _DECISIONS.index(dec)
             except ValueError:
@@ -297,7 +297,8 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
             else:
                 after[:d, move] += shift
         first, inverse = _classes(after)
-        pids = [intern(strategy.next_phase(phases[col[d + 1]], i + 1, _position(col), col[d]))
+        pids = [intern(strategy.next_phase(phases[col[d + 1]], i + 1,
+                                           _position(col, d), col[d]))
                 for col in after.take(first, axis=1).T.tolist()]
         after[d + 1] = pids[0] if len(pids) == 1 else np.array(pids).take(inverse)
         yield dec, state[:d], after[:d]
@@ -322,7 +323,7 @@ def run_trajectory(strategy: "Strategy", problem: Problem,
     positions = [problem.origin]
     decisions = []
     for dec, _, after in _lockstep(strategy, problem, 1, rng):
-        positions.append(_position(after[:, 0]))
+        positions.append(_position(after[:, 0], problem.d))
         decisions.append(_DECISIONS[dec[0]])
     return Trajectory(positions, decisions), is_origin(positions[-1])
 
@@ -341,35 +342,37 @@ def _validate_steps(steps, problem: Problem) -> None:
     """Check the structural invariants of a batch of trials, step by step.
 
     ``steps`` yields (decisions, before, after) as ``_lockstep`` does.
-    Raises ValueError at the first time step that breaks an invariant,
-    naming its lowest offending trial when the batch holds more than one: a
-    start away from the origin, a stand that moves, a step that is not a
-    unit lattice move, a delayed step that moves by more than one, or a
-    counter, rebuilt from the decisions alone, past m - 1.
+    Raises ValueError at the first time step that breaks an invariant, for
+    the lowest trial that breaks one there (named when the batch holds more
+    than one): a start away from the origin, a stand that moves, a step that
+    is not a unit lattice move, a delayed step that moves by more than one,
+    or a counter, rebuilt from the decisions alone, past m - 1.
     """
-    j = None
     for t, (dec, before, after) in enumerate(steps, start=1):
         k = dec.size
-        if j is None:
+        checks = []
+        if t == 1:
             j = np.zeros(k, dtype=np.int64)
-            checks = [(before.any(axis=0), "trajectory must start at the origin")]
-        else:
-            checks = []
+            checks.append((before.any(axis=0), "trajectory must start at the origin"))
         dist = np.abs(after - before).sum(axis=0)
         j = np.where(dec == _STAND, j[:k] + 1, 0)
         checks += [
             ((dec == _STAND) & (dist != 0), f"stand at time {t} changed the position"),
-            ((dec == _STEP) & (dist != 1), f"step at time {t} is not a unit lattice move"),
-            ((dec == _DELAYED) & (dist > 1), f"delayed step at time {t} made an illegal move"),
-            (j > problem.m - 1, f"stand-still counter passed m-1 = {problem.m - 1} at time {t}"),
+            ((dec == _STEP) & (dist != 1),
+             f"step at time {t} is not a unit lattice move"),
+            ((dec == _DELAYED) & (dist > 1),
+             f"delayed step at time {t} made an illegal move"),
+            (j > problem.m - 1,
+             f"stand-still counter passed m-1 = {problem.m - 1} at time {t}"),
         ]
-        for bad, message in checks:
-            hits = np.flatnonzero(bad)
-            if hits.size:
-                c = int(hits[0])
-                where = f" in trial {c}" if k > 1 else ""
-                raise ValueError(f"{message}{where}: {_position(before[:, c])} -> "
-                                 f"{_position(after[:, c])}")
+        bad = np.array([mask for mask, _ in checks])
+        hits = np.flatnonzero(bad.any(axis=0))
+        if hits.size:
+            c = int(hits[0])
+            message = checks[int(bad[:, c].argmax())][1]
+            where = f" in trial {c}" if k > 1 else ""
+            moved = (_position(before[:, c], problem.d), _position(after[:, c], problem.d))
+            raise ValueError(f"{message}{where}: {moved[0]} -> {moved[1]}")
 
 
 def validate_trajectory(traj: Trajectory, problem: Problem) -> None:

@@ -4,7 +4,9 @@
 staged sampler, whose stream is keyed by (master seed, chunk index).  The
 digests were computed on one thread and are asserted at one and two
 threads, so they catch a change to the stream, to the chunking or to the
-report layout, and any dependence on the thread count.
+report layout, and any dependence on the thread count.  The generic sampler's
+chunk streams carry a tag of their own, so the two samplers of a law test
+never share draws.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import hashlib
 import pytest
 
 from targetwalk import McConfig, Problem, estimate_success
+from targetwalk.rng import chunk_generator, step_chunk_generator, trial_generator
 
 # sha256 of to_json(include_runtime=False), computed at threads=1
 _PINNED = {
@@ -31,3 +34,11 @@ def test_endpoint_reports_match_pinned_digests(name, threads):
                    store_failures=5)
     text = estimate_success(cfg).to_json(include_runtime=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_stream_families_never_share_a_stream():
+    for seed in (0, 1, 2 ** 63 + 2013):
+        for index in (0, 1, 7):
+            firsts = {make(seed, index).integers(0, 2 ** 63, size=2).tobytes()
+                      for make in (trial_generator, chunk_generator, step_chunk_generator)}
+            assert len(firsts) == 3, (seed, index)

@@ -14,7 +14,7 @@ from targetwalk.rng import trial_generator
 from targetwalk.strategies import (Strategy, always_step, delayed_wrapper, lazy_max,
                                    lazy_then_sprint, windowed_1d, windowed_2d)
 from targetwalk.walk import (_DECISIONS, Trajectory, _lockstep, _validate_steps,
-                             reconstruct_counters)
+                             is_origin, reconstruct_counters)
 
 
 class StandForever(Strategy):
@@ -257,10 +257,33 @@ def _seed_run_trajectory(strategy, problem, rng):
     return positions, decisions
 
 
+class _Homing(Strategy):
+    """Stands at the origin while allowed on an even count of origin visits,
+    steps elsewhere.  Unlike the built-ins, it reads the position in
+    ``decide`` and after stands in ``next_phase``."""
+
+    name = "homing"
+    signature = "wjip"
+
+    def __init__(self, problem):
+        self.m = problem.m
+
+    def start_phase(self, problem):
+        return 0
+
+    def decide(self, w, j, i, phase):
+        if is_origin(w) and j + 1 <= self.m - 1 and phase % 2 == 0:
+            return Decision.STAND
+        return Decision.STEP
+
+    def next_phase(self, phase, i_next, w_next, j_next):
+        return phase + 1 if is_origin(w_next) else phase
+
+
 def _built_ins(p):
-    """Every built-in strategy for problem p, plain and delayed; a windowed
-    strategy is left out where no schedule exists."""
-    strats = [always_step(), lazy_max(p), lazy_then_sprint(p)]
+    """Every built-in strategy for problem p and ``_Homing``, plain and
+    delayed; a windowed strategy is left out where no schedule exists."""
+    strats = [always_step(), lazy_max(p), lazy_then_sprint(p), _Homing(p)]
     try:
         if p.d == 1:
             strats.append(windowed_1d(build_schedule_1d(
@@ -281,7 +304,11 @@ def _built_ins(p):
 def test_run_trajectory_is_bit_identical_to_the_scalar_loop(p):
     """run_trajectory, the one-trial case of the lockstep engine, gives the
     positions and decisions of the frozen scalar loop from equal streams,
-    and leaves both streams at the same place."""
+    and leaves both streams at the same place.
+
+    Every built-in strategy reads the position only through whether a step
+    lands on the origin, so ``_Homing`` is added: it fails this test when
+    the engine hands ``decide`` or ``next_phase`` a wrong position."""
     windowed = 0
     for strat in _built_ins(p):
         windowed += strat.name.startswith("windowed")
