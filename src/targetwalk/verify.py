@@ -20,6 +20,7 @@ from . import strategies as _strategies
 from . import walk as _walk
 from .errors import ScheduleError
 from .mc import McConfig, estimate_success
+from .samplers import _CHUNK
 from .rng import trial_generator
 from .schedule import ScheduleParams1D, ScheduleParams2D, build_schedule_1d, build_schedule_2d
 from .walk import Problem
@@ -151,14 +152,17 @@ def _suite_invariants(trials, seed, fast) -> list[Result]:
                 f"lazy_max at m=1 returns {rep.p_hat:.5f} vs SSRW {exact_p:.5f} "
                 f"(3se = {3 * se:.5f})"))
 
-    # delayed mode: step count over a pure-delayed horizon is Binomial(n, 1/m)
+    # delayed mode: step count over a pure-delayed horizon is Binomial(n, 1/m);
+    # batches of at most _CHUNK trials bound the engine's working arrays
     p = Problem(d=1, n=20, m=4)
     strat = _strategies.delayed_wrapper(_strategies.lazy_max(p), p)
     k = max(n_trials // 10, 1)
-    counts = np.zeros(k, dtype=np.int64)
-    for _, before, after in _walk._lockstep(strat, p, k, trial_generator(seed + 1, 0)):
-        counts += (before != after).any(axis=0)
-    mean = float(counts.mean())
+    steps = 0
+    for batch, lo in enumerate(range(0, k, _CHUNK)):
+        for _, before, after in _walk._lockstep(strat, p, min(_CHUNK, k - lo),
+                                                trial_generator(seed + 1, batch)):
+            steps += int(np.count_nonzero((before != after).any(axis=0)))
+    mean = steps / k
     expected = p.n / p.m
     se = math.sqrt(p.n * (1 / p.m) * (1 - 1 / p.m) / k)
     ok = abs(mean - expected) <= 3 * se
