@@ -267,7 +267,6 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
                 break
             state, inverse = state[:, :c], inverse[:c]
         after = state.copy()
-        move = None             # the trials that move: None for all of them
         if codes.count(codes[0]) == len(codes):
             # one decision for every trial, so no per-trial masks
             code = codes[0]
@@ -292,7 +291,7 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
                 # the scalar call draws the same value at a third of the cost
                 draw = rng.integers(0, 2 * d)
                 shift = moves[:, draw:draw + 1]
-            if move is None:
+            if movers == dec.size:      # every trial moves: no mask
                 np.add(state[:d], shift, out=after[:d])
             else:
                 after[:d, move] += shift

@@ -458,3 +458,25 @@ def test_lockstep_decides_once_per_distinct_state():
     per_time = np.bincount(calls, minlength=p.n)
     assert per_time[0] == 1
     assert all(1 <= c <= i + 1 for i, c in enumerate(per_time))
+
+
+def _wrapping_rows():
+    """Columns (0, b, c) and (1, b, c) with rows 1 and 2 spanning 2^32: a
+    key packed without renumbering would be a * 2^64 + b * 2^32 + c, which
+    wraps to the same int64 for both."""
+    top = 2 ** 32 - 1
+    return np.array([[0, 1, 0, 1, 0], [0, 0, top, top, 5], [0, 0, top, top, 7]])
+
+
+@pytest.mark.parametrize("rows", [
+    np.random.default_rng(7).integers(-3, 3, size=(4, 300)), _wrapping_rows()],
+    ids=["small", "wrapping"])
+def test_classes_match_unique_columns(rows):
+    from targetwalk.walk import _classes
+
+    first, inverse = _classes(rows)
+    _, ref_first, ref_inverse = np.unique(rows, axis=1, return_index=True,
+                                          return_inverse=True)
+    assert sorted(first) == sorted(ref_first)
+    assert (rows[:, first[inverse]] == rows).all()
+    assert len(set(zip(inverse.tolist(), ref_inverse.ravel().tolist()))) == first.size
