@@ -17,7 +17,9 @@ calls ``decide`` and ``next_phase`` once per distinct state rather than once
 per trial.  ``run_trajectory`` is its one-trial case; the generic sampler
 and the ``invariants`` suite of ``verify`` run it on whole batches, and
 ``_validate_steps`` checks a batch's steps as ``validate_trajectory`` checks
-one trajectory.  The engine keeps no history: it yields each step.
+one trajectory.  The engine keeps no history: it yields each step.  All of
+them move the walk with one function, ``_step``; ``advance`` is ``_step``
+for one state, for a caller that drives a walk step by step itself.
 """
 
 from __future__ import annotations
@@ -125,13 +127,19 @@ def admissible_decisions(state: WalkState, problem: Problem,
     return out
 
 
-#: unit lattice moves per dimension, in the order ``_draw_move`` indexes them
+#: unit lattice moves per dimension, in the order a drawn move index picks them
 _MOVES = {1: (-1, 1), 2: ((1, 0), (-1, 0), (0, 1), (0, -1))}
+#: the 2d moves of ``_MOVES`` as (d, 2d + 1) columns; the last is no move
+_MOVE_COLUMNS = {d: np.hstack([np.array(moves).reshape(2 * d, d).T, np.zeros((d, 1), int)])
+                 for d, moves in _MOVES.items()}
 
-
-def _draw_move(rng: RandomSource, d: int) -> Position:
-    moves = _MOVES[d]
-    return moves[int(rng.integers(0, len(moves)))]
+# decision codes of the step-by-step engine, indexed by ``_DECISIONS``
+_STAND, _STEP, _DELAYED = 0, 1, 2
+_DECISIONS = (Decision.STAND, Decision.STEP, Decision.DELAYED_STEP)
+_KEY_LIMIT = 1 << 62
+# one trial is one class: skipping np.unique there makes a step of
+# ``run_trajectory`` about 3.5 times cheaper
+_ONE_CLASS = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
 
 def _add(w: Position, dw: Position, d: int) -> Position:
@@ -140,46 +148,62 @@ def _add(w: Position, dw: Position, d: int) -> Position:
     return (w[0] + dw[0], w[1] + dw[1])
 
 
-def advance(state: WalkState, decision: Decision, rng: RandomSource,
-            problem: Problem) -> WalkState:
-    """One transition of the controlled walk.
-
-    STAND freezes the position and increments j.  STEP moves to a uniformly
-    random lattice neighbor and resets j.  DELAYED_STEP stands with
-    probability 1 - 1/m and steps with probability 1/m; either way j resets
-    to 0 (the delayed mode has no consecutive-stand limit).
-    """
-    if decision is Decision.STAND:
-        if state.j + 1 > problem.m - 1:
-            raise AdmissibilityError(
-                f"stand at time {state.i + 1} would push the stand-still counter to "
-                f"{state.j + 1} > m-1 = {problem.m - 1}",
-                time_step=state.i + 1)
-        return WalkState(state.i + 1, state.w, state.j + 1)
-    if decision is Decision.STEP:
-        return WalkState(state.i + 1, _add(state.w, _draw_move(rng, problem.d), problem.d), 0)
-    if decision is Decision.DELAYED_STEP:
-        if rng.random() < 1.0 / problem.m:
-            return WalkState(state.i + 1, _add(state.w, _draw_move(rng, problem.d), problem.d), 0)
-        return WalkState(state.i + 1, state.w, 0)
-    raise ValueError(f"unknown decision {decision!r}")
-
-
-# decision codes of the lockstep engine, indexed by ``_DECISIONS``
-_STAND, _STEP, _DELAYED = 0, 1, 2
-_DECISIONS = (Decision.STAND, Decision.STEP, Decision.DELAYED_STEP)
-#: (d, 2d) columns of ``_MOVES``, so a drawn index picks the same move
-_MOVE_COLUMNS = {d: np.array(moves).reshape(2 * d, d).T for d, moves in _MOVES.items()}
-_KEY_LIMIT = 1 << 62
-_ONE_CLASS = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
-
-
 def _position(col, d: int) -> Position:
     """Lattice position from the first d entries of a column (a list or an
     array), as ``Problem.origin`` spells it."""
     if d == 1:
         return int(col[0])
     return (int(col[0]), int(col[1]))
+
+
+def _step(state: np.ndarray, dec: np.ndarray, rng: RandomSource, d: int, m: int) -> np.ndarray:
+    """The state after one time step of every trial.
+
+    ``state`` holds the d coordinates and the counter j as its first d + 1
+    rows, one column per trial, and ``dec`` the (k,) decision codes.  STAND
+    keeps the position and counts j up.  STEP moves to a uniformly random
+    lattice neighbour.  DELAYED_STEP moves with probability 1/m.  Both reset
+    j (the delayed mode has no consecutive-stand limit).  The delayed-step
+    coins are drawn (``rng.random``), then the moves (``rng.integers``), for
+    the trials that need them in trial order.  Admissibility is the caller's.
+    """
+    after = state.copy()
+    after[d] = np.where(dec == _STAND, state[d] + 1, 0)
+    move = dec == _STEP
+    delayed = dec == _DELAYED
+    coins = np.count_nonzero(delayed)
+    if coins:
+        move[delayed] = rng.random(coins) < 1.0 / m
+    movers = np.count_nonzero(move)
+    if movers:
+        column = np.full(dec.size, 2 * d)
+        column[move] = rng.integers(0, 2 * d, size=movers)
+        after[:d] += _MOVE_COLUMNS[d].take(column, axis=1)
+    return after
+
+
+def advance(state: WalkState, decision: Decision, rng: RandomSource,
+            problem: Problem) -> WalkState:
+    """One transition of the controlled walk: ``_step`` for a single trial.
+
+    A STAND that would push the counter past m - 1 raises
+    AdmissibilityError.  The draws are those of the one-trial engine, so a
+    loop of ``advance`` calls on one generator replays ``run_trajectory``.
+    """
+    if decision is Decision.STAND and state.j + 1 > problem.m - 1:
+        raise AdmissibilityError(
+            f"stand at time {state.i + 1} would push the stand-still counter to "
+            f"{state.j + 1} > m-1 = {problem.m - 1}",
+            time_step=state.i + 1)
+    try:
+        code = _DECISIONS.index(decision)
+    except ValueError:
+        raise ValueError(f"unknown decision {decision!r}") from None
+    d = problem.d
+    w = (state.w,) if d == 1 else state.w
+    after = _step(np.array([*w, state.j], dtype=np.int64)[:, None], np.array([code]),
+                  rng, d, problem.m)
+    return WalkState(state.i + 1, _position(after[:, 0], d), int(after[d, 0]))
 
 
 def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +240,8 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
     (``SignatureError`` otherwise).  ``decide`` is called once per distinct
     (position, j, phase) and ``next_phase`` once per distinct (phase, new
     position, new j), so both must be functions of their arguments.  Each
-    step draws the delayed-step coins (``rng.random``), then the moves
-    (``rng.integers``), for the trials that need them in trial order; at
-    k = 1 that is the draw sequence of a scalar step-by-step loop.
+    step is ``_step``; at k = 1 its draws are those of a scalar
+    step-by-step loop: the coin, then the move.
 
     A trial that stands with j = m - 1 is inadmissible.  The trials from it
     on are dropped, so the yielded arrays narrow, and the others run on, as
@@ -226,7 +249,6 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
     lowest offending trial and its time step.
     """
     d, m = problem.d, problem.m
-    moves = _MOVE_COLUMNS[d]
     phases: list = []
     ids: dict = {}
 
@@ -243,8 +265,6 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
 
     # rows: the d coordinates, the counter j, the phase id
     state = np.zeros((d + 2, k), dtype=np.int64)
-    uniform = np.arange(len(_DECISIONS)).repeat(k).reshape(-1, k)  # one row per code
-    uniform.flags.writeable = False
     state[d + 1] = intern(strategy.start_phase(problem))
     violation = None
     for i in range(problem.n):
@@ -266,40 +286,13 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
             if c == 0:
                 break
             state, inverse = state[:, :c], inverse[:c]
-        after = state.copy()
-        if codes.count(codes[0]) == len(codes):
-            # one decision for every trial, so no per-trial masks
-            code = codes[0]
-            dec = uniform[code][:state.shape[1]]
-            after[d] = state[d] + 1 if code == _STAND else 0
-            movers = dec.size if code == _STEP else 0
-            if code == _DELAYED:
-                move = rng.random(dec.size) < 1.0 / m
-                movers = np.count_nonzero(move)
-        else:
-            dec = np.array(codes).take(inverse)
-            after[d] = np.where(dec == _STAND, state[d] + 1, 0)
-            move = dec == _STEP
-            if _DELAYED in codes:
-                delayed = dec == _DELAYED
-                move[delayed] = rng.random(np.count_nonzero(delayed)) < 1.0 / m
-            movers = np.count_nonzero(move)
-        if movers:
-            if movers > 1:
-                shift = moves.take(rng.integers(0, 2 * d, size=movers), axis=1)
-            else:
-                # the scalar call draws the same value at a third of the cost
-                draw = rng.integers(0, 2 * d)
-                shift = moves[:, draw:draw + 1]
-            if movers == dec.size:      # every trial moves: no mask
-                np.add(state[:d], shift, out=after[:d])
-            else:
-                after[:d, move] += shift
+        dec = np.array(codes).take(inverse)
+        after = _step(state, dec, rng, d, m)
         first, inverse = _classes(after)
         pids = [intern(strategy.next_phase(phases[col[d + 1]], i + 1,
                                            _position(col, d), col[d]))
                 for col in after.take(first, axis=1).T.tolist()]
-        after[d + 1] = pids[0] if len(pids) == 1 else np.array(pids).take(inverse)
+        after[d + 1] = np.array(pids).take(inverse)
         yield dec, state[:d], after[:d]
         state = after
     if violation is not None:

@@ -323,6 +323,30 @@ def test_run_trajectory_is_bit_identical_to_the_scalar_loop(p):
     assert windowed == (2 if p.n > p.m > 1 else 0)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("p", [Problem(d=1, n=60, m=4), Problem(d=2, n=40, m=3),
+                               Problem(d=1, n=12, m=1)], ids=str)
+def test_advance_replays_run_trajectory(p):
+    """A decide/advance/next_phase loop on one stream is run_trajectory:
+    ``advance`` is the engine's step for a single state."""
+    for strat in _built_ins(p):
+        for seed in range(3):
+            g_loop, g_run = trial_generator(seed, 5), trial_generator(seed, 5)
+            state, phase = initial_state(p), strat.start_phase(p)
+            positions, decisions, counters = [state.w], [], []
+            for i in range(p.n):
+                dec = strat.decide(state.w, state.j, i, phase)
+                state = advance(state, dec, g_loop, p)
+                phase = strat.next_phase(phase, state.i, state.w, state.j)
+                positions.append(state.w)
+                decisions.append(dec)
+                counters.append(state.j)
+            traj, _ = run_trajectory(strat, p, g_run)
+            assert (positions, decisions) == (traj.positions, traj.decisions), strat.name
+            assert counters == reconstruct_counters(decisions)
+            assert g_loop.random() == g_run.random()
+
+
 def _batch(strategy, p, k, seed):
     """A lockstep batch as a list of (decisions, before, after) copies."""
     return [(dec.copy(), before.copy(), after.copy())
