@@ -6,8 +6,7 @@ only control is standing still for at most m - 1 consecutive steps.
 """
 
 from .errors import AdmissibilityError, BudgetError, ScheduleError, SignatureError
-from .walk import (Decision, Problem, Trajectory, WalkState, admissible_decisions,
-                   advance, initial_state, run_trajectory, validate_trajectory)
+from .walk import Decision, Problem, Trajectory, run_trajectory, validate_trajectory
 from .schedule import (Schedule, ScheduleParams1D, ScheduleParams2D,
                        build_schedule_1d, build_schedule_2d, choose_theta_kappa,
                        stage_count, validate_regime)
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "BudgetError", "ScheduleError", "SignatureError",
-    "Decision", "Problem", "Trajectory", "WalkState", "admissible_decisions",
-    "advance", "initial_state", "run_trajectory", "validate_trajectory",
+    "Decision", "Problem", "Trajectory", "run_trajectory", "validate_trajectory",
     "Schedule", "ScheduleParams1D", "ScheduleParams2D", "build_schedule_1d",
     "build_schedule_2d", "choose_theta_kappa", "stage_count", "validate_regime",
     "Strategy", "always_step", "delayed_wrapper", "lazy_max", "lazy_then_sprint",

@@ -25,6 +25,7 @@ from .errors import AdmissibilityError, BudgetError, ScheduleError, SignatureErr
 from .schedule import (ScheduleParams1D, ScheduleParams2D, Schedule,
                        build_schedule_1d, build_schedule_2d, validate_regime)
 from .strategies import STRATEGY_NAMES, strategy_from_spec
+from .verify import _SUITES, run_suite
 from .walk import Problem
 
 EXIT_OK = 0
@@ -40,9 +41,9 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_schedule_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=float, default=None,
+    p.add_argument("--eta", type=float, default=0.5,
                    help="stage exponent for d=1 schedules (default 0.5)")
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=float, default=0.5,
                    help="regime parameter for d=2 schedules (default 0.5)")
     p.add_argument("--theta", type=float, default=None,
                    help="d=2 window exponent (default derived from epsilon)")
@@ -53,9 +54,9 @@ def _add_schedule_args(p: argparse.ArgumentParser) -> None:
 def _strategy_spec_from_args(args, name: str) -> dict:
     spec = {"name": name}
     if name == "windowed_1d":
-        spec["eta"] = args.eta if args.eta is not None else 0.5
+        spec["eta"] = args.eta
     if name == "windowed_2d":
-        spec["epsilon"] = args.epsilon if args.epsilon is not None else 0.5
+        spec["epsilon"] = args.epsilon
         if args.theta is not None:
             spec["theta"] = args.theta
         if args.kappa is not None:
@@ -78,15 +79,12 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_schedule(args) -> int:
     try:
         if args.d == 1:
-            params = ScheduleParams1D(n=args.n, m=args.m,
-                                      eta=args.eta if args.eta is not None else 0.5)
+            params = ScheduleParams1D(n=args.n, m=args.m, eta=args.eta)
             sched = build_schedule_1d(params)
             diag = validate_regime(params).to_json_dict()
         else:
-            params = ScheduleParams2D(
-                n=args.n, m=args.m,
-                epsilon=args.epsilon if args.epsilon is not None else 0.5,
-                theta=args.theta, kappa=args.kappa)
+            params = ScheduleParams2D(n=args.n, m=args.m, epsilon=args.epsilon,
+                                      theta=args.theta, kappa=args.kappa)
             sched = build_schedule_2d(params)
             diag = {"theta": params.theta, "kappa": params.kappa,
                     "constraint_ratio": (1 - 2 * params.theta)
@@ -221,10 +219,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _verify_suites(args) -> list[tuple[str, bool, str]]:
-    from .verify import run_suite
-
-    names = (["reflection", "hoeffding", "localtime", "dominance", "invariants"]
-             if args.suite == "all" else [args.suite])
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
         results.extend(run_suite(name, trials=args.trials, seed=args.seed,
@@ -299,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("verify", help="run the property suites")
-    p.add_argument("--suite", default="all",
-                   choices=("reflection", "hoeffding", "localtime", "dominance",
-                            "invariants", "all"))
+    p.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     p.add_argument("--trials", type=int, default=None,
                    help="override the pinned Monte Carlo trial counts")
     p.add_argument("--seed", type=int, default=20240601)

@@ -830,6 +830,17 @@ def _plan_cost(plan: Plan, problem: Problem) -> float:
     return cost
 
 
+def _add_mass(atoms: dict, key: tuple, mass: float, strategy: Strategy) -> None:
+    """Add ``mass`` to the (phase, j, position) atom ``key``; an unhashable
+    phase raises SignatureError."""
+    try:
+        atoms[key] = atoms.get(key, 0.0) + mass
+    except TypeError:
+        raise SignatureError(
+            f"strategy {strategy.name!r} has the unhashable phase {key[0]!r}; "
+            "the scalar exact engine needs hashable phases") from None
+
+
 def state_distribution(strategy: Strategy, problem: Problem,
                        at_time: int | None = None) -> dict:
     """Probability mass over (phase, j, position) atoms at a fixed time.
@@ -837,7 +848,8 @@ def state_distribution(strategy: Strategy, problem: Problem,
     Scalar reference propagation: handles position-dependent decisions and
     arbitrary phase transitions, at quadratic cost.  It never reads
     ``Strategy.plan``, so the plan engine is validated against it on small
-    instances.
+    instances.  Phases key the atoms, so they must be hashable
+    (``SignatureError`` otherwise).
     """
     n, m, d = problem.n, problem.m, problem.d
     if at_time is None:
@@ -847,7 +859,8 @@ def state_distribution(strategy: Strategy, problem: Problem,
     inv_m = 1.0 / m
     moves = _MOVES[d]
     pstep = 1.0 / len(moves)
-    cur = {(strategy.start_phase(problem), 0, problem.origin): 1.0}
+    cur: dict = {}
+    _add_mass(cur, (strategy.start_phase(problem), 0, problem.origin), 1.0, strategy)
     for i in range(at_time):
         new: dict = {}
         for (p, j, x), mass in cur.items():
@@ -858,9 +871,8 @@ def state_distribution(strategy: Strategy, problem: Problem,
                     raise AdmissibilityError(
                         f"strategy {strategy.name!r} stands at time {i + 1} with "
                         f"counter {j}", time_step=i + 1)
-                p2 = strategy.next_phase(p, i + 1, x, j2)
-                key = (p2, j2, x)
-                new[key] = new.get(key, 0.0) + mass
+                _add_mass(new, (strategy.next_phase(p, i + 1, x, j2), j2, x), mass,
+                          strategy)
                 continue
             targets = []
             if dec is Decision.DELAYED_STEP:
@@ -874,7 +886,7 @@ def state_distribution(strategy: Strategy, problem: Problem,
                 p2 = strategy.next_phase(p, i + 1, x2, 0)
                 targets.append(((p2, 0, x2), w_step * pstep))
             for key, val in targets:
-                new[key] = new.get(key, 0.0) + val
+                _add_mass(new, key, val, strategy)
         cur = new
     return cur
 

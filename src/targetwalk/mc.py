@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .samplers import _CHUNK, make_sampler
+from .samplers import _CHUNK, StagedSampler, make_sampler
 from .schedule import Schedule
-from .strategies import Strategy, strategy_from_spec
+from .strategies import strategy_from_spec
 from .walk import Problem, _check_integer
 
 SCHEMA_VERSION = 1
@@ -142,15 +142,6 @@ def _stage_rows(counters: dict[str, np.ndarray], schedule: Schedule) -> list[dic
     return rows
 
 
-def _resolve_strategy(config: McConfig) -> tuple[Strategy, Optional[Schedule]]:
-    strat = strategy_from_spec(config.strategy, config.problem, config.schedule)
-    sched = config.schedule
-    if sched is None:
-        inner = getattr(strat, "inner", strat)
-        sched = getattr(inner, "schedule", None)
-    return strat, sched
-
-
 def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateReport:
     """Monte Carlo success estimate over independent trials.
 
@@ -159,8 +150,10 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
     with the offending trial index.
     """
     t0 = time.perf_counter()
-    strategy, schedule = _resolve_strategy(config)
+    strategy = strategy_from_spec(config.strategy, config.problem, config.schedule)
     sampler = make_sampler(strategy, config.problem, force_generic=force_generic)
+    # only a staged plan with a schedule tallies stages
+    schedule = sampler.plan.schedule if isinstance(sampler, StagedSampler) else None
     chunks = [(lo, min(lo + _CHUNK, config.trials))
               for lo in range(0, config.trials, _CHUNK)]
 
@@ -176,8 +169,8 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
         results = [run(span) for span in chunks]
 
     successes = sum(r.successes for r in results)
-    counters = None
-    if sampler.collects_stages:
+    stage_stats = None
+    if schedule is not None:
         counters = {}
         for r in results:
             for key, arr in r.stage_counters.items():
@@ -185,6 +178,7 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
                     counters[key] = counters[key] + arr
                 else:
                     counters[key] = arr.copy()
+        stage_stats = _stage_rows(counters, schedule)
     failures = None
     if config.store_failures:
         failures = []
@@ -196,7 +190,6 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
         failures = failures[:config.store_failures]
 
     lo, hi = wilson_interval(successes, config.trials)
-    stage_stats = _stage_rows(counters, schedule) if counters is not None else None
     return EstimateReport(
         problem=config.problem, strategy=strategy.spec_dict(),
         trials=config.trials, master_seed=config.master_seed,
@@ -267,14 +260,10 @@ def _sweep_row(spec: dict, d, n, m, trials, master_seed,
 
 def report_to_csv(report: EstimateReport, fh) -> None:
     """One-row CSV rendering of an estimate (sweep column layout)."""
-    import csv
-
     p = report.problem
     row = _sweep_row(report.strategy, p.d, p.n, p.m, report.trials,
                      report.master_seed, report)
-    writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-    writer.writeheader()
-    writer.writerow(dict(row, cell=0))
+    sweep_to_csv([dict(row, cell=0)], fh)
 
 
 def _marker_key(cell: dict, master_seed: int, trials) -> str:

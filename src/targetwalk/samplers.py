@@ -137,7 +137,6 @@ class Sampler:
     """Base chunk runner; subclasses fill run_chunk."""
 
     name = "sampler"
-    collects_stages = False
 
     def run_chunk(self, master_seed: int, lo: int, hi: int,
                   keep_failures: int = 0) -> ChunkCounts:
@@ -157,7 +156,6 @@ class StagedSampler(Sampler):
     def __init__(self, problem: Problem, plan: Plan):
         self.problem = problem
         self.plan = plan
-        self.collects_stages = plan.schedule is not None
 
     def _crawl_steps(self, g: np.random.Generator, lengths: np.ndarray) -> np.ndarray:
         if self.plan.delayed:

@@ -9,13 +9,12 @@ depend on:
 * ``"history"`` - anything (phase carries the strategy's private state).
 
 The phase evolves through ``next_phase`` after every transition; the
-built-in strategies define it through ``zero_split``, as their phase
-transitions depend on the new position only through whether it is the
-origin.  The built-in strategies also compile to a segment plan (``plan``),
-which the fast Monte Carlo samplers and the exact evaluation engine run
-instead of calling ``decide`` at every step.  ``decide`` and ``next_phase``
-stay the reference: the generic sampler and the scalar exact engine use
-them, and never the plan.
+built-in strategies read the new position only through whether it is the
+origin.  They also compile to a segment plan (``plan``), which the fast
+Monte Carlo samplers and the exact evaluation engine run instead of calling
+``decide`` at every step.  ``decide`` and ``next_phase`` stay the
+reference: the generic sampler and the scalar exact engine use them, and
+never the plan.
 """
 
 from __future__ import annotations
@@ -83,13 +82,8 @@ class Strategy:
     def decide(self, w, j: int, i: int, phase: Any) -> Decision:
         raise NotImplementedError
 
-    def zero_split(self, phase: Any, i_next: int, j_next: int) -> tuple[Any, Any]:
-        """(phase if the new position is the origin, phase otherwise)."""
-        return phase, phase
-
     def next_phase(self, phase: Any, i_next: int, w_next, j_next: int) -> Any:
-        at_zero, away = self.zero_split(phase, i_next, j_next)
-        return at_zero if is_origin(w_next) else away
+        return phase
 
     def plan(self, problem: Problem) -> Optional[Plan]:
         """Segment plan that the staged sampler and the exact plan engine run,
@@ -157,14 +151,12 @@ class LazyThenSprint(Strategy):
             return Decision.STEP
         return Decision.STAND if j + 1 <= self.m - 1 else Decision.STEP
 
-    def zero_split(self, phase, i_next, j_next):
+    def next_phase(self, phase, i_next, w_next, j_next):
         if phase == LAZY:
-            if i_next >= self.switch:
-                return SPRINT, SPRINT
-            return LAZY, LAZY
+            return SPRINT if i_next >= self.switch else LAZY
         if phase == SPRINT:
-            return HOLD, SPRINT
-        return HOLD, HOLD
+            return HOLD if is_origin(w_next) else SPRINT
+        return HOLD
 
     def plan(self, problem):
         lazy = (Crawl(self.switch),) if self.switch >= 1 else ()
@@ -207,22 +199,16 @@ class Windowed(Strategy):
             return Decision.STEP
         return Decision.STAND if j + 1 <= self.m - 1 else Decision.STEP
 
-    def zero_split(self, phase, i_next, j_next):
+    def next_phase(self, phase, i_next, w_next, j_next):
         if phase == FAILED:
-            return FAILED, FAILED
+            return FAILED
         k, mode = phase
-        t_k = self.schedule.times[k]
-        last = self.schedule.u + 1
-        if mode == SEEK:
-            if i_next == t_k:
-                if k == last:
-                    return (k, HOLD), FAILED
-                return (k + 1, SEEK), FAILED
-            return (k, HOLD), (k, SEEK)
-        if i_next == t_k and k < last:
-            nxt = (k + 1, SEEK)
-            return nxt, nxt
-        return (k, HOLD), (k, HOLD)
+        stage_ends = i_next == self.schedule.times[k]
+        if mode == SEEK and not is_origin(w_next):
+            return FAILED if stage_ends else (k, SEEK)
+        if stage_ends and k < self.schedule.u + 1:
+            return (k + 1, SEEK)
+        return (k, HOLD)
 
     def plan(self, problem):
         return Plan(tuple(SeekHold(t) for t in self.schedule.times[1:]),
@@ -256,9 +242,6 @@ class DelayedWrapper(Strategy):
     def decide(self, w, j, i, phase):
         d = self.inner.decide(w, j, i, phase)
         return Decision.DELAYED_STEP if d is Decision.STAND else d
-
-    def zero_split(self, phase, i_next, j_next):
-        return self.inner.zero_split(phase, i_next, j_next)
 
     def next_phase(self, phase, i_next, w_next, j_next):
         return self.inner.next_phase(phase, i_next, w_next, j_next)

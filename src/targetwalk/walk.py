@@ -17,9 +17,8 @@ calls ``decide`` and ``next_phase`` once per distinct state rather than once
 per trial.  ``run_trajectory`` is its one-trial case; the generic sampler
 and the ``invariants`` suite of ``verify`` run it on whole batches, and
 ``_validate_steps`` checks a batch's steps as ``validate_trajectory`` checks
-one trajectory.  The engine keeps no history: it yields each step.  All of
-them move the walk with one function, ``_step``; ``advance`` is ``_step``
-for one state, for a caller that drives a walk step by step itself.
+one trajectory.  The engine keeps no history: it yields each step, and it
+moves the walk with one function, ``_step``.
 """
 
 from __future__ import annotations
@@ -81,15 +80,6 @@ class Problem:
         return 0 if self.d == 1 else (0, 0)
 
 
-@dataclass(frozen=True)
-class WalkState:
-    """Snapshot of the controlled walk: time ``i``, position ``w``, counter ``j``."""
-
-    i: int
-    w: Position
-    j: int
-
-
 @dataclass
 class Trajectory:
     """Full record of one run: positions w_0..w_n and decisions for steps 1..n."""
@@ -103,28 +93,6 @@ class Trajectory:
 
 def is_origin(w: Position) -> bool:
     return w == 0 or w == (0, 0)
-
-
-def initial_state(problem: Problem) -> WalkState:
-    """Start of every run: time 0 at the origin, counter 0."""
-    return WalkState(i=0, w=problem.origin, j=0)
-
-
-def admissible_decisions(state: WalkState, problem: Problem,
-                         delayed: bool = False) -> set[Decision]:
-    """Decisions available at ``state``.
-
-    Standard alphabet: STEP always, STAND only while j + 1 <= m - 1.
-    Delayed alphabet: STEP and DELAYED_STEP, the latter unrestricted.
-    """
-    if state.i >= problem.n:
-        raise ValueError(f"no decision at time {state.i} >= horizon {problem.n}")
-    if delayed:
-        return {Decision.DELAYED_STEP, Decision.STEP}
-    out = {Decision.STEP}
-    if state.j + 1 <= problem.m - 1:
-        out.add(Decision.STAND)
-    return out
 
 
 #: unit lattice moves per dimension, in the order a drawn move index picks them
@@ -180,30 +148,6 @@ def _step(state: np.ndarray, dec: np.ndarray, rng: RandomSource, d: int, m: int)
         column[move] = rng.integers(0, 2 * d, size=movers)
         after[:d] += _MOVE_COLUMNS[d].take(column, axis=1)
     return after
-
-
-def advance(state: WalkState, decision: Decision, rng: RandomSource,
-            problem: Problem) -> WalkState:
-    """One transition of the controlled walk: ``_step`` for a single trial.
-
-    A STAND that would push the counter past m - 1 raises
-    AdmissibilityError.  The draws are those of the one-trial engine, so a
-    loop of ``advance`` calls on one generator replays ``run_trajectory``.
-    """
-    if decision is Decision.STAND and state.j + 1 > problem.m - 1:
-        raise AdmissibilityError(
-            f"stand at time {state.i + 1} would push the stand-still counter to "
-            f"{state.j + 1} > m-1 = {problem.m - 1}",
-            time_step=state.i + 1)
-    try:
-        code = _DECISIONS.index(decision)
-    except ValueError:
-        raise ValueError(f"unknown decision {decision!r}") from None
-    d = problem.d
-    w = (state.w,) if d == 1 else state.w
-    after = _step(np.array([*w, state.j], dtype=np.int64)[:, None], np.array([code]),
-                  rng, d, problem.m)
-    return WalkState(state.i + 1, _position(after[:, 0], d), int(after[d, 0]))
 
 
 def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,22 +13,20 @@ from targetwalk.strategies import (FAILED, HOLD, SEEK, DelayedWrapper, Windowed,
                                    always_step, delayed_wrapper, lazy_max,
                                    lazy_then_sprint, strategy_from_spec,
                                    windowed_1d, windowed_2d)
-from targetwalk.walk import is_origin
+from targetwalk.walk import _lockstep, is_origin, reconstruct_counters
 
 
 def _walk_phases(strategy, problem, seed):
-    """Run a trajectory recording the phase before each decision."""
-    g = trial_generator(seed, 0)
-    from targetwalk.walk import advance, initial_state
-
-    state = initial_state(problem)
+    """Run a trajectory and replay its phases from the positions and counters:
+    row i holds (time, position, counter, decision, phase) after step i."""
+    traj, _ = run_trajectory(strategy, problem, trial_generator(seed, 0))
     phase = strategy.start_phase(problem)
     rows = []
-    for i in range(problem.n):
-        decision = strategy.decide(state.w, state.j, i, phase)
-        state = advance(state, decision, g, problem)
-        phase = strategy.next_phase(phase, state.i, state.w, state.j)
-        rows.append((state.i, state.w, state.j, decision, phase))
+    for i, (w, j, decision) in enumerate(zip(traj.positions[1:],
+                                             reconstruct_counters(traj.decisions),
+                                             traj.decisions), start=1):
+        phase = strategy.next_phase(phase, i, w, j)
+        rows.append((i, w, j, decision, phase))
     return rows
 
 
@@ -215,18 +214,12 @@ def test_wj_strategies_replay_identically():
         assert strat.signature == "wj"
         seen = {}
         for seed in range(30):
-            g = trial_generator(seed, 0)
-            from targetwalk.walk import advance, initial_state
-
-            state = initial_state(p)
-            phase = strat.start_phase(p)
-            for i in range(p.n):
-                d = strat.decide(state.w, state.j, i, phase)
-                key = (state.w, state.j)
+            traj, _ = run_trajectory(strat, p, trial_generator(seed, 0))
+            counters = [0] + reconstruct_counters(traj.decisions)
+            for key, d in zip(zip(traj.positions, counters), traj.decisions):
                 if key in seen:
                     assert seen[key] == d
                 seen[key] = d
-                state = advance(state, d, g, p)
 
 
 def test_delayed_wrapper_maps_stand_only():
@@ -249,11 +242,10 @@ def test_delayed_equals_step_when_m_is_one():
 def test_delayed_expected_steps():
     p = Problem(d=1, n=40, m=5)
     strat = delayed_wrapper(lazy_max(p), p)
-    total = 0
     trials = 4000
-    for k in range(trials):
-        traj, _ = run_trajectory(strat, p, trial_generator(17, k))
-        total += sum(1 for a, b in zip(traj.positions, traj.positions[1:]) if a != b)
+    total = 0
+    for _, before, after in _lockstep(strat, p, trials, trial_generator(17, 0)):
+        total += np.count_nonzero(before != after)
     mean = total / trials
     se = math.sqrt(p.n * 0.2 * 0.8 / trials)
     assert abs(mean - p.n / p.m) < 3 * se

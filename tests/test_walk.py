@@ -1,3 +1,4 @@
+import copy
 import itertools
 import re
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetwalk import (AdmissibilityError, Decision, Problem, ScheduleParams1D,
-                        ScheduleParams2D, SignatureError, admissible_decisions, advance,
-                        build_schedule_1d, build_schedule_2d, initial_state,
-                        run_trajectory, validate_trajectory)
+                        ScheduleParams2D, SignatureError, build_schedule_1d,
+                        build_schedule_2d, evaluate_strategy_exact, run_trajectory,
+                        validate_trajectory)
 from targetwalk.rng import trial_generator
 from targetwalk.strategies import (Strategy, always_step, delayed_wrapper, lazy_max,
                                    lazy_then_sprint, windowed_1d, windowed_2d)
@@ -23,14 +24,6 @@ class StandForever(Strategy):
 
     def decide(self, w, j, i, phase):
         return Decision.STAND
-
-
-def test_initial_state_examples():
-    assert initial_state(Problem(d=1, n=10, m=3)) .__dict__ == {"i": 0, "w": 0, "j": 0}
-    s = initial_state(Problem(d=2, n=5, m=2))
-    assert (s.i, s.w, s.j) == (0, (0, 0), 0)
-    s = initial_state(Problem(d=1, n=1, m=1))
-    assert (s.i, s.w, s.j) == (0, 0, 0)
 
 
 def test_problem_validation():
@@ -60,68 +53,6 @@ def test_problem_accepts_numpy_integers():
     assert (p.d, p.n, p.m) == (2, 10, 3)
 
 
-def test_admissible_decisions_examples():
-    p = Problem(d=1, n=10, m=3)
-    state = initial_state(p)
-    assert admissible_decisions(state, p) == {Decision.STAND, Decision.STEP}
-    forced = type(state)(i=4, w=2, j=2)
-    assert admissible_decisions(forced, p) == {Decision.STEP}
-    p1 = Problem(d=1, n=10, m=1)
-    assert admissible_decisions(initial_state(p1), p1) == {Decision.STEP}
-
-
-def test_admissible_decisions_rejects_past_horizon():
-    p = Problem(d=1, n=3, m=2)
-    state = type(initial_state(p))(i=3, w=0, j=0)
-    with pytest.raises(ValueError):
-        admissible_decisions(state, p)
-
-
-def test_admissible_decisions_delayed_alphabet():
-    p = Problem(d=1, n=10, m=3)
-    state = initial_state(p)
-    assert admissible_decisions(state, p, delayed=True) == {
-        Decision.DELAYED_STEP, Decision.STEP}
-
-
-def test_advance_stand_and_step():
-    p = Problem(d=1, n=100, m=5)
-    g = trial_generator(1, 0)
-    s = type(initial_state(p))(i=4, w=7, j=1)
-    out = advance(s, Decision.STAND, g, p)
-    assert (out.i, out.w, out.j) == (5, 7, 2)
-    seen = set()
-    for k in range(200):
-        out = advance(s, Decision.STEP, trial_generator(2, k), p)
-        assert out.i == 5 and out.j == 0
-        seen.add(out.w)
-    assert seen == {6, 8}
-
-
-def test_advance_step_2d_law():
-    p = Problem(d=2, n=10, m=2)
-    s = initial_state(p)
-    seen = set()
-    for k in range(400):
-        out = advance(s, Decision.STEP, trial_generator(3, k), p)
-        seen.add(out.w)
-    assert seen == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-
-
-def test_advance_rejects_inadmissible_stand():
-    p = Problem(d=1, n=10, m=2)
-    s = type(initial_state(p))(i=1, w=0, j=1)
-    with pytest.raises(AdmissibilityError):
-        advance(s, Decision.STAND, trial_generator(0, 0), p)
-
-
-def test_advance_delayed_resets_counter():
-    p = Problem(d=1, n=10, m=4)
-    s = type(initial_state(p))(i=2, w=3, j=3)
-    out = advance(s, Decision.DELAYED_STEP, trial_generator(5, 0), p)
-    assert out.j == 0 and out.w in (2, 3, 4)
-
-
 def test_run_trajectory_stand_wins_when_m_exceeds_n():
     p = Problem(d=1, n=2, m=3)
     traj, success = run_trajectory(lazy_max(p), p, 123)
@@ -133,6 +64,11 @@ def test_run_trajectory_always_step_parity():
     p = Problem(d=1, n=1, m=1)
     traj, success = run_trajectory(always_step(), p, 7)
     assert traj.positions[-1] in (-1, 1) and not success
+    # one STEP reaches every lattice neighbour, in d = 1 and in d = 2
+    for d, neighbours in ((1, {(-1,), (1,)}), (2, {(1, 0), (-1, 0), (0, 1), (0, -1)})):
+        (_, _, after), = _lockstep(always_step(), Problem(d=d, n=1, m=1), 400,
+                                   trial_generator(3, 0))
+        assert set(map(tuple, after.T.tolist())) == neighbours
 
 
 def test_always_step_success_frequency_matches_enumeration():
@@ -175,19 +111,25 @@ def test_trajectory_invariants_fuzz(seed, n, m, d):
     assert success == (traj.positions[-1] == p.origin)
 
 
+def _run_batch(strategy, p, trials, seed):
+    """Endpoints (trials,) and true step counts (trials,) of one lockstep
+    batch of d = 1 trials."""
+    steps = np.zeros(trials, dtype=np.int64)
+    for _, before, after in _lockstep(strategy, p, trials, trial_generator(seed, 0)):
+        steps += (before != after).any(axis=0)
+    return after[0], steps
+
+
 def test_m1_process_is_pure_ssrw():
     # endpoint distribution over many runs matches the exact binomial law
     n, trials = 8, 20000
     p = Problem(d=1, n=n, m=1)
-    counts = {}
-    for k in range(trials):
-        traj, _ = run_trajectory(lazy_max(p), p, trial_generator(21, k))
-        counts[traj.positions[-1]] = counts.get(traj.positions[-1], 0) + 1
+    ends, _ = _run_batch(lazy_max(p), p, trials, 21)
     import math
     for x in range(-n, n + 1, 2):
         exact = math.comb(n, (n + x) // 2) / 2 ** n
         se = math.sqrt(exact * (1 - exact) / trials)
-        assert abs(counts.get(x, 0) / trials - exact) < 3 * se + 1e-12
+        assert abs(np.count_nonzero(ends == x) / trials - exact) < 3 * se + 1e-12
 
 
 def test_delayed_step_count_is_binomial():
@@ -202,11 +144,8 @@ def test_delayed_step_count_is_binomial():
         def decide(self, w, j, i, phase):
             return Decision.DELAYED_STEP
 
-    counts = np.zeros(n + 1, dtype=int)
-    for k in range(trials):
-        traj, _ = run_trajectory(AllDelayed(), p, trial_generator(31, k))
-        steps = sum(1 for a, b in zip(traj.positions, traj.positions[1:]) if a != b)
-        counts[steps] += 1
+    _, steps = _run_batch(AllDelayed(), p, trials, 31)
+    counts = np.bincount(steps, minlength=n + 1)
     q = 1.0 / m
     for s in range(n + 1):
         exact = math.comb(n, s) * q ** s * (1 - q) ** (n - s)
@@ -321,30 +260,6 @@ def test_run_trajectory_is_bit_identical_to_the_scalar_loop(p):
             assert success == (positions[-1] == p.origin)
             assert g_new.random() == g_old.random()
     assert windowed == (2 if p.n > p.m > 1 else 0)
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("p", [Problem(d=1, n=60, m=4), Problem(d=2, n=40, m=3),
-                               Problem(d=1, n=12, m=1)], ids=str)
-def test_advance_replays_run_trajectory(p):
-    """A decide/advance/next_phase loop on one stream is run_trajectory:
-    ``advance`` is the engine's step for a single state."""
-    for strat in _built_ins(p):
-        for seed in range(3):
-            g_loop, g_run = trial_generator(seed, 5), trial_generator(seed, 5)
-            state, phase = initial_state(p), strat.start_phase(p)
-            positions, decisions, counters = [state.w], [], []
-            for i in range(p.n):
-                dec = strat.decide(state.w, state.j, i, phase)
-                state = advance(state, dec, g_loop, p)
-                phase = strat.next_phase(phase, state.i, state.w, state.j)
-                positions.append(state.w)
-                decisions.append(dec)
-                counters.append(state.j)
-            traj, _ = run_trajectory(strat, p, g_run)
-            assert (positions, decisions) == (traj.positions, traj.decisions), strat.name
-            assert counters == reconstruct_counters(decisions)
-            assert g_loop.random() == g_run.random()
 
 
 def _batch(strategy, p, k, seed):
@@ -462,6 +377,12 @@ def test_unhashable_phase_raises_signature_error(strategy):
         run_trajectory(strategy, p, 1)
     with pytest.raises(SignatureError, match="unhashable phase"):
         GenericSampler(p, strategy).run_chunk(master_seed=1, lo=0, hi=50)
+    # exact evaluation refuses the "history" signature before it runs; a
+    # strategy that declares a finite phase must still have hashable ones
+    markov = copy.copy(strategy)
+    markov.signature = "wjip"
+    with pytest.raises(SignatureError, match="unhashable phase"):
+        evaluate_strategy_exact(markov, p)
 
 
 def test_lockstep_decides_once_per_distinct_state():
