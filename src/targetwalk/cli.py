@@ -66,14 +66,25 @@ def _strategy_spec_from_args(args, name: str) -> dict:
     return spec
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _write_file(path: str, write, newline: str | None = None) -> int:
+    """Call ``write(fh)`` on ``path`` opened for writing.  A path that cannot
+    be written is bad input: ``cannot write <path>: <reason>``, exit 2."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    return EXIT_OK
+
+
+def _emit(text: str, out_path: str | None) -> int:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return _write_file(out_path, lambda fh: fh.write(text))
+    sys.stdout.write(text)
+    if not text.endswith("\n"):
+        sys.stdout.write("\n")
+    return EXIT_OK
 
 
 def _cmd_schedule(args) -> int:
@@ -93,8 +104,7 @@ def _cmd_schedule(args) -> int:
         print(f"schedule construction failed: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     payload = {"schedule": sched.to_json_dict(), "diagnostics": diag}
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return EXIT_OK
+    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
 
 
 def _cmd_simulate(args) -> int:
@@ -135,10 +145,8 @@ def _cmd_simulate(args) -> int:
 
         buf = io.StringIO()
         _mc.report_to_csv(report, buf)
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return EXIT_OK
+        return _emit(buf.getvalue(), args.out)
+    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
 
 
 def _cmd_exact(args) -> int:
@@ -165,12 +173,14 @@ def _cmd_exact(args) -> int:
                 problem, budget=budget,
                 keep="full" if want_policy else "none",
                 want_policy=want_policy)
-            if want_policy:
-                with open(args.policy_out, "w") as fh:
-                    table.to_csv(fh)
+            if want_policy and _write_file(args.policy_out, table.to_csv) != EXIT_OK:
+                return EXIT_BAD_INPUT
+            updates, cells = _exact.dp_cost(problem, kept=want_policy)
             payload = {"schema_version": 1, "mode": "optimal",
                        "problem": {"d": args.d, "n": args.n, "m": args.m},
-                       "value": value, "runtime": {"engine": "backward"}}
+                       "value": value,
+                       "runtime": {"engine": "backward", "dp_cell_updates": updates,
+                                   "dp_cells_held": cells}}
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_OVER_BUDGET
@@ -178,10 +188,8 @@ def _cmd_exact(args) -> int:
         print(f"exact failed: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.json:
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(f"{payload['value']!r}", args.out)
-    return EXIT_OK
+        return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    return _emit(f"{payload['value']!r}", args.out)
 
 
 def _cmd_sweep(args) -> int:
@@ -204,8 +212,9 @@ def _cmd_sweep(args) -> int:
         print(f"bad sweep arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _mc.sweep_to_csv(rows, fh)
+        if _write_file(args.out, lambda fh: _mc.sweep_to_csv(rows, fh),
+                       newline="") != EXIT_OK:
+            return EXIT_BAD_INPUT
     else:
         import io
 

@@ -235,20 +235,24 @@ class _DerivedSlices(Sequence):
     the kept step values.
 
     ``steps[t]`` is A_t, the value of stepping at time t (A_n is 1 at the
-    origin).  Standing keeps x fixed, so with k = min(m-1-j, n-i)
+    origin), on the folded grid of ``_step_values``.  Standing keeps x
+    fixed, so with k = min(m-1-j, n-i)
 
         v_i(x, j) = max(A_i(x), ..., A_{i+k}(x)),
 
     and the tie-prefers-stand policy stands iff j < m-1 and
-    max(A_{i+1}(x), ..., A_{i+k}(x)) >= A_i(x).  Item i has shape
-    grid + (m,), indexed [x..., j]; ``at`` reads one cell without building
-    the slice.
+    max(A_{i+1}(x), ..., A_{i+k}(x)) >= A_i(x).  Item i is derived on the
+    folded grid and unfolded on access: full index n+1+x reads folded index
+    |x|+1 on every axis.  So it has shape (2n+3,)*d + (m,), indexed [x..., j];
+    ``at`` reads one cell without building the slice.
     """
 
     def __init__(self, steps: np.ndarray, m: int, policy: bool):
         self.steps = steps
         self.m = m
         self.policy = policy
+        n = len(steps) - 1
+        self.unfold = np.abs(np.arange(-n - 1, n + 2)) + 1
 
     def __len__(self) -> int:
         return len(self.steps) - int(self.policy)
@@ -260,12 +264,13 @@ class _DerivedSlices(Sequence):
         span = np.minimum(np.arange(m - 1, -1, -1), n - i)
         if not self.policy:
             prefix = np.maximum.accumulate(a[i:i + span[0] + 1])
-            return np.moveaxis(prefix[span], 0, -1)
-        out = np.zeros(a.shape[1:] + (m,), dtype=np.int8)
-        if m >= 2:
-            later = np.maximum.accumulate(a[i + 1:i + span[0] + 1])
-            out[..., :m - 1] = np.moveaxis(later[span[:-1] - 1] >= a[i], 0, -1)
-        return out
+            folded = np.moveaxis(prefix[span], 0, -1)
+        else:
+            folded = np.zeros(a.shape[1:] + (m,), dtype=np.int8)
+            if m >= 2:
+                later = np.maximum.accumulate(a[i + 1:i + span[0] + 1])
+                folded[..., :m - 1] = np.moveaxis(later[span[:-1] - 1] >= a[i], 0, -1)
+        return folded[np.ix_(*(self.unfold,) * (a.ndim - 1))]
 
     def at(self, i: int, cell: tuple, j: int):
         """values[i][cell + (j,)] or policy[i][cell + (j,)], from one column of A."""
@@ -273,7 +278,8 @@ class _DerivedSlices(Sequence):
         if not 0 <= j < self.m:
             raise IndexError(f"counter j={j} outside [0, {self.m - 1}]")
         k = min(self.m - 1 - j, len(self.steps) - 1 - i)
-        column = self.steps[(slice(i, i + k + 1),) + cell]
+        folded = tuple(self.unfold[g] for g in cell)
+        column = self.steps[(slice(i, i + k + 1),) + folded]
         if not self.policy:
             return column.max()
         return k >= 1 and column[1:].max() >= column[0]
@@ -284,12 +290,12 @@ class ValueTable:
     """Backward-induction output: the optimal value and, when kept, the
     per-time-slice value function and extracted policy.
 
-    Only the step values A_t (t = 0..n) are stored, one array per time on a
-    centered grid of half-width n with one guard cell on each side: shape
-    (2n+3,) in one dimension and (2n+3, 2n+3) in two.  ``values`` (length
-    n+1) and ``policy`` (length n) derive their items from them on access:
-    ``values[i]`` has shape grid + (m,), indexed [x..., j], and so has
-    ``policy[i]``, with 1 for STAND and 0 for STEP.
+    Only the step values A_t (t = 0..n) are stored, on the folded grid of
+    ``_step_values``: shape (n+3,)*d per time.  ``values`` (length n+1) and
+    ``policy`` (length n) derive their items from them and unfold them on
+    access to the centered grid of half-width n with one guard cell on each
+    side: ``values[i]`` has shape (2n+3,)*d + (m,), indexed [x..., j], and
+    so has ``policy[i]``, with 1 for STAND and 0 for STEP.
     """
 
     problem: Problem
@@ -367,26 +373,36 @@ def _check_budget(budget: float) -> None:
         raise ValueError(f"budget must be a positive number, got {budget!r}")
 
 
-def _dp_budget_check(problem: Problem, budget: float, kept: bool) -> None:
+def dp_cost(problem: Problem, kept: bool = False) -> tuple[int, int]:
+    """(cell updates, cells held) of backward induction on ``problem``.
+
+    Backward step i updates the folded cone 0 <= x_k <= n - i, (n-i+1)^d
+    cells, so sum_{k=2..n+1} k^d in all.  The window holds min(m, n+1)
+    slices of (n+3)^d cells, and a kept table (``keep="full"`` or a
+    policy) n+1 more.
+    """
     n, m, d = problem.n, problem.m, problem.d
-    # backward step i updates the cone |x|_inf <= n - i: sum_{r=1..n} (2r+1)^d
-    updates = float(n * (n + 2) if d == 1
-                    else (n + 1) * (2 * n + 1) * (2 * n + 3) // 3 - 1)
-    window = min(m, n + 1)
-    slices = window + (n + 1 if kept else 0)
-    cells = float(2 * n + 3) ** d * slices
+    updates = ((n + 1) * (n + 2) // 2 - 1 if d == 1
+               else (n + 1) * (n + 2) * (2 * n + 3) // 6 - 1)
+    slices = min(m, n + 1) + (n + 1 if kept else 0)
+    return updates, (n + 3) ** d * slices
+
+
+def _dp_budget_check(problem: Problem, budget: float, kept: bool) -> None:
+    updates, cells = dp_cost(problem, kept)
     if updates > budget:
         raise BudgetError(
             f"backward induction needs ~{updates:.3g} cell updates "
             f"(budget {budget:.3g}) and ~{cells * 8 / 1e6:.0f} MB of slices; "
             f"raise the budget to force the run",
-            required_transitions=updates, required_bytes=cells * 8)
+            required_transitions=float(updates), required_bytes=cells * 8.0)
     if cells > _FULL_TABLE_CELLS:
-        kept_note = f" and {n + 1} kept step slices" if kept else ""
+        window = min(problem.m, problem.n + 1)
+        kept_note = f" and {problem.n + 1} kept step slices" if kept else ""
         raise BudgetError(
             f"backward induction holds {cells:.3g} cells in {window} window "
             f"slices{kept_note} (cap {_FULL_TABLE_CELLS:.3g})",
-            required_bytes=cells * 8)
+            required_bytes=cells * 8.0)
 
 
 def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
@@ -474,54 +490,77 @@ class _WindowMax:
         return self.out
 
 
-def _box(c: int, r: int, d: int) -> tuple:
-    """Index of the cube |x|_inf <= r on a grid centered at c."""
-    return (slice(c - r, c + r + 1),) * d
+def _folded_box(r: int, d: int) -> tuple:
+    """Index of the folded cone 0 <= x_k <= r with its ghost layer x_k = -1."""
+    return (slice(0, r + 2),) * d
 
 
-def _neighbour_mean(field: np.ndarray, box: tuple, out: np.ndarray) -> None:
+def _neighbour_mean(field: np.ndarray, box: tuple, out: np.ndarray,
+                    scratch: np.ndarray) -> None:
     """out = mean of ``field`` over the 2d lattice neighbours of each cell of
-    ``box``.  Terms are added axis by axis, -1 before +1, which rounds as
-    0.5*(a+b) in one dimension and 0.25*(a+b+c+d) in two."""
+    ``box``, summed as one pair per axis:
+    (v(x-e1) + v(x+e1)) + (v(x-e2) + v(x+e2)), then scaled by 1/(2d).
+
+    A reflection of axis k swaps the two terms of pair k, and swapping the
+    axes swaps the pairs; addition commutes exactly in floating point, so
+    the mean of a symmetric field is exactly symmetric.  In one dimension
+    this is 0.5*(a+b).  ``scratch`` is a flat buffer of at least
+    ``out.size`` floats that holds each pair after the first.
+    """
     views = [field[box[:k] + (slice(s.start + e, s.stop + e),) + box[k + 1:]]
              for k, s in enumerate(box) for e in (-1, 1)]
     np.add(views[0], views[1], out=out)
-    for view in views[2:]:
-        out += view
-    out *= 1.0 / len(views)
+    for k in range(2, len(views), 2):
+        pair = scratch[:out.size].reshape(out.shape)
+        np.add(views[k], views[k + 1], out=pair)
+        out += pair
+    out *= 0.5 / len(box)
 
 
 def _step_values(d: int, n: int, m: int, keep: bool):
-    """Backward induction without the stand counter.
+    """Backward induction without the stand counter, on the folded grid.
 
     A_t, the value of stepping at time t, is the neighbour mean of
     v_{t+1}(., 0), and v_t(x, 0) = max(A_t(x), ..., A_{min(t+m-1, n)}(x))
     with A_n = 1 at the origin.  So only A is built, and v(., 0) is a
     sliding-window max over time.  A_t vanishes outside the cone
-    |x|_inf <= n - t, and all work at time t stays inside that cone.  Max is
-    exact in floating point, so the result equals the (x, j) recursion's bit
-    for bit.
+    |x|_inf <= n - t, and all work at time t stays inside that cone.
 
-    Returns v_0(0, 0) and, when ``keep``, the (n+1,) + grid array of A.
+    The recursion is invariant under x_k -> -x_k on each axis and, in two
+    dimensions, under the axis swap; ``_neighbour_mean`` keeps that exact.
+    So the grid is folded: x_k >= 0 is held at index x_k + 1, with a ghost
+    layer at x_k = -1 (index 0) copied from x_k = +1 after each step and a
+    guard at x_k = n + 1 that stays 0, shape (n+3,)*d.  Max is exact in
+    floating point, so the result equals the full-grid (x, j) recursion's
+    bit for bit.
+
+    Returns v_0(0, 0) and, when ``keep``, the (n+1,) + (n+3,)*d array of A.
     """
-    c = n + 1
-    shape = (2 * n + 3,) * d
+    shape = (n + 3,) * d
+    origin = (1,) * d
     steps = np.zeros((n + 1,) + shape) if keep else None
     window = _WindowMax(min(m, n + 1), shape)
-    origin = _box(c, 0, d)
-    window.slot(origin)[...] = 1.0
-    window.commit(origin)
+    scratch = np.empty((n + 1) ** d)
+    inner = (slice(1, None),) * d
+    # ghost x_k = -1 (index 0) from x_k = +1 (index 2), axis by axis
+    ghosts = [((slice(None),) * k + (0,), (slice(None),) * k + (2,)) for k in range(d)]
+    cone = _folded_box(0, d)
+    window.slot(cone)[origin] = 1.0
+    window.commit(cone)
     if steps is not None:
         steps[n][origin] = 1.0
     for i in range(n - 1, -1, -1):
-        v_next = window.max(_box(c, n - i - 1, d))
-        cone = _box(c, n - i, d)
+        v_next = window.max(cone)                # the cone of time i + 1
+        cone = _folded_box(n - i, d)
         a = window.slot(cone)
-        _neighbour_mean(v_next, cone, out=a)
+        _neighbour_mean(v_next, (slice(1, n - i + 2),) * d, out=a[inner],
+                        scratch=scratch)
+        for ghost, mirror in ghosts:
+            a[ghost] = a[mirror]
         window.commit(cone)
         if steps is not None:
             steps[i][cone] = a
-    return float(window.max(origin)[(c,) * d]), steps
+    return float(window.max(cone)[origin]), steps
 
 
 # ---------------------------------------------------------------------------

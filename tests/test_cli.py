@@ -94,7 +94,10 @@ def test_exact_json_names_the_engine(capsys):
     assert data["runtime"] == {"engine": "plan"}
     assert data["value"] == pytest.approx(0.0021185320835944233, rel=1e-12)
     code, out, _ = run_cli(capsys, "exact", "--d", "1", "--n", "4", "--m", "2", "--json")
-    assert code == 0 and json.loads(out)["runtime"] == {"engine": "backward"}
+    # the folded cones x = 0..r for r = 1..4 hold 2 + 3 + 4 + 5 cells, and
+    # the 2-slice window holds 2 slices of n + 3 = 7 cells
+    assert code == 0 and json.loads(out)["runtime"] == {
+        "engine": "backward", "dp_cell_updates": 14, "dp_cells_held": 14}
 
 
 def test_zero_horizon_exits_2(capsys):
@@ -114,6 +117,39 @@ def test_exact_policy_out(tmp_path, capsys):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i,x,j,V,policy"
     assert len(lines) > 5
+
+
+def test_exact_json_counts_the_dp_work(capsys):
+    # d = 2, n = 3, m = 2: the folded cones 0 <= x_1, x_2 <= r for r = 1, 2, 3
+    # hold 4 + 9 + 16 cells, and the window 2 slices of (n + 3)^2 = 36 cells;
+    # at m = 9 the window is cut to n + 1 = 4 slices
+    code, out, _ = run_cli(capsys, "exact", "--d", "2", "--n", "3", "--m", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["runtime"] == {
+        "engine": "backward", "dp_cell_updates": 29, "dp_cells_held": 72}
+    code, out, _ = run_cli(capsys, "exact", "--d", "2", "--n", "3", "--m", "9", "--json")
+    assert code == 0 and json.loads(out)["runtime"]["dp_cells_held"] == 4 * 36
+
+
+@pytest.mark.parametrize("argv", [
+    ("schedule", "--d", "1", "--n", "1000", "--m", "10", "--out"),
+    ("simulate", "--d", "1", "--n", "40", "--m", "2", "--strategy", "always_step",
+     "--trials", "10", "--seed", "1", "--out"),
+    ("exact", "--d", "1", "--n", "4", "--m", "2", "--out"),
+    ("exact", "--d", "1", "--n", "4", "--m", "2", "--policy-out"),
+    ("sweep", "--seed", "1", "--out"),
+], ids=["schedule", "simulate", "exact", "exact-policy", "sweep"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    if argv[0] == "sweep":
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"trials": 10, "cells": [
+            {"d": 1, "n": 40, "m": 2, "strategy": {"name": "always_step"}}]}))
+        argv = argv[:1] + ("--config", str(cfg_path)) + argv[1:]
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot write {path}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("flags", [("--d", "2"), ("--d", "1", "--eval", "always_step")])

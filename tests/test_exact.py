@@ -121,8 +121,8 @@ def _counter_recursion(problem):
         if d == 1:
             step[1:-1] = 0.5 * (v0[:-2] + v0[2:])
         else:
-            step[1:-1, 1:-1] = 0.25 * (v0[:-2, 1:-1] + v0[2:, 1:-1]
-                                       + v0[1:-1, :-2] + v0[1:-1, 2:])
+            step[1:-1, 1:-1] = 0.25 * ((v0[:-2, 1:-1] + v0[2:, 1:-1])
+                                       + (v0[1:-1, :-2] + v0[1:-1, 2:]))
         nv = np.empty_like(v)
         nv[..., m - 1] = step
         pol = np.zeros(v.shape, dtype=np.int8)
@@ -150,8 +150,8 @@ def _reachable(d, i, m):
                                   (2, (1, 2, 3, 5, 8, 13, 40))])
 def test_optimal_value_equals_counter_recursion(d, ns):
     # max is exact in floating point and each step value is the same
-    # 0.5*(a+b) / 0.25*(a+b+c+d) expression, so equality is exact: a changed
-    # window length, stencil order or tie rule fails it
+    # 0.5*(a+b) / 0.25*((a+b)+(c+d)) expression, so equality is exact: a
+    # changed window length, stencil order, fold or tie rule fails it
     for n in ns:
         for m in (1, 2, 3, 5, n + 3):
             p = Problem(d=d, n=n, m=m)
@@ -173,11 +173,56 @@ def test_optimal_value_equals_counter_recursion(d, ns):
                         assert (table.policy_at(i, x, j) is Decision.STAND) == want_stand
 
 
+@pytest.mark.parametrize("d,n,m", [(1, 9, 3), (1, 6, 10), (2, 7, 1), (2, 8, 3),
+                                   (2, 5, 9)])
+def test_kept_slices_are_exactly_symmetric(d, n, m):
+    # the value function and the policy are invariant under x_k -> -x_k on
+    # each axis and, in d = 2, under the axis swap, bit for bit
+    _, table = optimal_value(Problem(d=d, n=n, m=m), keep="full", want_policy=True)
+    for i in range(n + 1):
+        slices = [table.values[i]] + ([table.policy[i]] if i < n else [])
+        for arr in slices:
+            assert arr.shape == (2 * n + 3,) * d + (m,)
+            for k in range(d):
+                assert np.array_equal(arr, np.flip(arr, axis=k)), (i, k)
+            if d == 2:
+                assert np.array_equal(arr, np.swapaxes(arr, 0, 1)), i
+
+
 def test_full_table_cap_counts_kept_slices():
-    # 603^2 cells per slice, held for the 8-slice window and 301 kept slices
+    # 403^2 cells per folded slice, held for the 8-slice window and 401 kept
+    # slices: 6.6e7 cells, over the cap of 5e7
     with pytest.raises(BudgetError) as err:
-        optimal_value(Problem(d=2, n=300, m=8), keep="full")
-    assert err.value.required_bytes == 8.0 * 603 ** 2 * (8 + 301)
+        optimal_value(Problem(d=2, n=400, m=8), keep="full")
+    assert err.value.required_bytes == 8.0 * 403 ** 2 * (8 + 401)
+
+
+@pytest.mark.parametrize("d,n,m", [(1, 7, 3), (1, 5, 12), (2, 6, 2), (2, 4, 9)])
+def test_dp_cost_prices_the_work_the_engine_does(monkeypatch, d, n, m):
+    # the priced updates are the cells the neighbour mean writes, and the
+    # priced cells are the window ring plus the kept step slices
+    exact = targetwalk.exact
+    written, rings = [], []
+    neighbour_mean = exact._neighbour_mean
+
+    def counting(field, box, out, scratch):
+        written.append(out.size)
+        neighbour_mean(field, box, out, scratch)
+
+    class Recording(exact._WindowMax):
+        def __init__(self, length, shape):
+            super().__init__(length, shape)
+            rings.append(self.ring.size)
+
+    monkeypatch.setattr(exact, "_neighbour_mean", counting)
+    monkeypatch.setattr(exact, "_WindowMax", Recording)
+    p = Problem(d=d, n=n, m=m)
+    _, table = optimal_value(p, keep="full")
+    assert exact.dp_cost(p, kept=True) == (sum(written),
+                                           rings[0] + table.values.steps.size)
+    assert exact.dp_cost(p) == (sum(written), rings[0])
+    # by hand: sum over r = 1..n of (r + 1)^d cells
+    assert sum(written) == sum((r + 1) ** d for r in range(1, n + 1))
 
 
 def test_value_table_csv_and_runs():

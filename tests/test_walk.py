@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from targetwalk import (AdmissibilityError, Decision, Problem, ScheduleParams1D,
                         ScheduleParams2D, SignatureError, build_schedule_1d,
@@ -147,10 +148,20 @@ def test_delayed_step_count_is_binomial():
     _, steps = _run_batch(AllDelayed(), p, trials, 31)
     counts = np.bincount(steps, minlength=n + 1)
     q = 1.0 / m
-    for s in range(n + 1):
-        exact = math.comb(n, s) * q ** s * (1 - q) ** (n - s)
-        se = math.sqrt(exact * (1 - exact) / trials)
-        assert abs(counts[s] / trials - exact) < 3 * se + 1e-3
+    expected = trials * np.array([math.comb(n, s) * q ** s * (1 - q) ** (n - s)
+                                  for s in range(n + 1)])
+    # one chi-square over every step count at level 1e-3, the upper tail
+    # pooled until each expected count is at least 5 (here 10-12 steps, 11
+    # cells); with 10 degrees of freedom a noncentrality of 35 is detected
+    # with probability 0.9
+    top = n
+    while expected[top:].sum() < 5:
+        top -= 1
+    expected = np.append(expected[:top], expected[top:].sum())
+    observed = np.append(counts[:top], counts[top:].sum())
+    assert expected.min() >= 5
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2.sf(stat, expected.size - 1) > 1e-3
 
 
 def test_validate_trajectory_catches_corruption():
