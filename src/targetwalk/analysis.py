@@ -45,12 +45,6 @@ class ReflectionReport:
     def passed(self) -> bool:
         return not self.mismatches
 
-    def to_json_dict(self) -> dict:
-        return {"check": "reflection", "xmax": self.xmax, "lmax": self.lmax,
-                "checked_pairs": self.checked_pairs,
-                "excluded_same_parity": self.excluded_same_parity,
-                "mismatches": self.mismatches[:32], "passed": self.passed}
-
 
 def check_reflection(xmax: int = 20, lmax: int = 400) -> ReflectionReport:
     """First-passage tail equals the centered-window probability, exactly.
@@ -60,8 +54,9 @@ def check_reflection(xmax: int = 20, lmax: int = 400) -> ReflectionReport:
     number of length-l paths from 0 ending strictly inside (-x, x).  Both
     sides are exact integers (denominator 2**l), so the comparison is
     equality, not a tolerance.  Same-parity pairs are excluded and counted:
-    there the identity genuinely fails (the window side can even be 0 while
-    the tail is not), which is a parity caveat, not a bug.
+    there the open window misses exactly the atom P_0(S_l = x), which is
+    nonzero.  The half-open window -x < S_l <= x holds at every pair, and
+    ``exact.hitting_tail_1d`` computes the tail from it.
     """
     mismatches = []
     checked = 0
@@ -103,13 +98,6 @@ class NormalApproxReport:
     @property
     def passed(self) -> bool:
         return self.shrinking and self.monotone_in_x
-
-    def to_json_dict(self) -> dict:
-        return {"check": "normal_approx",
-                "max_dev_by_x": {str(k): v for k, v in self.max_dev_by_x.items()},
-                "shrinking": self.shrinking, "monotone_in_x": self.monotone_in_x,
-                "passed": self.passed,
-                "rows": [vars(r) for r in self.rows]}
 
 
 def check_normal_approx(x_values: Sequence[int] = (10, 50, 200),
@@ -178,19 +166,6 @@ def hoeffding_bound(schedule: Schedule, k: int) -> float:
     return min(1.0, e if schedule.d == 1 else 4.0 * e)
 
 
-def hoeffding_growth_expression(n: int, m: int, theta: float, kappa: float) -> float:
-    """Regime driver of the 2d overshoot exponents: m^(1-2*kappa*theta) / n^(1-2*theta).
-
-    Every stage with the geometric length ratio N_{k+1} >= m^(-kappa) * N_k
-    has its exponent bounded below by this expression (up to the constant 2),
-    and it diverges whenever m grows like a positive power of n.  Note the
-    halved first checkpoint breaks the geometric ratio at the last interior
-    stage, so the per-stage minimum exponent need not grow; the divergence
-    lives in this expression.
-    """
-    return m ** (1.0 - 2.0 * kappa * theta) / n ** (1.0 - 2.0 * theta)
-
-
 @dataclass
 class HoeffdingStageRow:
     stage: int
@@ -211,10 +186,6 @@ class HoeffdingReport:
     @property
     def passed(self) -> bool:
         return all(r.within for r in self.rows if r.status == "ok")
-
-    def to_json_dict(self) -> dict:
-        return {"check": "hoeffding", "passed": self.passed,
-                "rows": [vars(r) for r in self.rows]}
 
 
 def check_hoeffding(schedule: Schedule, stage_stats: list[dict]) -> HoeffdingReport:
@@ -293,11 +264,6 @@ class LocalTimeReport:
         return (self.min_ratio > self.ratio_floor
                 and self.log_stability <= 1.0 + self.stability_tol)
 
-    def to_json_dict(self) -> dict:
-        return {"check": "local_time", "passed": self.passed,
-                "min_ratio": self.min_ratio, "log_stability": self.log_stability,
-                "rows": [vars(r) for r in self.rows]}
-
 
 def check_local_time_ratio(horizons: Sequence[int] = tuple(2 ** k for k in range(10, 15)),
                            x_exponent: float = 0.4,
@@ -333,10 +299,6 @@ class FitResult:
     stderr: float
     intercept: float
     residuals: list[float]
-
-    def to_json_dict(self) -> dict:
-        return {"slope": self.slope, "stderr": self.stderr,
-                "intercept": self.intercept, "residuals": self.residuals}
 
 
 def fit_scaling(x_values: Sequence[float], p_values: Sequence[float],

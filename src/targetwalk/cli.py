@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import exact as _exact
@@ -78,6 +79,22 @@ def _write_file(path: str, write, newline: str | None = None) -> int:
     return EXIT_OK
 
 
+def _writable(path: str) -> bool:
+    """Whether ``path`` can be opened for writing, checked before any work
+    runs: an existing file is opened for appending and left as it was, a
+    new one is created and removed.  If not, print the ``_write_file``
+    message."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    if not existed:
+        os.remove(path)
+    return True
+
+
 def _emit(text: str, out_path: str | None) -> int:
     if out_path:
         return _write_file(out_path, lambda fh: fh.write(text))
@@ -120,7 +137,6 @@ def _cmd_simulate(args) -> int:
         problem = Problem(d=args.d, n=args.n, m=args.m)
         config = _mc.McConfig(problem=problem, strategy=spec, trials=args.trials,
                               master_seed=args.seed, threads=args.threads,
-                              per_window=args.per_window,
                               store_failures=args.store_failures,
                               schedule=schedule)
         if args.per_window:
@@ -330,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad input already; normalize None
         return int(exc.code or 0)
+    for path in (getattr(args, "out", None), getattr(args, "policy_out", None)):
+        if path and not _writable(path):
+            return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -7,9 +7,10 @@ All float routines use 64-bit arithmetic.  Every SSRW and binomial
 probability comes from ratio recurrences of binomial coefficients (the
 return table ``_return_table``, point probabilities ``_point_probabilities``
 and ``_binomial_pmf``), never from log-gamma differences, whose cancellation
-costs digits at large t.  The small-instance oracles (``brute_force_value``,
-the integer hitting-tail counts) use exact integer / rational arithmetic so
-they can back equality assertions.
+costs digits at large t.  First-passage tails are window sums of
+``_binomial_pmf`` by the reflection identity.  The small-instance oracles
+(``brute_force_value``, the integer hitting-tail counts) use exact integer /
+rational arithmetic so they can back equality assertions.
 """
 
 from __future__ import annotations
@@ -162,10 +163,13 @@ def reflection_window_count(x: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class HittingTail:
-    """Exact first-passage tail from x plus the reflection-formula value.
+    """First-passage tail from x and the open reflection window.
 
-    The two agree exactly when l and |x| have opposite parity; the flag lets
-    callers separate genuine mismatches from the parity caveat.
+    By the reflection principle ``tail`` = P(tau_0 > l | start x) equals
+    P_0(-|x| < S_l <= |x|) at every (x, l).  ``reflection`` is the open
+    window P_0(-|x| < S_l < |x|), which misses exactly the atom
+    P_0(S_l = |x|).  That atom is 0 when l and |x| have opposite parity,
+    where the two agree; the flag marks those pairs.
     """
 
     x: int
@@ -175,55 +179,34 @@ class HittingTail:
     opposite_parity: bool
 
 
+def _reflection_windows(x: int, l: int) -> tuple[float, float]:
+    """(P_0(-x < S_l <= x), P_0(-x < S_l < x)) for x >= 1, summed over
+    ``_binomial_pmf``: S_l = 2K - l with K ~ Binomial(l, 1/2)."""
+    if l < 0:
+        raise ValueError(f"length must be >= 0, got {l}")
+    lo, pmf = _binomial_pmf(l, 0.5)
+    first = max((l - x) // 2 + 1 - lo, 0)      # least K with 2K - l > -x
+    stop = (l + x) // 2 + 1 - lo               # past the last K with 2K - l <= x
+    atom = (l + x) % 2 == 0                    # S_l = x is reachable
+    return float(pmf[first:stop].sum()), float(pmf[first:stop - atom].sum())
+
+
 def hitting_tail_1d(x: int, l: int) -> HittingTail:
-    """P(tau_0 > l | start x) for the 1d walk, by absorbing convolution."""
+    """P(tau_0 > l | start x) for the 1d walk, from the reflection identity
+    P(tau_0 > l | x) = P_0(-|x| < S_l <= |x|) (Feller, Vol. 1, ch. III)."""
     if x == 0:
         raise ValueError("start must be nonzero")
-    opp = (abs(x) + l) % 2 == 1
-    if l <= 2048:
-        tail = float(Fraction(hitting_survivor_counts(x, l)[l], 2 ** l))
-        refl = float(Fraction(reflection_window_count(x, l), 2 ** l))
-    else:
-        tail = hitting_tail_curve(x, [l])[l]
-        # S_l = 2K - l with K ~ Binomial(l, 1/2): the window is |2K - l| < |x|
-        lo, pmf = _binomial_pmf(l, 0.5)
-        k_lo, k_hi = (l - abs(x)) // 2 + 1, (l + abs(x) - 1) // 2
-        refl = float(pmf[max(k_lo - lo, 0):max(k_hi + 1 - lo, 0)].sum())
-    return HittingTail(x=x, l=l, tail=tail, reflection=refl, opposite_parity=opp)
+    tail, refl = _reflection_windows(abs(int(x)), l)
+    return HittingTail(x=x, l=l, tail=tail, reflection=refl,
+                       opposite_parity=(abs(x) + l) % 2 == 1)
 
 
-def hitting_tail_curve(x: int, l_points, clip_sigmas: float = 6.0) -> dict[int, float]:
-    """P(tau_0 > l | start x) at each requested l, float64 absorbing sweep.
-
-    The state space is clipped at x + clip_sigmas*sqrt(lmax); clipped mass is
-    counted as surviving, which biases the tail upward by at most the
-    probability of ever reaching the clip boundary (~2*Phi(-clip_sigmas),
-    below 1e-8 at the default).
-    """
+def hitting_tail_curve(x: int, l_points) -> dict[int, float]:
+    """P(tau_0 > l | start x) at each requested l (see ``hitting_tail_1d``)."""
     x = abs(int(x))
     if x == 0:
         raise ValueError("start must be nonzero")
-    l_points = sorted(set(int(l) for l in l_points))
-    lmax = l_points[-1]
-    top = x + int(math.ceil(clip_sigmas * math.sqrt(max(lmax, 1)))) + 16
-    q = np.zeros(top + 1)          # q[y] = mass at y, live range y = 1..top-1
-    q[x] = 1.0
-    absorbed = 0.0
-    out = {}
-    want = set(l_points)
-    if 0 in want:
-        out[0] = 1.0
-    for l in range(1, lmax + 1):
-        absorbed += 0.5 * q[1]
-        nxt = np.zeros_like(q)
-        # mass stepping up from top-1 leaves the grid for good; it can never
-        # come back to absorb, so dropping it only inflates the tail by the
-        # (negligible) escape probability
-        nxt[1:top] = 0.5 * (q[2:top + 1] + q[0:top - 1])
-        q = nxt
-        if l in want:
-            out[l] = float(1.0 - absorbed)
-    return out
+    return {l: _reflection_windows(x, l)[0] for l in sorted({int(l) for l in l_points})}
 
 
 # ---------------------------------------------------------------------------

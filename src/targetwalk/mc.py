@@ -16,7 +16,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 from typing import Optional
 
@@ -47,7 +47,12 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 
 @dataclass(frozen=True)
 class McConfig:
-    """One estimation task: problem, strategy spec, trial count, master seed."""
+    """One estimation task: problem, strategy spec, trial count, master seed.
+
+    ``per_window`` is accepted for existing callers, but nothing reads it:
+    stage counters come with every windowed strategy, and
+    ``window_conditionals`` turns them into per-stage estimates.
+    """
 
     problem: Problem
     strategy: dict
@@ -199,8 +204,7 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
         threads=config.threads, sampler=sampler.name)
 
 
-def window_conditionals(config: McConfig,
-                        schedule: Optional[Schedule] = None) -> dict:
+def window_conditionals(config: McConfig) -> dict:
     """Per-stage window-passage estimates for a windowed strategy.
 
     For each stage k: the frequency of landing inside window k at t_k among
@@ -212,8 +216,6 @@ def window_conditionals(config: McConfig,
     argument and should not exceed the overall rate by more than Monte Carlo
     noise.
     """
-    if schedule is not None and config.schedule is None:
-        config = replace(config, schedule=schedule, per_window=True)
     report = estimate_success(config)
     if report.stage_stats is None:
         raise ValueError("window_conditionals needs a windowed strategy")

@@ -152,6 +152,51 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     assert err == f"cannot write {path}: No such file or directory\n"
 
 
+def test_sweep_unwritable_out_refused_before_any_cell(tmp_path, capsys, monkeypatch):
+    from targetwalk import mc
+
+    calls = []
+    monkeypatch.setattr(mc, "estimate_success", lambda *a, **k: calls.append(a))
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"trials": 10, "cells": [
+        {"d": 1, "n": 40, "m": 2, "strategy": {"name": "always_step"}}]}))
+    state = tmp_path / "state"
+    path = tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path), "--seed", "1",
+                             "--state-dir", str(state), "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"cannot write {path}: No such file or directory\n"
+    assert calls == []
+    assert not state.exists() or list(state.iterdir()) == []
+
+
+def test_exact_unwritable_policy_out_refused_before_the_solve(tmp_path, capsys,
+                                                              monkeypatch):
+    from targetwalk import exact
+
+    calls = []
+    monkeypatch.setattr(exact, "optimal_value", lambda *a, **k: calls.append(a))
+    path = tmp_path / "missing" / "policy.csv"
+    code, out, err = run_cli(capsys, "exact", "--d", "1", "--n", "40", "--m", "2",
+                             "--policy-out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"cannot write {path}: No such file or directory\n"
+    assert calls == []
+
+
+def test_output_path_check_leaves_files_as_they_were(tmp_path, capsys):
+    # the up-front check neither truncates an existing file nor leaves a new
+    # one behind when the command then fails
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_text("earlier result\n")
+    for path in (kept, new):
+        code, out, err = run_cli(capsys, "exact", "--d", "1", "--n", "40", "--m", "2",
+                                 "--budget", "1", "--out", str(path))
+        assert code == 3 and out == "" and "refused" in err
+    assert kept.read_text() == "earlier result\n"
+    assert not new.exists()
+
+
 @pytest.mark.parametrize("flags", [("--d", "2"), ("--d", "1", "--eval", "always_step")])
 def test_exact_policy_out_refused_up_front(tmp_path, capsys, monkeypatch, flags):
     from targetwalk import exact

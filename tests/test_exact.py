@@ -421,11 +421,15 @@ def test_hitting_tail_reflection_equality_small_grid():
 
 
 def test_hitting_tail_curve_matches_exact_counts():
-    for x in (1, 3, 8):
-        curve = hitting_tail_curve(x, [50, 151, 400])
+    # 8,020 exact comparisons, every 1 <= x <= 20 and 0 <= l <= 400 at both
+    # parities, against the integer absorbing counts.  A window edge off by
+    # one moves the tail by an atom P_0(S_l = +-x), at least 2^-20 on this
+    # grid wherever it is reachable, about 10^9 times the tolerance.
+    for x in range(1, 21):
+        curve = hitting_tail_curve(x, range(401))
         counts = hitting_survivor_counts(x, 400)
-        for l in (50, 151, 400):
-            assert curve[l] == pytest.approx(counts[l] / 2**l, abs=1e-12)
+        for l in range(401):
+            assert curve[l] == pytest.approx(counts[l] / 2**l, abs=1e-15), (x, l)
 
 
 def test_hitting_tail_monotone_in_start():
@@ -546,16 +550,23 @@ def test_decimal_reference_matches_big_integers():
 @pytest.mark.parametrize("l", [2049, 5000])
 @pytest.mark.parametrize("x", [1, 2, 3, 10])
 def test_hitting_tail_1d_beyond_the_integer_counts(x, l):
-    # l > 2048 takes the float path: the reflection window from the binomial
-    # pmf, the tail from the clipped absorbing sweep
+    # past the sizes where the absorbing counts are cheap, both windows
+    # against exact big-integer sums at both parities: the tail is the
+    # half-open window -x < S_l <= x, the open one misses the atom S_l = x
     ht = hitting_tail_1d(x, l)
-    want = reflection_window_count(x, l) / 2**l
-    assert ht.reflection == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert ht.opposite_parity == ((x + l) % 2 == 1)
-    if ht.opposite_parity:
-        # the reflection identity: the two agree up to the sweep's rounding
-        # and its clip bias (below 1e-8)
-        assert ht.tail == pytest.approx(ht.reflection, abs=1e-8)
+    open_count = reflection_window_count(x, l)
+    atom = math.comb(l, (l + x) // 2) if (l + x) % 2 == 0 else 0
+    assert ht.reflection == pytest.approx(open_count / 2**l, rel=1e-12, abs=0.0)
+    assert ht.tail == pytest.approx((open_count + atom) / 2**l, rel=1e-12, abs=0.0)
+    assert ht.opposite_parity == (atom == 0)
+
+
+@pytest.mark.parametrize("tail", [lambda l: hitting_tail_1d(3, l),
+                                  lambda l: hitting_tail_curve(3, [5, l])],
+                         ids=["hitting_tail_1d", "hitting_tail_curve"])
+def test_hitting_tails_refuse_a_negative_length(tail):
+    with pytest.raises(ValueError, match="length"):
+        tail(-1)
 
 
 def _reference_return_table(size: int, d: int) -> np.ndarray:
