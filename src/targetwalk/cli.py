@@ -23,6 +23,7 @@ import sys
 from . import exact as _exact
 from . import mc as _mc
 from .errors import AdmissibilityError, BudgetError, ScheduleError, SignatureError
+from .rng import check_seed
 from .schedule import (ScheduleParams1D, ScheduleParams2D, Schedule,
                        build_schedule_1d, build_schedule_2d, validate_regime)
 from .strategies import STRATEGY_NAMES, strategy_from_spec
@@ -255,6 +256,11 @@ def _verify_suites(args) -> list[tuple[str, bool, str]]:
 def _cmd_verify(args) -> int:
     if args.trials is not None and args.trials < 1:
         print(f"verify failed: trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    try:
+        check_seed(args.seed)
+    except ValueError as exc:
+        print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     results = _verify_suites(args)
     failed = 0

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .rng import check_seed
 from .samplers import _CHUNK, StagedSampler, make_sampler
 from .schedule import Schedule
 from .strategies import strategy_from_spec
@@ -66,6 +67,7 @@ class McConfig:
     def __post_init__(self):
         for name in ("trials", "threads", "store_failures"):
             _check_integer(name, getattr(self, name))
+        check_seed(self.master_seed)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
@@ -316,12 +318,14 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
     leaves no marker, so a rerun retries it.  A marker is keyed by a hash of
     (cell, master seed, trials, schema version) and written atomically; a
     torn marker or one keyed for another configuration is recomputed.
-    ``threads`` below 1 raises ValueError before any cell runs; a cell that
-    is not an object with a ``strategy`` object, or whose ``d``, ``n``, ``m``
-    or ``trials`` is not an integer in range, is an error row.
+    ``threads`` below 1, or a master seed outside [0, 2**64), raises
+    ValueError before any cell runs; a cell that is not an object with a
+    ``strategy`` object, or whose ``d``, ``n``, ``m`` or ``trials`` is not an
+    integer in range, is an error row.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    check_seed(master_seed)
     rows = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

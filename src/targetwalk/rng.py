@@ -16,6 +16,8 @@ share the same key derivation:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -36,6 +38,17 @@ def mix64(x: int) -> int:
     x = (x * _MIX2) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 31
     return x
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an integer in [0, 2**64).
+
+    ``trial_key`` reads only the low 64 bits of the master seed, so a seed
+    outside that range would run silently as another one.
+    """
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 1 << 64):
+        raise ValueError(f"master seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def trial_key(master_seed: int, trial_index: int) -> int:

@@ -8,9 +8,15 @@ segment plan (``Strategy.plan``) whose pieces have exactly known laws:
   in delayed mode, so its displacement is one walk endpoint;
 * a seek steps every time until the origin is hit.  Positions are kept in
   diagonal coordinates (x + y, x - y), in which a planar walk is two
-  independent +/-1 walks.  From max |coordinate| = M >= 2 the origin cannot
-  be reached within M - 1 steps, so those steps are drawn as one endpoint
-  (a walk-on-spheres jump, Muller 1956) and only unit moves can hit;
+  independent +/-1 walks.  Each coordinate's endpoint is one binomial draw,
+  and given it the path is a uniform walk bridge.  Whether a bridge touches
+  0 follows from the reflection principle (Feller, Vol. 1, ch. III), and its
+  first zero is found by bisection, each midpoint one hypergeometric draw
+  (Levy's midpoint construction), so a seek takes about log2 L draws per
+  walker.  In d = 2 a hit needs both coordinates at 0 at once: each round
+  finds one coordinate's first zero and reads the other off its bridge
+  there.  Horizons are cut into blocks of at most 2^29 steps, the range of
+  numpy's hypergeometric;
 * after a missed seek the trial steps at every time, so each later
   checkpoint increment is again a walk endpoint.
 
@@ -27,6 +33,7 @@ keyed by (master seed, chunk index) with a tag of its own.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,44 +91,135 @@ def _endpoints(g: np.random.Generator, steps: np.ndarray, d: int) -> np.ndarray:
     return 2 * g.binomial(steps, 0.5, size=(d, steps.size)) - steps
 
 
-# Diagonal position of a finished walker: never the origin, and at t = t_end
-# it takes 0 steps, which draw nothing from the stream.
-_PARKED = 1 << 40
+# numpy's hypergeometric needs ngood and nbad each below 10**9; in a block of
+# at most 2**29 steps every bridge holds fewer up (and down) steps than that.
+_BLOCK = 1 << 29
+
+# Stirling remainder r(z) = lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2:
+# a table for the integers z < 256, a two-term series (error < 1e-15) above
+_REM_TABLE = np.array([0.0] + [math.lgamma(z) - (z - 0.5) * math.log(z) + z
+                               - 0.5 * math.log(2 * math.pi) for z in range(1, 256)])
+_REM_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _stirling_rem(z: np.ndarray) -> np.ndarray:
+    """r(z) of integers z >= 1, elementwise."""
+    s = 1.0 / z
+    return np.where(z < 256, _REM_TABLE.take(z, mode="clip"),
+                    s * (1 / 12 - s * s / 360))
+
+
+def _touch_prob(up: np.ndarray, down: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """P(a walk bridge from a > 0 with these up- and down-steps touches 0).
+
+    Reflecting the path before its first zero pairs the touching bridges
+    with the bridges from -a, which take a more up-steps, so the chance is
+    C(up + down, up + a) / C(up + down, up), and exactly 0 where down < a.
+    Its log is a sum of Stirling terms whose large differences go through
+    log1p; against exact ratios up to 3 * 10^6 steps the relative error
+    stays below 1e-12.
+    """
+    z = np.maximum(np.stack((down, down - a, up, up + a)) + 1, 1)
+    pair = (z[1:3] - 0.5) * np.log1p(a / z[1:3])
+    log_p = (pair[0] - pair[1] + a * np.log(z[0] / z[3])
+             + _REM_SIGNS @ _stirling_rem(z))
+    return np.where(down >= a, np.exp(np.minimum(log_p, 0.0)), 0.0)
+
+
+def _first_zero(g: np.random.Generator, n: np.ndarray, a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """First-zero offsets in [1, n] of n-step walk bridges from -a < 0 to b >= 0.
+
+    Bisection: the midpoint of a bridge is one hypergeometric draw (its up
+    steps among the first half), and the half that holds the first zero is
+    kept.  A first half that ends at x >= 0 crosses; one that ends at x < 0
+    touches 0 with ``_touch_prob``, and then its first zero is that of the
+    crossing bridge -a -> |x| (reflect the path before it).  Only |a| and
+    |b| matter, and a bridge of one step is a fixed point, so every walker
+    takes the same ceil(log2 max n) levels.
+    """
+    off = np.ones_like(n)
+    for _ in range(int(n.max(initial=1) - 1).bit_length()):
+        h = n >> 1
+        up = (n + a + b) >> 1
+        k = g.hypergeometric(up, n - up, h)
+        x = 2 * k - h - a
+        cross = x >= 0
+        q = np.flatnonzero(x < 0)
+        cross[q] = g.random(q.size) < _touch_prob(h[q] - k[q], k[q], a[q])
+        ax = np.abs(x)
+        off += np.where(cross, 0, h)
+        n = np.where(cross, h, n - h)
+        a = np.where(cross, a, ax)
+        b = np.where(cross, ax, b)
+    return off
 
 
 def _seek(g: np.random.Generator, pos: np.ndarray, t0: int,
           t_end: int) -> tuple[np.ndarray, np.ndarray]:
     """Step (d, k) diagonal positions from t0 until each hits 0 or t_end.
 
-    Returns the end positions and the hit times (-1 where none).  Each round
-    moves every walker still seeking by min(max(M - 1, 1), t_end - t) steps
-    at once, M being its largest |coordinate|; only a unit move can land on
-    the origin, so the hit times have the exact step-by-step law.  Finished
-    walkers are parked and dropped once they fill half the working arrays,
-    so the arrays take few distinct sizes.
+    Returns the end positions and the hit times (-1 where none), with the
+    exact step-by-step law.  A walker at the origin first takes one step, as
+    only hits after t0 count.  Each block of at most ``_BLOCK`` steps draws
+    every coordinate's endpoint at the block's end, so that each coordinate
+    is a uniform walk bridge.  A round seeks the first zero of one
+    coordinate, at first the one of larger |.|: if its bridge does not touch
+    0 (``_touch_prob``) the walker ends the block at its endpoints, else
+    ``_first_zero`` finds the first zero s.  In d = 1 that is the hit.  In
+    d = 2 the other coordinate is read off its bridge at s (one
+    hypergeometric draw); if it reads 0 the walker hits at s, else both
+    coordinates are again bridges, from 0 and from the value read, and the
+    next round seeks the first zero of the latter.  A walker that misses a
+    block starts the next one from its endpoints.
     """
-    end = pos.copy()
-    tau = np.full(pos.shape[1], -1, dtype=np.int64)
-    idx = np.arange(pos.shape[1])
-    p = pos.copy()
-    t = np.full(idx.size, t0, dtype=np.int64)
-    live = idx.size
-    while live:
-        jump = np.minimum(np.maximum(np.abs(p).max(axis=0) - 1, 1), t_end - t)
-        p += _endpoints(g, jump, p.shape[0])
-        t += jump
-        hit = ~p.any(axis=0)
-        done = hit | ((t == t_end) & (jump > 0))
-        finished = np.count_nonzero(done)
-        if finished:
-            end[:, idx[done]] = p[:, done]
-            tau[idx[hit]] = t[hit]
-            p[:, done] = _PARKED
-            t[done] = t_end
-            live -= finished
-            if 2 * live <= idx.size:
-                keep = t < t_end
-                idx, p, t = idx[keep], p[:, keep], t[keep]
+    d, k = pos.shape
+    end = np.zeros_like(pos)
+    tau = np.full(k, -1, dtype=np.int64)
+    home = np.flatnonzero(~pos.any(axis=0))
+    c = pos.copy()
+    c[:, home] = _endpoints(g, np.ones(home.size, dtype=np.int64), d)
+    lo = np.full(k, t0, dtype=np.int64)
+    lo[home] += 1
+    who = np.arange(k)
+    for start in range(t0, t_end, _BLOCK):
+        if not who.size:
+            break
+        stop = min(start + _BLOCK, t_end)
+        b = c + _endpoints(g, stop - lo, d)
+        # row 0 is the coordinate sought; flip marks walkers whose rows are swapped
+        flip = np.abs(c[-1]) > np.abs(c[0])
+        c[:, flip], b[:, flip] = c[::-1, flip], b[::-1, flip]
+        missed = []
+        while who.size:
+            n = stop - lo
+            a, z = np.abs(c[0]), np.abs(b[0])
+            touch = np.sign(c[0]) != np.sign(b[0])
+            q = np.flatnonzero(~touch)
+            up = (n[q] + z[q] - a[q]) >> 1
+            touch[q] = g.random(q.size) < _touch_prob(up, n[q] - up, a[q])
+            miss = ~touch
+            end[:, who[miss]] = np.where(flip[miss], b[::-1, miss], b[:, miss])
+            missed.append(who[miss])
+            who, c, b, lo, n, flip = (who[touch], c[:, touch], b[:, touch], lo[touch],
+                                      n[touch], flip[touch])
+            s = lo + _first_zero(g, n, a[touch], z[touch])
+            if d == 1:
+                tau[who] = s
+                end[:, who] = 0
+                break
+            up = (n + b[1] - c[1]) >> 1
+            other = c[1] + 2 * g.hypergeometric(up, n - up, s - lo) - (s - lo)
+            hit = other == 0
+            tau[who[hit]] = s[hit]
+            end[:, who[hit]] = 0
+            keep = ~hit
+            who, lo, flip = who[keep], s[keep], ~flip[keep]
+            c = np.stack((other[keep], np.zeros(who.size, dtype=np.int64)))
+            b = b[::-1, keep]
+        who = np.concatenate(missed)
+        c = end[:, who]
+        lo = np.full(who.size, stop, dtype=np.int64)
     return end, tau
 
 

@@ -21,7 +21,7 @@ from . import walk as _walk
 from .errors import ScheduleError
 from .mc import McConfig, estimate_success
 from .samplers import _CHUNK
-from .rng import trial_generator
+from .rng import check_seed, trial_generator
 from .schedule import ScheduleParams1D, ScheduleParams2D, build_schedule_1d, build_schedule_2d
 from .walk import Problem
 
@@ -184,4 +184,5 @@ def run_suite(name: str, trials: int | None = None, seed: int = 20240601,
               fast: bool = False) -> list[Result]:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
+    check_seed(seed)
     return _SUITES[name](trials, seed, fast)

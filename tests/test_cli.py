@@ -461,6 +461,34 @@ def test_simulate_bad_threads_or_store_failures_exit_2(capsys, flags):
     assert out == "" and flags[0].lstrip("-").replace("-", "_") in err
 
 
+def test_simulate_seed_outside_64_bits_exits_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--d", "1", "--n", "40", "--m", "2",
+                             "--strategy", "always_step", "--trials", "100",
+                             "--seed", "-1")
+    assert code == 2
+    assert out == "" and "master seed" in err
+
+
+def test_sweep_seed_outside_64_bits_exits_2_before_any_cell(tmp_path, capsys):
+    config = {"trials": 100,
+              "cells": [{"d": 1, "n": 40, "m": 2, "strategy": {"name": "always_step"}}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    state = tmp_path / "state"
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path),
+                             "--seed", str(2 ** 64 + 1), "--state-dir", str(state))
+    assert code == 2
+    assert out == "" and "master seed" in err and "cell(s) failed" not in err
+    assert not state.exists() or list(state.iterdir()) == []
+
+
+def test_verify_seed_outside_64_bits_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "dominance", "--fast",
+                             "--seed", "-1")
+    assert code == 2
+    assert out == "" and "master seed" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_sweep_bad_threads_exit_2_before_any_cell(tmp_path, capsys, threads):
     config = {"trials": 100,

@@ -10,6 +10,7 @@ from targetwalk import (McConfig, Problem, ScheduleParams1D,
                         window_conditionals)
 from targetwalk.mc import sweep_to_csv
 from targetwalk.strategies import windowed_1d
+from targetwalk.verify import run_suite
 
 
 def test_wilson_interval_basic_properties():
@@ -324,6 +325,27 @@ def test_config_rejects_bad_threads_and_store_failures(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         McConfig(problem=Problem(d=1, n=10, m=2), strategy={"name": "always_step"},
                  trials=100, master_seed=1, **bad)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1, 1.0, True])
+def test_config_rejects_seeds_outside_64_bits(seed):
+    # the stream key reads the low 64 bits of the seed, so 1 and 2**64 + 1
+    # would give the same estimate under two different echoed seeds
+    with pytest.raises(ValueError, match="master seed"):
+        McConfig(problem=Problem(d=1, n=10, m=2), strategy={"name": "always_step"},
+                 trials=100, master_seed=seed)
+    for edge in (0, 2 ** 64 - 1):
+        McConfig(problem=Problem(d=1, n=10, m=2), strategy={"name": "always_step"},
+                 trials=100, master_seed=edge)
+
+
+def test_sweep_and_suites_reject_seeds_outside_64_bits(tmp_path):
+    cells = [{"d": 1, "n": 10, "m": 2, "strategy": {"name": "always_step"}}]
+    with pytest.raises(ValueError, match="master seed"):
+        sweep(cells, master_seed=2 ** 64 + 1, default_trials=100, out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="master seed"):
+        run_suite("dominance", seed=-1, fast=True)
 
 
 def test_sweep_rejects_bad_threads_before_any_cell(tmp_path):

@@ -8,17 +8,19 @@ relative error of r in one bin of probability p shows once N * p * r^2 >= 34.
 
 import logging
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 from targetwalk import (McConfig, Problem, ScheduleParams1D, build_schedule_1d,
                         estimate_success, evaluate_strategy_exact,
                         ssrw_return_probability, wilson_interval)
+from targetwalk import samplers
 from targetwalk.rng import chunk_generator
-from targetwalk.samplers import _seek
+from targetwalk.samplers import _seek, _touch_prob
 from targetwalk.strategies import strategy_from_spec
 
 _ALPHA = 1e-3
@@ -30,6 +32,25 @@ def _walk_prob(t: int, y: int) -> float:
     if abs(y) > t or (t + y) % 2:
         return 0.0
     return comb(t, (t + y) // 2) / 2 ** t
+
+
+def _walk_pmf(t, y) -> np.ndarray:
+    """P(S_t = y) for a 1d simple random walk from 0, elementwise."""
+    t, y = np.broadcast_arrays(np.asarray(t), np.asarray(y))
+    ok = (np.abs(y) <= t) & ((t + y) % 2 == 0)
+    return np.where(ok, binom.pmf((t + y) // 2, t, 0.5), 0.0)
+
+
+def _ballot_law(M: int, T: int) -> tuple[list, list]:
+    """Outcome keys and exact masses of a 1d seek from M > 0 over T steps.
+
+    A hit at t has mass (M/t) P(S_t = M); a miss ending at x > 0 has key
+    T + x and mass P(S_T = x - M) - P(S_T = x + M).
+    """
+    ts, xs = np.arange(1, T + 1), np.arange(1, T + M + 1)
+    keys = list(ts) + list(T + xs)
+    probs = list(M / ts * _walk_pmf(ts, M)) + list(_walk_pmf(T, xs - M) - _walk_pmf(T, xs + M))
+    return keys, probs
 
 
 def _bin_edges(keys: list, probs: list, bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,25 +80,11 @@ def _chi2_pvalue(observed_keys: np.ndarray, edges: np.ndarray,
     return float(chi2.sf(stat, len(edges) - 1))
 
 
-def test_seek_matches_ballot_law_1d():
-    """Jump seek from x = M against the ballot law, hit time and miss position.
-
-    From M = 9 the first move is one jump of 8 steps, and a walker that
-    wanders off takes jumps of its distance minus one, so most of the
-    10^5 walkers need several jumps before t = 300.  The outcome is the hit
-    time tau, with P(tau = t) = (M/t) P(S_t = M), or for a miss the end
-    position x > 0, with P(tau > T, S_T = x) = P(S_T = x - M) - P(S_T = x + M).
-    Ten classes of mass about 0.1 at N = 10^5: a 6% relative error in any
-    one class is caught with probability 0.9.
-    """
-    M, T, N = 9, 300, 100_000
-    keys, probs = [], []
-    for t in range(1, T + 1):
-        keys.append(t)
-        probs.append(M / t * _walk_prob(t, M))
-    for x in range(1, T + M + 1):
-        keys.append(T + x)                 # misses sort after every hit time
-        probs.append(_walk_prob(T, x - M) - _walk_prob(T, x + M))
+def _check_ballot_seek(M: int, T: int) -> None:
+    """Seek 10^5 walkers from x = M over T steps; chi-square against the
+    ballot law of the hit time or, for a miss, the end position."""
+    N = 100_000
+    keys, probs = _ballot_law(M, T)
     assert math.isclose(sum(probs), 1.0, rel_tol=1e-12)
     edges, masses = _bin_edges(keys, probs, _BINS)
 
@@ -88,35 +95,175 @@ def test_seek_matches_ballot_law_1d():
     assert _chi2_pvalue(observed, edges, masses) > _ALPHA
 
 
-@pytest.mark.parametrize("start", [(0, 0), (6, 2)])
-def test_seek_matches_renewal_law_2d(start):
-    """Planar jump seek against the renewal first-passage law.
+def test_seek_matches_ballot_law_1d():
+    """Seek from x = M = 9 against the ballot law, hit time and miss position.
+
+    The seek draws the endpoint at T = 300, keeps the walkers whose bridge
+    touches 0 (by reflection) and bisects each for its first zero over 9
+    levels.  The outcome is the hit time tau, with
+    P(tau = t) = (M/t) P(S_t = M), or for a miss the end position x > 0,
+    with P(tau > T, S_T = x) = P(S_T = x - M) - P(S_T = x + M).  Ten
+    classes of mass about 0.1 at N = 10^5: a 6% relative error in any one
+    class is caught with probability 0.9.
+    """
+    _check_ballot_seek(9, 300)
+
+
+@pytest.mark.parametrize("M", [9, 200])
+def test_seek_matches_ballot_law_1d_long(M):
+    """The law of ``test_seek_matches_ballot_law_1d`` at T = 4096, 12 levels.
+
+    Ten classes at N = 10^5 again catch a 6% relative error in any one
+    class with probability 0.9.  From M = 9 seven classes are hit times;
+    from M = 200 (3.1 standard deviations) only 0.18% of walkers hit, so
+    the classes test the touch probability through the miss positions.
+    """
+    _check_ballot_seek(M, 4096)
+
+
+def _first_passage_2d(start: tuple, T: int) -> np.ndarray:
+    """f[t] = P(first visit to the origin at t), t = 0..T, from a diagonal start.
 
     In diagonal coordinates (a, b) the walk is two independent 1d walks, so
     p_x(t) = P(A_t = 0) P(B_t = 0) from the start x, and the first-passage
-    law solves f = p_x - f * p_0 (convolution over s = 1..t-1).  From the
-    origin a walker first steps to max(|a|, |b|) = 1, and those that escape
-    take jumps of growing length; from (6, 2) the first move is a 5-step
-    jump.  The outcome is the hit time up to T = 400, or a miss.  Ten
-    classes at N = 10^5: a 6% relative error in any one class is caught
-    with probability 0.9.
+    law solves the renewal equation f = p_x - f * p_0 (convolution over
+    s = 1..t-1), one dot product per t.
     """
-    T, N = 400, 100_000
-    a0, b0 = start
-    p0 = [_walk_prob(t, 0) ** 2 for t in range(T + 1)]
-    f = [0.0] * (T + 1)
+    ts = np.arange(T + 1)
+    p0 = _walk_pmf(ts, 0) ** 2
+    px = _walk_pmf(ts, start[0]) * _walk_pmf(ts, start[1])
+    f = np.zeros(T + 1)
     for t in range(1, T + 1):
-        px = _walk_prob(t, a0) * _walk_prob(t, b0)
-        f[t] = px - sum(f[s] * p0[t - s] for s in range(1, t))
+        f[t] = px[t] - f[1:t] @ p0[t - 1:0:-1]
+    return f
+
+
+@pytest.mark.parametrize("start, T", [pytest.param((0, 0), 400, id="start0"),
+                                      pytest.param((6, 2), 400, id="start1"),
+                                      pytest.param((30, 10), 4096, id="start2-4096")])
+def test_seek_matches_renewal_law_2d(start, T):
+    """Planar seek against the renewal first-passage law.
+
+    Each round bisects one diagonal coordinate's bridge for its first zero
+    and reads the other coordinate there; a walker hits when that reads 0.
+    From the origin a walker first steps to (+/-1, +/-1); from (30, 10) the
+    first round seeks the coordinate at 30, over 12 bisection levels.  The
+    outcome is the hit time up to T, or a miss.  At T = 400, ten classes at
+    N = 10^5: a 6% relative error in any one class is caught with
+    probability 0.9.  From (30, 10) only 16% of walkers hit by T = 4096, so
+    there are two classes, the hits up to t = 1702 (mass 0.1) and the rest:
+    a 4.3% relative error in the first is caught with probability 0.9.
+    """
+    N = 100_000
+    f = _first_passage_2d(start, T)
     keys = list(range(1, T + 2))           # key T + 1 stands for a miss
-    probs = f[1:] + [1.0 - sum(f)]
+    probs = list(f[1:]) + [1.0 - f.sum()]
     edges, masses = _bin_edges(keys, probs, _BINS)
 
-    pos = np.array([[a0], [b0]], dtype=np.int64).repeat(N, axis=1)
+    pos = np.array(start, dtype=np.int64)[:, None].repeat(N, axis=1)
     end, tau = _seek(chunk_generator(32, 0), pos, 0, T)
     assert not end[:, tau >= 0].any()
     observed = np.where(tau >= 0, tau, T + 1)
     assert _chi2_pvalue(observed, edges, masses) > _ALPHA
+
+
+def test_seek_law_holds_across_blocks(monkeypatch):
+    """With blocks of 5 steps, a seek over T = 60 crosses 11 block ends.
+
+    Each block draws fresh endpoints and a walker that misses one starts the
+    next from its endpoints, so the 1d ballot law and the 2d renewal law
+    must hold as they do in one block.  Ten classes at N = 4 * 10^4 per
+    law: a 9.5% relative error in any one class is caught with probability
+    0.9.
+    """
+    monkeypatch.setattr(samplers, "_BLOCK", 5)
+    T, N = 60, 40_000
+    for d, start in ((1, (3,)), (2, (4, 2))):
+        if d == 1:
+            keys, probs = _ballot_law(start[0], T)
+        else:
+            f = _first_passage_2d(start, T)
+            keys, probs = list(range(1, T + 2)), list(f[1:]) + [1.0 - f.sum()]
+        edges, masses = _bin_edges(keys, probs, _BINS)
+        pos = np.array(start, dtype=np.int64)[:, None].repeat(N, axis=1)
+        end, tau = _seek(chunk_generator(36, d), pos, 0, T)
+        assert not end[:, tau >= 0].any()
+        observed = np.where(tau >= 0, tau, T + (end[0] if d == 1 else 1))
+        assert _chi2_pvalue(observed, edges, masses) > _ALPHA, d
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_seek_splits_long_horizons_into_blocks(d):
+    """A horizon of 3 * 10^9 steps runs as six blocks of at most 2^29.
+
+    numpy's hypergeometric takes counts below 10^9 only.  64 walkers start
+    10^5 away, so in d = 1 nearly all hits fall after the first block; in
+    d = 2 a hit from there is very unlikely, but each round's bisection
+    still spans the blocks.  Misses end off the origin at the parity of the
+    horizon.
+    """
+    t0, t_end = 12_345, 12_345 + 3_000_000_000
+    pos = np.full((d, 64), 100_000, dtype=np.int64)
+    end, tau = _seek(chunk_generator(37, d), pos, t0, t_end)
+    hit = tau >= 0
+    if d == 1:
+        assert hit.any() and (~hit).any()
+    assert ((tau[hit] > t0) & (tau[hit] <= t_end)).all()
+    assert not end[:, hit].any()
+    assert end[:, ~hit].any(axis=0).all()
+    assert (end[:, ~hit] % 2 == (100_000 + t_end - t0) % 2).all()
+
+
+def _exact_touch(J: int, A: int, B: int) -> Fraction:
+    """C(J, (J+A+B)/2) / C(J, (J+B-A)/2), exactly."""
+    up = (J + B - A) // 2
+    if up + A > J:
+        return Fraction(0)
+    if J <= 5000:
+        return Fraction(comb(J, up + A), comb(J, up))
+    out = Fraction(1)
+    for i in range(1, A + 1):
+        out *= Fraction(J - up - i + 1, up + i)
+    return out
+
+
+def _touch_cases() -> list:
+    cases = []
+    for J in (1, 2, 3):                    # every feasible same-side pair
+        cases += [(J, A, B) for A in range(1, J + 2) for B in range(1, J + 2)
+                  if (J + A + B) % 2 == 0 and abs(A - B) <= J]
+    for J in (40, 999, 5000):
+        cases += [(J, A, J - A) for A in (1, 2, 3, J - 1)]                # A + B = J
+        cases += [(J, A, J - A + 2) for A in (1, 2, J // 3, J - 1)]       # A + B > J
+        cases += [(J, A, B) for A in (1, 2, 5, 37, J // 2)
+                  for B in (1, 2, 13, J // 4, J // 2) if (J + A + B) % 2 == 0]
+    for J in (10 ** 4 + 1, 10 ** 5, 10 ** 6):
+        cases += [(J, A, B) for A in (1, 2, 3, 17, 40, 301)
+                  for B in (1, 2, 100, 999, 2000, 5001, J - 301)
+                  if (J + A + B) % 2 == 0 and A + B <= J + 1]
+    return cases
+
+
+def test_touch_prob_matches_exact_ratios():
+    """The same-side touch probability against exact integer ratios.
+
+    Over J = 1..3 (every feasible pair), A + B = J, A + B > J (exactly 0.0)
+    and interior pairs up to J = 10^6, the relative error is at most 1e-10.
+    math.comb gives the reference up to J = 5000, and beyond it the product
+    of the A factors (J - k - i + 1) / (k + i), k = (J + B - A) / 2.
+    """
+    cases = _touch_cases()
+    J, A, B = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    up = (J + B - A) // 2
+    got = _touch_prob(up, J - up, A)
+    for case, value in zip(cases, got):
+        exact = _exact_touch(*case)
+        if 0 < exact < 1e-300:             # below the normal doubles
+            assert value < 1e-290, case
+        elif exact == 0:
+            assert value == 0.0, case
+        else:
+            assert abs(Fraction(float(value)) - exact) <= Fraction(1, 10 ** 10) * exact, case
 
 
 def test_stage_tallies_match_ballot_law():
