@@ -27,13 +27,6 @@ _ALPHA = 1e-3
 _BINS = 10
 
 
-def _walk_prob(t: int, y: int) -> float:
-    """P(S_t = y) for a 1d simple random walk from 0."""
-    if abs(y) > t or (t + y) % 2:
-        return 0.0
-    return comb(t, (t + y) // 2) / 2 ** t
-
-
 def _walk_pmf(t, y) -> np.ndarray:
     """P(S_t = y) for a 1d simple random walk from 0, elementwise."""
     t, y = np.broadcast_arrays(np.asarray(t), np.asarray(y))
@@ -283,9 +276,10 @@ def test_stage_tallies_match_ballot_law():
     rep = estimate_success(McConfig(problem=p, strategy={"name": "windowed_1d", "eta": 0.5},
                                     trials=N, master_seed=33, schedule=sched))
     stages = rep.stage_stats
+    xs = np.arange(1, h1 + 1)
     exact = {
-        "no_hit": _walk_prob(t1, 0),
-        "failed_prior": 2 * sum(x / t1 * _walk_prob(t1, x) for x in range(1, h1 + 1)),
+        "no_hit": float(_walk_pmf(t1, 0)),
+        "failed_prior": float(2 * (xs / t1 * _walk_pmf(t1, xs)).sum()),
     }
     observed = {"no_hit": stages[0]["no_hit_events"] / N,
                 "failed_prior": stages[1]["failed_prior_events"] / N}
