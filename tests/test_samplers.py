@@ -83,6 +83,7 @@ def _check_ballot_seek(M: int, T: int) -> None:
 
     end, tau = _seek(chunk_generator(31, 0), np.full((1, N), M, dtype=np.int64), 0, T)
     assert (end[0, tau >= 0] == 0).all()
+    assert (tau[tau >= 0] % 2 == M % 2).all()    # the classes cannot see parity
     assert (end[0, tau < 0] > 0).all()
     observed = np.where(tau >= 0, tau, T + end[0])
     assert _chi2_pvalue(observed, edges, masses) > _ALPHA
@@ -156,6 +157,7 @@ def test_seek_matches_renewal_law_2d(start, T):
     pos = np.array(start, dtype=np.int64)[:, None].repeat(N, axis=1)
     end, tau = _seek(chunk_generator(32, 0), pos, 0, T)
     assert not end[:, tau >= 0].any()
+    assert (tau[tau >= 0] % 2 == start[0] % 2).all()   # the classes cannot see parity
     observed = np.where(tau >= 0, tau, T + 1)
     assert _chi2_pvalue(observed, edges, masses) > _ALPHA
 
@@ -181,6 +183,7 @@ def test_seek_law_holds_across_blocks(monkeypatch):
         pos = np.array(start, dtype=np.int64)[:, None].repeat(N, axis=1)
         end, tau = _seek(chunk_generator(36, d), pos, 0, T)
         assert not end[:, tau >= 0].any()
+        assert (tau[tau >= 0] % 2 == start[0] % 2).all()
         observed = np.where(tau >= 0, tau, T + (end[0] if d == 1 else 1))
         assert _chi2_pvalue(observed, edges, masses) > _ALPHA, d
 
