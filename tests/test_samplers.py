@@ -42,7 +42,8 @@ def _ballot_law(M: int, T: int) -> tuple[list, list]:
     """
     ts, xs = np.arange(1, T + 1), np.arange(1, T + M + 1)
     keys = list(ts) + list(T + xs)
-    probs = list(M / ts * _walk_pmf(ts, M)) + list(_walk_pmf(T, xs - M) - _walk_pmf(T, xs + M))
+    probs = (list(M / ts * _walk_pmf(ts, M))
+             + list(_walk_pmf(T, xs - M) - _walk_pmf(T, xs + M)))
     return keys, probs
 
 
