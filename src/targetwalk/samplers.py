@@ -96,18 +96,19 @@ def _endpoints(g: np.random.Generator, steps: np.ndarray, d: int) -> np.ndarray:
 _BLOCK = 1 << 29
 
 # lgamma(z) and the Stirling remainder r(z) = lgamma(z) - (z - 1/2) log z + z
-# - log(2 pi) / 2 of the integers z < 256 (index 0 unused); above, r(z) is a
-# two-term series with error below 1e-15
-_LGAMMA = np.array([0.0] + [math.lgamma(z) for z in range(1, 256)])
+# - log(2 pi) / 2 of the integers z < _SMALL (index 0 unused); above, r(z) is
+# a two-term series with error below 1e-15
+_SMALL = 256
+_LGAMMA = np.array([0.0] + [math.lgamma(z) for z in range(1, _SMALL)])
 _REM_TABLE = np.array([0.0] + [_LGAMMA[z] - (z - 0.5) * math.log(z) + z
-                               - 0.5 * math.log(2 * math.pi) for z in range(1, 256)])
+                               - 0.5 * math.log(2 * math.pi) for z in range(1, _SMALL)])
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def _stirling_rem(z: np.ndarray) -> np.ndarray:
     """r(z) of integers z >= 1, elementwise."""
     s = 1.0 / z
-    return np.where(z < 256, _REM_TABLE.take(z, mode="clip"),
+    return np.where(z < _SMALL, _REM_TABLE.take(z, mode="clip"),
                     s * (1 / 12 - s * s / 360))
 
 
@@ -123,7 +124,7 @@ def _touch_prob(up: np.ndarray, down: np.ndarray, a: np.ndarray) -> np.ndarray:
     the relative error stays below 1e-12.
     """
     z = np.maximum(np.stack((down, down - a, up, up + a)) + 1, 1)
-    if z.max(initial=0) < 256:
+    if z.max(initial=0) < _SMALL:
         log_p = _SIGNS @ _LGAMMA.take(z)
     else:
         pair = (z[1:3] - 0.5) * np.log1p(a / z[1:3])
