@@ -22,7 +22,7 @@ import sys
 
 from . import exact as _exact
 from . import mc as _mc
-from .errors import AdmissibilityError, BudgetError, ScheduleError, SignatureError
+from .errors import BudgetError, ScheduleError, SignatureError
 from .rng import check_seed
 from .schedule import (ScheduleParams1D, ScheduleParams2D, Schedule,
                        build_schedule_1d, build_schedule_2d, validate_regime)
@@ -153,10 +153,6 @@ def _cmd_simulate(args) -> int:
     except (OSError, ScheduleError, ValueError) as exc:
         print(f"simulate failed: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except AdmissibilityError as exc:
-        print(f"admissibility violation: {exc} (trial {exc.trial_index})",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
     if args.format == "csv":
         import io
 

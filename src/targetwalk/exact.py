@@ -76,6 +76,8 @@ def _returns(length: int, d: int) -> np.ndarray:
 def ssrw_return_probability(steps: int, d: int) -> float:
     """P(Y_steps = 0) for SSRW on Z^d, d in {1, 2}, from the ratio-recurrence
     table (see ``_return_table``)."""
+    if d not in (1, 2):
+        raise ValueError(f"d must be 1 or 2, got {d}")
     if steps < 0:
         return 0.0
     return float(_returns(steps + 1, d)[steps])
@@ -901,8 +903,10 @@ def state_distribution(strategy: Strategy, problem: Problem,
                 p2 = strategy.next_phase(p, i + 1, x, 0)
                 targets.append(((p2, 0, x), (1.0 - inv_m) * mass))
                 w_step = inv_m * mass
-            else:
+            elif dec is Decision.STEP:
                 w_step = mass
+            else:
+                raise ValueError(f"unknown decision {dec!r}")
             for mv in moves:
                 x2 = _add(x, mv, d)
                 p2 = strategy.next_phase(p, i + 1, x2, 0)

@@ -23,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .rng import check_seed
-from .samplers import _CHUNK, StagedSampler, make_sampler
+from .samplers import _CHUNK, STAGE_COUNTS, make_sampler
 from .schedule import Schedule
 from .strategies import strategy_from_spec
-from .walk import Problem, _check_integer
+from .walk import Problem, _check_integer, _position
 
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
@@ -119,25 +119,14 @@ class EstimateReport:
         return json.dumps(self.to_json_dict(include_runtime), indent=2, sort_keys=True)
 
 
-def _stage_rows(counters: dict[str, np.ndarray], schedule: Schedule) -> list[dict]:
+def _stage_rows(counts: np.ndarray, schedule: Schedule) -> list[dict]:
+    """Report rows of stages 1..u + 1 from summed (STAGE_COUNTS, u + 2) counts."""
     rows = []
     for k in range(1, schedule.u + 2):
-        cond = int(counters["cond"][k])
-        stay = int(counters["cond_stay"][k])
-        row = {
-            "stage": k,
-            "t_prev": schedule.times[k - 1],
-            "t_k": schedule.times[k],
-            "half_width": schedule.half_widths[k],
-            "cond_events": cond,
-            "stay_events": stay,
-            "no_hit_events": int(counters["cond_nohit"][k]),
-            "overshoot_events": int(counters["cond_overshoot"][k]),
-            "failed_prior_events": int(counters["cond_failed_prior"][k]),
-            "alive_trials": int(counters["alive"][k]),
-            "hit_trials": int(counters["hit"][k]),
-            "overshoot_trials": int(counters["overshoot"][k]),
-        }
+        row = {"stage": k, "t_prev": schedule.times[k - 1], "t_k": schedule.times[k],
+               "half_width": schedule.half_widths[k]}
+        row.update(zip(STAGE_COUNTS, counts[:, k].tolist()))
+        cond, stay = row["cond_events"], row["stay_events"]
         if cond > 0:
             lo, hi = wilson_interval(stay, cond)
             row.update(p_stay=stay / cond, wilson_lo=lo, wilson_hi=hi,
@@ -159,15 +148,17 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
     t0 = time.perf_counter()
     strategy = strategy_from_spec(config.strategy, config.problem, config.schedule)
     sampler = make_sampler(strategy, config.problem, force_generic=force_generic)
-    # only a staged plan with a schedule tallies stages
-    schedule = sampler.plan.schedule if isinstance(sampler, StagedSampler) else None
+    d, keep = config.problem.d, config.store_failures
     chunks = [(lo, min(lo + _CHUNK, config.trials))
               for lo in range(0, config.trials, _CHUNK)]
 
     def run(span):
+        """(successes, stage counts, first failure samples) of one chunk."""
         lo, hi = span
-        return sampler.run_chunk(config.master_seed, lo, hi,
-                                 keep_failures=config.store_failures)
+        pos, counts = sampler.run_chunk(config.master_seed, lo, hi)
+        failed = np.flatnonzero(pos.any(axis=0))
+        kept = [(lo + int(i), _position(pos[:, i], d)) for i in failed[:keep]]
+        return hi - lo - failed.size, counts, kept
 
     if config.threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -175,26 +166,11 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
     else:
         results = [run(span) for span in chunks]
 
-    successes = sum(r.successes for r in results)
-    stage_stats = None
-    if schedule is not None:
-        counters = {}
-        for r in results:
-            for key, arr in r.stage_counters.items():
-                if key in counters:
-                    counters[key] = counters[key] + arr
-                else:
-                    counters[key] = arr.copy()
-        stage_stats = _stage_rows(counters, schedule)
-    failures = None
-    if config.store_failures:
-        failures = []
-        for r in results:
-            if r.failure_samples:
-                failures.extend(r.failure_samples)
-            if len(failures) >= config.store_failures:
-                break
-        failures = failures[:config.store_failures]
+    ok, counts, kept = zip(*results)
+    successes = sum(ok)
+    schedule = sampler.schedule
+    stage_stats = None if schedule is None else _stage_rows(sum(counts), schedule)
+    failures = [f for part in kept for f in part][:keep] if keep else None
 
     lo, hi = wilson_interval(successes, config.trials)
     return EstimateReport(

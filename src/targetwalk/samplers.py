@@ -28,13 +28,16 @@ at a time, calling ``decide`` and ``next_phase`` and never reading the plan,
 and is the reference the staged sampler is tested against.  It too runs a
 chunk in lockstep, on the step-by-step engine of ``walk``, from a stream
 keyed by (master seed, chunk index) with a tag of its own.
+
+Both return a chunk as its (d, trials) lattice end positions and its stage
+counts, one row per ``STAGE_COUNTS`` name and one column per stage (None
+without a schedule); ``mc.estimate_success`` turns chunks into the report.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,46 +46,28 @@ from . import rng as _rng
 from .errors import AdmissibilityError
 from .schedule import Schedule
 from .strategies import Crawl, Plan, SeekHold, Strategy
-from .walk import Problem, _lockstep, _position
+from .walk import Problem, _lockstep
 
 _CHUNK = 4096
 
 _log = logging.getLogger(__name__)
 
 
-@dataclass
-class ChunkCounts:
-    """Deterministic integer aggregates for one block of trials."""
-
-    successes: int = 0
-    n_trials: int = 0
-    stage_counters: Optional[dict[str, np.ndarray]] = None
-    failure_samples: Optional[list] = None
+# the rows of a chunk's stage counts, keyed as in the report's stage rows
+STAGE_COUNTS = ("cond_events", "stay_events", "no_hit_events", "overshoot_events",
+                "failed_prior_events", "alive_trials", "hit_trials", "overshoot_trials")
 
 
-_STAGE_KEYS = ("cond", "cond_stay", "cond_nohit", "cond_overshoot",
-               "cond_failed_prior", "alive", "hit", "overshoot")
-
-
-def _new_stage_counters(u: int) -> dict[str, np.ndarray]:
-    return {key: np.zeros(u + 2, dtype=np.int64) for key in _STAGE_KEYS}
-
-
-def _tally_stage(counters: dict[str, np.ndarray], k: int, schedule: Schedule,
-                 pos: np.ndarray, alive: np.ndarray, hit: np.ndarray,
-                 was_in: np.ndarray) -> np.ndarray:
+def _tally_stage(counts: np.ndarray, k: int, schedule: Schedule, pos: np.ndarray,
+                 alive: np.ndarray, hit: np.ndarray, was_in: np.ndarray) -> np.ndarray:
     """Add stage k's checkpoint events; returns the in-window mask at t_k."""
     # max(|x|, |y|) = (|x + y| + |x - y|) / 2, so the d-dim window test is
     # sum |diagonal coordinate| <= d * h in both dimensions
     inside = np.abs(pos).sum(axis=0) <= pos.shape[0] * schedule.half_widths[k]
     held = alive & hit
-    for key, mask in (("cond", was_in), ("cond_stay", was_in & inside),
-                      ("cond_failed_prior", was_in & ~alive),
-                      ("cond_nohit", was_in & alive & ~hit),
-                      ("cond_overshoot", was_in & held & ~inside),
-                      ("alive", alive), ("hit", held),
-                      ("overshoot", held & ~inside)):
-        counters[key][k] += np.count_nonzero(mask)
+    masks = (was_in, was_in & inside, was_in & alive & ~hit, was_in & held & ~inside,
+             was_in & ~alive, alive, held, held & ~inside)
+    counts[:, k] += np.count_nonzero(masks, axis=1)
     return inside
 
 
@@ -230,21 +215,16 @@ def _seek(g: np.random.Generator, pos: np.ndarray, t0: int,
     return end, tau
 
 
-def _lattice(col: np.ndarray):
-    """Lattice position of one diagonal-coordinate column."""
-    if col.size == 1:
-        return int(col[0])
-    a, b = int(col[0]), int(col[1])
-    return ((a + b) // 2, (a - b) // 2)
-
-
 class Sampler:
-    """Base chunk runner; subclasses fill run_chunk."""
+    """Base chunk runner; subclasses fill run_chunk, which returns trials
+    lo..hi - 1 as their (d, hi - lo) lattice end positions and their
+    (STAGE_COUNTS, u + 2) stage counts, or None where ``schedule`` is None."""
 
     name = "sampler"
+    schedule: Optional[Schedule] = None
 
-    def run_chunk(self, master_seed: int, lo: int, hi: int,
-                  keep_failures: int = 0) -> ChunkCounts:
+    def run_chunk(self, master_seed: int, lo: int,
+                  hi: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
         raise NotImplementedError
 
 
@@ -252,8 +232,9 @@ class StagedSampler(Sampler):
     """All trials of a chunk run a segment plan in lockstep.
 
     Chunk state is a (d, trials) array of diagonal coordinates plus one
-    mask of trials whose seek missed.  ``lo`` must be a multiple of
-    ``_CHUNK``: the chunk's stream is keyed by (master seed, lo // _CHUNK).
+    mask of trials whose seek missed; in d = 2 it is turned into lattice
+    coordinates at the end.  ``lo`` must be a multiple of ``_CHUNK``: the
+    chunk's stream is keyed by (master seed, lo // _CHUNK).
     """
 
     name = "staged"
@@ -261,20 +242,22 @@ class StagedSampler(Sampler):
     def __init__(self, problem: Problem, plan: Plan):
         self.problem = problem
         self.plan = plan
+        self.schedule = plan.schedule
 
     def _crawl_steps(self, g: np.random.Generator, lengths: np.ndarray) -> np.ndarray:
         if self.plan.delayed:
             return g.binomial(lengths, 1.0 / self.problem.m)
         return lengths // self.problem.m
 
-    def run_chunk(self, master_seed, lo, hi, keep_failures=0):
+    def run_chunk(self, master_seed, lo, hi):
         g = _rng.chunk_generator(master_seed, lo // _CHUNK)
         k = hi - lo
         d = self.problem.d
-        sched = self.plan.schedule
+        sched = self.schedule
         pos = np.zeros((d, k), dtype=np.int64)
         walking = np.zeros(k, dtype=bool)      # missed a seek: steps every time
-        counters = _new_stage_counters(sched.u) if sched is not None else None
+        counts = None if sched is None else np.zeros((len(STAGE_COUNTS), sched.u + 2),
+                                                     dtype=np.int64)
         was_in = np.ones(k, dtype=bool)        # W_0 is the origin, inside window 0
         t = 0
         for stage, seg in enumerate(self.plan.segments, start=1):
@@ -297,15 +280,14 @@ class StagedSampler(Sampler):
             hit[seekers] = got
             walking |= alive & ~hit
             t = seg.t_end
-            if counters is not None:
-                was_in = _tally_stage(counters, stage, sched, pos, alive, hit, was_in)
-        ok = ~pos.any(axis=0)
-        out = ChunkCounts(successes=int(np.count_nonzero(ok)), n_trials=k,
-                          stage_counters=counters)
-        if keep_failures:
-            out.failure_samples = [(lo + int(i), _lattice(pos[:, i]))
-                                   for i in np.nonzero(~ok)[0][:keep_failures]]
-        return out
+            if counts is not None:
+                was_in = _tally_stage(counts, stage, sched, pos, alive, hit, was_in)
+        if d == 2:
+            # (x + y, x - y) -> (x, y), in place
+            pos[0] += pos[1]
+            pos[0] >>= 1
+            pos[1] = pos[0] - pos[1]
+        return pos, counts
 
 
 class GenericSampler(Sampler):
@@ -319,7 +301,7 @@ class GenericSampler(Sampler):
         self.problem = problem
         self.strategy = strategy
 
-    def run_chunk(self, master_seed, lo, hi, keep_failures=0):
+    def run_chunk(self, master_seed, lo, hi):
         g = _rng.step_chunk_generator(master_seed, lo // _CHUNK)
         try:
             for _, _, pos in _lockstep(self.strategy, self.problem, hi - lo, g):
@@ -327,13 +309,7 @@ class GenericSampler(Sampler):
         except AdmissibilityError as exc:
             exc.trial_index += lo
             raise
-        ok = ~pos.any(axis=0)
-        out = ChunkCounts(successes=int(np.count_nonzero(ok)), n_trials=hi - lo)
-        if keep_failures:
-            d = self.problem.d
-            out.failure_samples = [(lo + int(i), _position(pos[:, i], d))
-                                   for i in np.flatnonzero(~ok)[:keep_failures]]
-        return out
+        return pos, None
 
 
 def make_sampler(strategy: Strategy, problem: Problem,

@@ -153,14 +153,15 @@ def _suite_invariants(trials, seed, fast) -> list[Result]:
                 f"(3se = {3 * se:.5f})"))
 
     # delayed mode: step count over a pure-delayed horizon is Binomial(n, 1/m);
-    # batches of at most _CHUNK trials bound the engine's working arrays
+    # batches of at most _CHUNK trials bound the engine's working arrays, and
+    # draw from the trial indices after the trajectory cases' ones
     p = Problem(d=1, n=20, m=4)
     strat = _strategies.delayed_wrapper(_strategies.lazy_max(p), p)
     k = max(n_trials // 10, 1)
     steps = 0
     for batch, lo in enumerate(range(0, k, _CHUNK)):
-        for _, before, after in _walk._lockstep(strat, p, min(_CHUNK, k - lo),
-                                                trial_generator(seed + 1, batch)):
+        g = trial_generator(seed, len(cases) + batch)
+        for _, before, after in _walk._lockstep(strat, p, min(_CHUNK, k - lo), g):
             steps += int(np.count_nonzero((before != after).any(axis=0)))
     mean = steps / k
     expected = p.n / p.m

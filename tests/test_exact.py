@@ -9,12 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from targetwalk import (BudgetError, Decision, Problem, ScheduleParams1D,
-                        ScheduleParams2D, SignatureError, brute_force_value,
-                        build_schedule_1d, build_schedule_2d,
+from targetwalk import (AdmissibilityError, BudgetError, Decision, Problem,
+                        ScheduleParams1D, ScheduleParams2D, SignatureError,
+                        brute_force_value, build_schedule_1d, build_schedule_2d,
                         evaluate_strategy_exact, expected_local_time,
                         hitting_tail_1d, optimal_value, return_probabilities_2d,
-                        ssrw_return_probability)
+                        run_trajectory, ssrw_return_probability)
 import targetwalk
 from targetwalk.exact import (_binomial_pmf, _first_entrance_table, _point_probabilities,
                               _propagate_scalar, _return_table,
@@ -473,6 +473,9 @@ def test_ssrw_return_probability():
     assert ssrw_return_probability(10, 1) == pytest.approx(252 / 1024, abs=1e-13)
     assert ssrw_return_probability(9, 1) == 0.0
     assert ssrw_return_probability(10, 2) == pytest.approx((252 / 1024) ** 2, abs=1e-13)
+    for d in (0, 3):
+        with pytest.raises(ValueError, match="d must be 1 or 2"):
+            ssrw_return_probability(2, d)
 
 
 @pytest.mark.parametrize("n", [10**4, 10**4 + 2, 10**5])
@@ -638,3 +641,35 @@ def test_evaluation_engine_names():
     assert evaluation_engine(NoPlan(), p) == "scalar"
     assert evaluate_strategy_exact(NoPlan(), p) == pytest.approx(
         math.comb(20, 10) / 2**20, abs=1e-14)
+
+
+class _StandAsString(Strategy):
+    name = "stand_as_string"
+
+    def decide(self, w, j, i, phase):
+        return "stand"
+
+
+class _AlwaysStand(Strategy):
+    name = "always_stand"
+
+    def decide(self, w, j, i, phase):
+        return Decision.STAND
+
+
+@pytest.mark.parametrize("strategy, error, time_step", [
+    (_StandAsString(), ValueError, None),
+    (_AlwaysStand(), AdmissibilityError, 3),
+])
+def test_step_by_step_references_agree_on_bad_decisions(strategy, error, time_step):
+    # the scalar exact engine and the trajectory engine reject the same
+    # decisions: an unknown one, and a stand past the budget at m = 3
+    p = Problem(d=1, n=4, m=3)
+    assert evaluation_engine(strategy, p) == "scalar"
+    for run in (lambda: evaluate_strategy_exact(strategy, p),
+                lambda: run_trajectory(strategy, p, 0)):
+        with pytest.raises(error) as err:
+            run()
+        assert type(err.value) is error
+        if time_step is not None:
+            assert err.value.time_step == time_step

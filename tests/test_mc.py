@@ -348,6 +348,26 @@ def test_sweep_and_suites_reject_seeds_outside_64_bits(tmp_path):
         run_suite("dominance", seed=-1, fast=True)
 
 
+def test_invariants_suite_streams_differ_at_the_top_seed(monkeypatch):
+    # a stream keyed by seed + 1 wraps to seed 0's at the top seed
+    import targetwalk.verify as verify_mod
+    from targetwalk.rng import trial_key
+
+    real = verify_mod.trial_generator
+    keys = {}
+
+    def recording(seed, index):
+        assert 0 <= seed < 2 ** 64
+        keys[run_seed].add(trial_key(seed, index))
+        return real(seed, index)
+
+    monkeypatch.setattr(verify_mod, "trial_generator", recording)
+    for run_seed in (0, 2 ** 64 - 1):
+        keys[run_seed] = set()
+        assert all(ok for _, ok, _ in run_suite("invariants", seed=run_seed, fast=True))
+    assert keys[0] and not keys[0] & keys[2 ** 64 - 1]
+
+
 def test_sweep_rejects_bad_threads_before_any_cell(tmp_path):
     cells = [{"d": 1, "n": 10, "m": 2, "strategy": {"name": "always_step"}}]
     with pytest.raises(ValueError, match="threads"):
