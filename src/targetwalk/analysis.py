@@ -18,6 +18,19 @@ from .exact import (expected_local_time, hitting_survivor_counts,
                     hitting_tail_curve, reflection_window_count)
 from .schedule import Schedule
 
+#: each larger |x| may deviate from the Gaussian shape at most this many
+#: times as much as the previous one
+NORMAL_APPROX_SLACK = 1.05
+#: local-time starts sit on an axis at distance floor(N**LOCAL_TIME_X_EXPONENT)
+LOCAL_TIME_X_EXPONENT = 0.4
+#: the local-time ratio must stay above this on the whole horizon grid
+LOCAL_TIME_RATIO_FLOOR = 0.05
+#: max/min of the from-origin local time over log(N) may exceed 1 by this
+LOCAL_TIME_STABILITY_TOL = 0.10
+#: a scaling fit needs this many positive points spanning this many decades
+FIT_MIN_POINTS = 4
+FIT_MIN_DECADES = 1.0
+
 
 def _phi(t: float) -> float:
     """Standard normal CDF via erf (accurate to ~1e-15)."""
@@ -102,13 +115,14 @@ class NormalApproxReport:
 
 def check_normal_approx(x_values: Sequence[int] = (10, 50, 200),
                         y_values: Sequence[float] = (0.25, 0.5, 1.0, 2.0,
-                                                     4.0, 8.0, 16.0),
-                        slack: float = 1.05) -> NormalApproxReport:
+                                                     4.0, 8.0, 16.0)
+                        ) -> NormalApproxReport:
     """Exact tails P(tau_0 > y*x^2 | x) against the Gaussian limit shape.
 
     The max relative deviation over the y grid must shrink as |x| grows
-    (each larger |x| at most ``slack`` times the previous), and at any fixed
-    duration the exact tail must be nondecreasing in |x|.
+    (each larger |x| at most 1.05 times the previous,
+    ``NORMAL_APPROX_SLACK``), and at any fixed duration the exact tail must
+    be nondecreasing in |x|.
     """
     xs = sorted(int(x) for x in x_values)
     common_ls = sorted(int(round(y * xs[0] ** 2)) for y in y_values)
@@ -127,7 +141,7 @@ def check_normal_approx(x_values: Sequence[int] = (10, 50, 200),
                                         exact=float(curve[l]), gaussian=g, rel_dev=dev))
             worst = max(worst, dev)
         max_dev[x] = float(worst)
-    shrinking = all(max_dev[xs[i + 1]] <= max_dev[xs[i]] * slack
+    shrinking = all(max_dev[xs[i + 1]] <= max_dev[xs[i]] * NORMAL_APPROX_SLACK
                     for i in range(len(xs) - 1))
     monotone = True
     for li in range(len(common_ls)):
@@ -229,18 +243,6 @@ def check_hoeffding(schedule: Schedule, stage_stats: list[dict]) -> HoeffdingRep
 # Local-time ratio (two dimensions)
 # ---------------------------------------------------------------------------
 
-def local_time_ratio(x: tuple[int, int], horizon: int) -> float:
-    """E(visits to 0 | start x) / E(visits to 0 | start 0) over 1..horizon.
-
-    A rigorous lower bound on the probability of hitting the origin within
-    the horizon from x: conditioning the visit count on "at least one visit"
-    can only push its mean up to the from-the-origin value.
-    """
-    num = expected_local_time(x, horizon)
-    den = expected_local_time((0, 0), horizon)
-    return num / den
-
-
 @dataclass
 class LocalTimeRow:
     horizon: int
@@ -256,37 +258,39 @@ class LocalTimeReport:
     rows: list[LocalTimeRow]
     min_ratio: float
     log_stability: float        # max/min of den/log(N) across the grid
-    ratio_floor: float
-    stability_tol: float
 
     @property
     def passed(self) -> bool:
-        return (self.min_ratio > self.ratio_floor
-                and self.log_stability <= 1.0 + self.stability_tol)
+        return (self.min_ratio > LOCAL_TIME_RATIO_FLOOR
+                and self.log_stability <= 1.0 + LOCAL_TIME_STABILITY_TOL)
 
 
-def check_local_time_ratio(horizons: Sequence[int] = tuple(2 ** k for k in range(10, 15)),
-                           x_exponent: float = 0.4,
-                           ratio_floor: float = 0.05,
-                           stability_tol: float = 0.10) -> LocalTimeReport:
+def check_local_time_ratio(horizons: Sequence[int] = tuple(2 ** k for k in range(10, 15))
+                           ) -> LocalTimeReport:
     """Exact local-time ratios across a grid of horizons.
 
-    Starts sit on an axis at distance floor(N**x_exponent).  The ratio must
-    stay above ``ratio_floor`` on the whole grid, and the from-origin
-    expected local time divided by log(N) must be stable within
-    ``stability_tol`` (the logarithmic growth that makes the ratio work).
+    The ratio is E(visits to 0 | start x) / E(visits to 0 | start 0) over
+    1..N, a rigorous lower bound on the probability of hitting the origin
+    within N from x: conditioning the visit count on "at least one visit"
+    can only push its mean up to the from-the-origin value.
+
+    Starts sit on an axis at distance floor(N**0.4)
+    (``LOCAL_TIME_X_EXPONENT``).  The ratio must stay above 0.05
+    (``LOCAL_TIME_RATIO_FLOOR``) on the whole grid, and the from-origin
+    expected local time divided by log(N) must be stable within 0.10
+    (``LOCAL_TIME_STABILITY_TOL``), the logarithmic growth that makes the
+    ratio work.
     """
     rows = []
     for n in horizons:
-        xd = int(math.floor(n ** x_exponent))
+        xd = int(math.floor(n ** LOCAL_TIME_X_EXPONENT))
         num = expected_local_time((xd, 0), n)
         den = expected_local_time((0, 0), n)
         rows.append(LocalTimeRow(horizon=n, x=xd, numerator=num, denominator=den,
                                  ratio=num / den, den_over_log=den / math.log(n)))
     stab = [r.den_over_log for r in rows]
     return LocalTimeReport(rows=rows, min_ratio=min(r.ratio for r in rows),
-                           log_stability=max(stab) / min(stab),
-                           ratio_floor=ratio_floor, stability_tol=stability_tol)
+                           log_stability=max(stab) / min(stab))
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +305,26 @@ class FitResult:
     residuals: list[float]
 
 
-def fit_scaling(x_values: Sequence[float], p_values: Sequence[float],
-                min_points: int = 4, min_decades: float = 1.0) -> FitResult:
+def fit_scaling(x_values: Sequence[float], p_values: Sequence[float]) -> FitResult:
     """Least-squares slope of log p against log x.
 
-    Requires at least ``min_points`` strictly positive estimates spanning at
-    least ``min_decades`` decades in x; raises ValueError on a degenerate
-    grid (too few points, zero estimates, or too narrow a span).
+    Requires at least 4 (``FIT_MIN_POINTS``) strictly positive estimates
+    spanning at least 1 (``FIT_MIN_DECADES``) decade in x; raises ValueError
+    on a degenerate grid (too few points, zero estimates, or too narrow a
+    span).
     """
     x = np.asarray(x_values, dtype=float)
     p = np.asarray(p_values, dtype=float)
     if len(x) != len(p):
         raise ValueError("x and p must have equal length")
-    if len(x) < min_points:
-        raise ValueError(f"degenerate grid: need >= {min_points} points, got {len(x)}")
+    if len(x) < FIT_MIN_POINTS:
+        raise ValueError(f"degenerate grid: need >= {FIT_MIN_POINTS} points, got {len(x)}")
     if np.any(p <= 0.0):
         raise ValueError("degenerate grid: nonpositive estimates cannot be log-fitted")
     span = math.log10(x.max() / x.min())
-    if span < min_decades - 1e-9:
+    if span < FIT_MIN_DECADES - 1e-9:
         raise ValueError(f"degenerate grid: x spans {span:.3g} decades "
-                         f"< {min_decades}")
+                         f"< {FIT_MIN_DECADES}")
     lx, lp = np.log(x), np.log(p)
     coeffs, cov = np.polyfit(lx, lp, 1, cov=True)
     fitted = np.polyval(coeffs, lx)

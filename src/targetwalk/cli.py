@@ -194,9 +194,6 @@ def _cmd_exact(args) -> int:
                        "value": value,
                        "runtime": {"engine": "backward", "dp_cell_updates": updates,
                                    "dp_cells_held": cells}}
-    except BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_OVER_BUDGET
     except (SignatureError, ScheduleError, ValueError) as exc:
         print(f"exact failed: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

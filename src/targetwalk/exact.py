@@ -285,7 +285,6 @@ class ValueTable:
 
     problem: Problem
     value: float
-    keep: str = "none"
     values: Optional[Sequence] = None
     policy: Optional[Sequence] = None
 
@@ -414,8 +413,7 @@ def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
     value, steps = _step_values(problem.d, problem.n, problem.m, kept)
     values = _DerivedSlices(steps, problem.m, policy=False) if keep == "full" else None
     policy = _DerivedSlices(steps, problem.m, policy=True) if want_policy else None
-    table = ValueTable(problem=problem, value=value, keep=keep,
-                       values=values, policy=policy)
+    table = ValueTable(problem=problem, value=value, values=values, policy=policy)
     return value, table
 
 
@@ -865,9 +863,8 @@ def _add_mass(atoms: dict, key: tuple, mass: float, strategy: Strategy) -> None:
             "the scalar exact engine needs hashable phases") from None
 
 
-def state_distribution(strategy: Strategy, problem: Problem,
-                       at_time: int | None = None) -> dict:
-    """Probability mass over (phase, j, position) atoms at a fixed time.
+def state_distribution(strategy: Strategy, problem: Problem) -> dict:
+    """Probability mass over (phase, j, position) atoms at the horizon n.
 
     Scalar reference propagation: handles position-dependent decisions and
     arbitrary phase transitions, at quadratic cost.  It never reads
@@ -876,16 +873,12 @@ def state_distribution(strategy: Strategy, problem: Problem,
     (``SignatureError`` otherwise).
     """
     n, m, d = problem.n, problem.m, problem.d
-    if at_time is None:
-        at_time = n
-    if not 0 <= at_time <= n:
-        raise ValueError(f"time must lie in [0, {n}], got {at_time}")
     inv_m = 1.0 / m
     moves = _MOVES[d]
     pstep = 1.0 / len(moves)
     cur: dict = {}
     _add_mass(cur, (strategy.start_phase(problem), 0, problem.origin), 1.0, strategy)
-    for i in range(at_time):
+    for i in range(n):
         new: dict = {}
         for (p, j, x), mass in cur.items():
             dec = strategy.decide(x, j, i, p)

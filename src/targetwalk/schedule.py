@@ -30,6 +30,9 @@ SCHEMA_VERSION = 1
 # default theta/kappa picker shifts theta upward until kappa clears it.
 _KAPPA_FLOOR = 1.0 / 3.0
 
+#: the most stages a two-dimensional schedule may have
+STAGE_CAP = 64
+
 
 @dataclass(frozen=True)
 class ScheduleParams1D:
@@ -46,9 +49,11 @@ class ScheduleParams1D:
             raise ValueError(f"need n > m, got n={self.n}, m={self.m}")
         hyp = self.m ** (1.0 - self.eta) * math.log(self.m) / math.log(max(self.n, 2)) ** 2
         if hyp < 10.0:
+            # level 3 skips the dataclass-generated __init__ and names the
+            # line that builds the params
             warnings.warn(
                 f"regime hypothesis weakly satisfied: m^(1-eta)*log(m)/log(n)^2 = "
-                f"{hyp:.3g} < 10", stacklevel=2)
+                f"{hyp:.3g} < 10", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,6 @@ class ScheduleParams2D:
     epsilon: float = 0.5
     theta: float | None = None
     kappa: float | None = None
-    stage_cap: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -108,12 +112,6 @@ class Schedule:
     def lengths(self) -> tuple[int, ...]:
         """Stage lengths N_k = t_k - t_{k-1} for k = 1..u+1."""
         return tuple(self.times[k] - self.times[k - 1] for k in range(1, self.u + 2))
-
-    def in_window(self, w, k: int) -> bool:
-        h = self.half_widths[k]
-        if self.d == 1:
-            return abs(w) <= h
-        return abs(w[0]) <= h and abs(w[1]) <= h
 
     def to_json_dict(self) -> dict:
         out = {
@@ -265,14 +263,14 @@ def build_schedule_2d(params: ScheduleParams2D) -> Schedule:
     """Window schedule for the two-dimensional staged strategy.
 
     Same checkpoint grid with kappa as the stage exponent; square windows of
-    half-width floor(N_{k+1}**theta).
+    half-width floor(N_{k+1}**theta).  Raises ScheduleError when the stage
+    count exceeds ``STAGE_CAP`` (64).
     """
     n, m = params.n, params.m
     theta, kappa = params.theta, params.kappa
     u_n = stage_count(n, m, kappa)
-    if u_n > params.stage_cap:
-        raise ScheduleError(f"stage count {u_n} exceeds the configured cap "
-                            f"{params.stage_cap}")
+    if u_n > STAGE_CAP:
+        raise ScheduleError(f"stage count {u_n} exceeds the cap {STAGE_CAP}")
     u = max(u_n, 2)
     times = _checkpoint_times(n, m, kappa, u)
     widths = [0] * (u + 2)

@@ -74,16 +74,19 @@ def _suite_hoeffding(trials, seed, fast) -> list[Result]:
 def _suite_localtime(trials, seed, fast) -> list[Result]:
     horizons = tuple(2 ** k for k in ((10, 11, 12) if fast else (10, 11, 12, 13, 14)))
     rep = _analysis.check_local_time_ratio(horizons=horizons)
-    detail = (f"min ratio {rep.min_ratio:.4f} > {rep.ratio_floor}, "
-              f"den/log stability {rep.log_stability:.4f} <= 1.1")
+    detail = (f"min ratio {rep.min_ratio:.4f} > {_analysis.LOCAL_TIME_RATIO_FLOOR}, "
+              f"den/log stability {rep.log_stability:.4f} "
+              f"<= {1.0 + _analysis.LOCAL_TIME_STABILITY_TOL}")
     return [("localtime.ratio", rep.passed, detail)]
 
 
-def _dominance_strategies(problem: Problem):
+def _builtin_strategies(problem: Problem):
+    """The built-in strategies for ``problem`` in a fixed order; windowed_1d
+    only in d = 1 and where its schedule builds."""
     yield _strategies.always_step()
     yield _strategies.lazy_max(problem)
     yield _strategies.lazy_then_sprint(problem)
-    if problem.n > problem.m and problem.m >= 2:
+    if problem.d == 1 and problem.n > problem.m and problem.m >= 2:
         try:
             sched = build_schedule_1d(ScheduleParams1D(n=problem.n, m=problem.m))
             yield _strategies.windowed_1d(sched, problem)
@@ -102,7 +105,7 @@ def _suite_dominance(trials, seed, fast) -> list[Result]:
         for m in ms:
             problem = Problem(d=1, n=n, m=m)
             opt, _ = _exact.optimal_value(problem)
-            for strat in _dominance_strategies(problem):
+            for strat in _builtin_strategies(problem):
                 val = _exact.evaluate_strategy_exact(strat, problem)
                 gap = val - opt
                 if gap > worst:
@@ -120,11 +123,7 @@ def _suite_invariants(trials, seed, fast) -> list[Result]:
     # trajectory invariants under every built-in strategy, one batch each
     cases = []
     for problem in (Problem(d=1, n=60, m=4), Problem(d=2, n=40, m=3)):
-        strategies = [_strategies.always_step(), _strategies.lazy_max(problem),
-                      _strategies.lazy_then_sprint(problem)]
-        if problem.d == 1:
-            sched = build_schedule_1d(ScheduleParams1D(n=problem.n, m=problem.m))
-            strategies.append(_strategies.windowed_1d(sched, problem))
+        strategies = list(_builtin_strategies(problem))
         strategies += [_strategies.delayed_wrapper(s, problem)
                        for s in list(strategies)]
         cases += [(problem, strat) for strat in strategies]

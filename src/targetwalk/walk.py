@@ -264,16 +264,6 @@ def run_trajectory(strategy: "Strategy", problem: Problem,
     return Trajectory(positions, decisions), is_origin(positions[-1])
 
 
-def reconstruct_counters(decisions: list[Decision]) -> list[int]:
-    """Counter sequence J_1..J_n implied by the decisions alone."""
-    out = []
-    j = 0
-    for d in decisions:
-        j = j + 1 if d is Decision.STAND else 0
-        out.append(j)
-    return out
-
-
 def _validate_steps(steps, problem: Problem) -> None:
     """Check the structural invariants of a batch of trials, step by step.
 

@@ -131,8 +131,7 @@ def test_criterion_05_hoeffding_suite(capsys):
 def test_criterion_06_local_time_suite(capsys):
     """Local-time ratios positive and log-stable across the horizon grid."""
     t0 = time.perf_counter()
-    rep = check_local_time_ratio(horizons=tuple(2**k for k in range(10, 15)),
-                                 x_exponent=0.4)
+    rep = check_local_time_ratio(horizons=tuple(2**k for k in range(10, 15)))
     dt = time.perf_counter() - t0
     _report(capsys, 6, rep.passed and dt < 120.0,
             f"min ratio {rep.min_ratio:.4f} > 0.05, den/log(N) max/min "

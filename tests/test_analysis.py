@@ -7,9 +7,8 @@ from targetwalk import (McConfig, Problem, ScheduleParams1D, ScheduleParams2D,
                         check_local_time_ratio, check_normal_approx,
                         check_reflection, estimate_success, fit_scaling,
                         ssrw_return_probability)
-from targetwalk.analysis import (gaussian_tail_value, hoeffding_bound,
-                                 hoeffding_exponent, local_time_ratio)
-from targetwalk.exact import hitting_tail_curve
+from targetwalk.analysis import gaussian_tail_value, hoeffding_bound, hoeffding_exponent
+from targetwalk.exact import expected_local_time, hitting_tail_curve
 
 
 def test_check_reflection_small_grid_exact():
@@ -98,6 +97,11 @@ def test_check_hoeffding_with_real_mc_data():
     hrep = check_hoeffding(s, rep.stage_stats)
     assert hrep.passed
     assert hrep.rows[-1].overshoots == 0
+
+
+def local_time_ratio(x, horizon):
+    """E(visits to 0 | start x) / E(visits to 0 | start 0) over 1..horizon."""
+    return expected_local_time(x, horizon) / expected_local_time((0, 0), horizon)
 
 
 def test_local_time_ratio_reference_points():

@@ -322,11 +322,10 @@ def test_state_distribution_invariants():
     from targetwalk.exact import state_distribution
     from targetwalk.strategies import windowed_1d as _w1d
 
-    p = Problem(d=1, n=50, m=4)
-    sched = build_schedule_1d(ScheduleParams1D(n=50, m=4, eta=0.5))
-    strat = _w1d(sched, p)
-    for t in (0, 7, 25, 50):
-        dist = state_distribution(strat, p, at_time=t)
+    for t in (7, 25, 50):
+        p = Problem(d=1, n=t, m=4)
+        strat = _w1d(build_schedule_1d(ScheduleParams1D(n=t, m=4, eta=0.5)), p)
+        dist = state_distribution(strat, p)
         assert abs(sum(dist.values()) - 1.0) < 1e-12
         for (phase, j, x), mass in dist.items():
             assert mass >= 0.0

@@ -114,8 +114,6 @@ def test_build_schedule_2d_reference_case():
     assert s.times == (0, 499500, 999000, 10**6)
     assert s.half_widths[0] == 0 and s.half_widths[-1] == 0
     assert all(h < math.sqrt(s.n) for h in s.half_widths)
-    assert s.in_window((0, 0), s.u + 1)
-    assert not s.in_window((1, 0), s.u + 1)
 
 
 def test_build_schedule_2d_window_halfwidths():
@@ -132,8 +130,16 @@ def test_schedule_params_2d_validation():
 
 
 def test_stage_cap_enforced():
-    with pytest.raises(ScheduleError):
-        build_schedule_2d(ScheduleParams2D(n=10**6, m=2, epsilon=0.5, stage_cap=3))
+    # kappa = 4/9 at epsilon = 0.5: 2**(1 + 65 * 4/9) <= 2**30 gives 65 stages
+    assert stage_count(2**30, 2, 4 / 9) == 65
+    with pytest.raises(ScheduleError, match="cap 64"):
+        build_schedule_2d(ScheduleParams2D(n=2**30, m=2, epsilon=0.5))
+
+
+def test_regime_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="regime hypothesis weakly satisfied") as record:
+        ScheduleParams1D(n=100, m=10, eta=0.999)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_validate_regime_flagging():

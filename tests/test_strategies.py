@@ -13,7 +13,16 @@ from targetwalk.strategies import (FAILED, HOLD, SEEK, DelayedWrapper, Windowed,
                                    always_step, delayed_wrapper, lazy_max,
                                    lazy_then_sprint, strategy_from_spec,
                                    windowed_1d, windowed_2d)
-from targetwalk.walk import _lockstep, is_origin, reconstruct_counters
+from targetwalk.walk import _lockstep, is_origin
+
+
+def _counters(decisions):
+    """Counters J_1..J_n implied by the decisions alone."""
+    out, j = [], 0
+    for dec in decisions:
+        j = j + 1 if dec is Decision.STAND else 0
+        out.append(j)
+    return out
 
 
 def _walk_phases(strategy, problem, seed):
@@ -23,7 +32,7 @@ def _walk_phases(strategy, problem, seed):
     phase = strategy.start_phase(problem)
     rows = []
     for i, (w, j, decision) in enumerate(zip(traj.positions[1:],
-                                             reconstruct_counters(traj.decisions),
+                                             _counters(traj.decisions),
                                              traj.decisions), start=1):
         phase = strategy.next_phase(phase, i, w, j)
         rows.append((i, w, j, decision, phase))
@@ -215,7 +224,7 @@ def test_wj_strategies_replay_identically():
         seen = {}
         for seed in range(30):
             traj, _ = run_trajectory(strat, p, trial_generator(seed, 0))
-            counters = [0] + reconstruct_counters(traj.decisions)
+            counters = [0] + _counters(traj.decisions)
             for key, d in zip(zip(traj.positions, counters), traj.decisions):
                 if key in seen:
                     assert seen[key] == d
