@@ -1,5 +1,5 @@
 """Exact computations: optimal value by backward induction, exact strategy
-evaluation (by renewal over time from a segment plan, or by scalar forward
+evaluation (by renewal over time from a strategy's plan, or by scalar forward
 distribution propagation), and SSRW functionals used as oracles elsewhere
 (hitting tails, return probabilities, local times).
 
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AdmissibilityError, BudgetError, SignatureError
-from .strategies import Crawl, Plan, SeekHold, Strategy, Walk
+from .strategies import Plan, Strategy
 from .walk import _MOVES, Decision, Problem, _add
 
 DEFAULT_DP_BUDGET = 2.0e9          # backward-induction cell updates
@@ -641,7 +641,7 @@ def enumerate_decision_trees_value(problem: Problem) -> Fraction:
 
 def evaluation_engine(strategy: Strategy, problem: Problem) -> str:
     """The engine ``evaluate_strategy_exact`` runs for a strategy: "plan"
-    when it compiles to a segment plan, "scalar" otherwise."""
+    when it compiles to a plan, "scalar" otherwise."""
     return "plan" if strategy.plan(problem) is not None else "scalar"
 
 
@@ -649,7 +649,7 @@ def evaluate_strategy_exact(strategy: Strategy, problem: Problem,
                             budget: float = DEFAULT_EVAL_BUDGET) -> float:
     """Exact success probability of a Markov-signature strategy.
 
-    A strategy that compiles to a segment plan (every built-in one) is
+    A strategy that compiles to a plan (every built-in one) is
     evaluated from the plan by renewal over time (``_evaluate_plan``), priced
     in the float entries its convolutions touch.  Any other strategy gets
     the scalar forward propagation of ``state_distribution``, priced in
@@ -678,12 +678,12 @@ def evaluate_strategy_exact(strategy: Strategy, problem: Problem,
     return _propagate_scalar(strategy, problem)
 
 
-# The plan engine.  At the start of every plan segment the walkers still on
-# the plan are a mixture over c of "c fair steps from the origin", with
-# weights w[c]: a hold starts at the origin, and a crawl takes a fixed (or,
-# delayed, a binomial) number of steps.  A walker of kind c is at the origin
-# t steps later with probability r(c + t), so the engine works on sequences
-# over time only, whatever d is.
+# The plan engine.  At the start of every stage the walkers still on the
+# plan are a mixture over c of "c fair steps from the origin", with weights
+# w[c]: the leading walk and crawl take a fixed (or, delayed, a binomial)
+# number of steps, and a hold starts at the origin and crawls.  A walker of
+# kind c is at the origin t steps later with probability r(c + t), so the
+# engine works on sequences over time only, whatever d is.
 
 _DIRECT_CONVOLVE = 64      # shorter operand up to which np.convolve is used
 
@@ -769,11 +769,12 @@ def _binomial_mixture(hits: np.ndarray, p: float) -> np.ndarray:
 
 
 def _evaluate_plan(plan: Plan, problem: Problem) -> float:
-    """Success probability of a segment plan, by renewal over time.
+    """Success probability of a plan, by renewal over time.
 
     ``w[i]`` weighs the walkers still on the plan that are c0 + i fair steps
-    from the origin.  ``Walk(L)`` shifts them by L, ``Crawl(L)`` by L // m
-    or, delayed, mixes them by Binomial(L, 1/m).  ``SeekHold`` over L steps:
+    from the origin.  The leading walk of W steps and crawl of C times put
+    them at W + C // m steps or, delayed, mix them by W + Binomial(C, 1/m).
+    Each stage of L steps, from its start t0 to its stage time:
 
     * U_w(t) = sum_i w[i] r(c0 + i + t), the chance of being at the origin t
       steps on, is one correlation;
@@ -783,34 +784,24 @@ def _evaluate_plan(plan: Plan, problem: Problem) -> float:
       mass moves to (L - s) // m steps or, delayed, to Binomial(L - s, 1/m);
     * a walker that misses steps at every time to n, and ends at the origin
       with probability U_w(n - t0) - sum_s f(s) r(n - t0 - s); none does
-      when the seek ends at n, as ending at the origin is a hit.
+      when the stage ends at n, as ending at the origin is a hit.
     """
     n, m, d = problem.n, problem.m, problem.d
     p = 1.0 / m
     r = _returns(n + 1, d)
-    q = None
-    c0, w = 0, np.ones(1)
+    c0, w = plan.walk + plan.crawl // m, np.ones(1)
+    if plan.delayed and plan.crawl:
+        lo, pmf = _binomial_pmf(plan.crawl, p)
+        c0, w = plan.walk + lo, _convolve(w, pmf)
+    if plan.times:
+        q = _first_entrance_table(_table_size(n + 1), d)
     value = 0.0
-    t = 0
-    for seg in plan.segments:
-        if isinstance(seg, Walk):
-            c0 += seg.length
-            t += seg.length
-            continue
-        if isinstance(seg, Crawl):
-            if plan.delayed:
-                lo, pmf = _binomial_pmf(seg.length, p)
-                c0, w = c0 + lo, _convolve(w, pmf)
-            else:
-                c0 += seg.length // m
-            t += seg.length
-            continue
-        if q is None:
-            q = _first_entrance_table(_table_size(n + 1), d)
-        length = seg.t_end - t
+    t = plan.walk + plan.crawl
+    for t_end in plan.times:
+        length = t_end - t
         u = _convolve(r[c0:c0 + w.size + length], w[::-1])[w.size - 1:w.size + length]
         hits = _convolve(u[1:], q[:length])[:length]        # s = 1..length
-        if seg.t_end < n:
+        if t_end < n:
             rest = n - t
             value += (np.dot(w, r[c0 + rest:c0 + rest + w.size])
                       - np.dot(hits, r[rest - length:rest][::-1]))
@@ -819,7 +810,7 @@ def _evaluate_plan(plan: Plan, problem: Problem) -> float:
         else:
             w = np.bincount((length - 1 - np.arange(length)) // m, weights=hits)
         c0 = 0
-        t = seg.t_end
+        t = t_end
     return float(value + np.dot(w, r[c0:c0 + w.size]))
 
 
@@ -829,26 +820,22 @@ def _plan_cost(plan: Plan, problem: Problem) -> float:
     every binomial and Horner step of the delayed mode by its support."""
     n, m, d = problem.n, problem.m, problem.d
     p = 1.0 / m
-    cost, width, t = float(n + 1), 1, 0
-    if any(isinstance(seg, SeekHold) for seg in plan.segments):
+    cost, width, t = float(n + 1), 1, plan.walk + plan.crawl
+    if plan.times:
         # d = 2: about five output entries per coefficient over Newton's rounds
         cost += (5 if d == 2 else 1) * _table_size(n + 1)
-    for seg in plan.segments:
-        if not isinstance(seg, SeekHold):
-            if isinstance(seg, Crawl) and plan.delayed:
-                spread = _binomial_width(seg.length, p)
-                cost += seg.length + 1 + width + spread
-                width += spread - 1
-            t += seg.length
-            continue
-        length = seg.t_end - t
+    if plan.delayed and plan.crawl:
+        width = _binomial_width(plan.crawl, p)
+        cost += plan.crawl + 2 + width
+    for t_end in plan.times:
+        length = t_end - t
         cost += 2 * width + 3 * length
         if plan.delayed:
             width = _binomial_width(length - 1, p)
             cost += length * width
         else:
             width = (length - 1) // m + 1
-        t = seg.t_end
+        t = t_end
     return cost
 
 

@@ -1,11 +1,14 @@
 """Law-exact chunk samplers behind the Monte Carlo engine.
 
 Naive step-by-step simulation costs one draw per time step, which is
-hopeless at horizons of 10^6.  Every built-in strategy compiles to a short
-segment plan (``Strategy.plan``) whose pieces have exactly known laws:
+hopeless at horizons of 10^6.  Every built-in strategy compiles to a plan
+(``Strategy.plan``): a walk of fixed length, a crawl, then stages that each
+seek the origin and crawl to a stage time.  Its pieces have exactly known
+laws:
 
-* a crawl of length L takes L // m fair steps, or Binomial(L, 1/m) of them
-  in delayed mode, so its displacement is one walk endpoint;
+* a walk of length W and a crawl of length L take W + L // m fair steps,
+  or W + Binomial(L, 1/m) of them in delayed mode, so their displacement is
+  one walk endpoint;
 * a seek steps every time until the origin is hit.  Positions are kept in
   diagonal coordinates (x + y, x - y), in which a planar walk is two
   independent +/-1 walks.  Each coordinate's endpoint is one binomial draw,
@@ -17,8 +20,9 @@ segment plan (``Strategy.plan``) whose pieces have exactly known laws:
   finds one coordinate's first zero and reads the other off its bridge
   there.  Horizons are cut into blocks of at most 2^29 steps, the range of
   numpy's hypergeometric;
+* a hit at s crawls the rest of its stage from the origin, one endpoint;
 * after a missed seek the trial steps at every time, so each later
-  checkpoint increment is again a walk endpoint.
+  stage increment is again a walk endpoint.
 
 ``StagedSampler`` runs a plan for all trials of a chunk in lockstep on
 numpy arrays, drawing from one counter-based stream keyed by (master seed,
@@ -45,7 +49,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import AdmissibilityError
 from .schedule import Schedule
-from .strategies import Crawl, Plan, SeekHold, Strategy
+from .strategies import Plan, Strategy
 from .walk import Problem, _lockstep
 
 _CHUNK = 4096
@@ -229,7 +233,8 @@ class Sampler:
 
 
 class StagedSampler(Sampler):
-    """All trials of a chunk run a segment plan in lockstep.
+    """All trials of a chunk run a plan in lockstep: one endpoint for the
+    leading walk and crawl, then a seek and a crawl per stage time.
 
     Chunk state is a (d, trials) array of diagonal coordinates plus one
     mask of trials whose seek missed; in d = 2 it is turned into lattice
@@ -259,27 +264,23 @@ class StagedSampler(Sampler):
         counts = None if sched is None else np.zeros((len(STAGE_COUNTS), sched.u + 2),
                                                      dtype=np.int64)
         was_in = np.ones(k, dtype=bool)        # W_0 is the origin, inside window 0
-        t = 0
-        for stage, seg in enumerate(self.plan.segments, start=1):
-            if not isinstance(seg, SeekHold):
-                steps = np.full(k, seg.length, dtype=np.int64)
-                if isinstance(seg, Crawl):
-                    steps = self._crawl_steps(g, steps)
-                pos += _endpoints(g, steps, d)
-                t += seg.length
-                continue
+        plan = self.plan
+        crawled = self._crawl_steps(g, np.full(k, plan.crawl, dtype=np.int64))
+        pos += _endpoints(g, plan.walk + crawled, d)
+        t = plan.walk + plan.crawl
+        for stage, t_end in enumerate(plan.times, start=1):
             free = np.nonzero(walking)[0]
-            pos[:, free] += _endpoints(g, np.full(free.size, seg.t_end - t), d)
+            pos[:, free] += _endpoints(g, np.full(free.size, t_end - t), d)
             alive = ~walking
             seekers = np.nonzero(alive)[0]
-            end, tau = _seek(g, pos[:, seekers], t, seg.t_end)
+            end, tau = _seek(g, pos[:, seekers], t, t_end)
             got = tau >= 0
-            end[:, got] = _endpoints(g, self._crawl_steps(g, seg.t_end - tau[got]), d)
+            end[:, got] = _endpoints(g, self._crawl_steps(g, t_end - tau[got]), d)
             pos[:, seekers] = end
             hit = np.zeros(k, dtype=bool)
             hit[seekers] = got
             walking |= alive & ~hit
-            t = seg.t_end
+            t = t_end
             if counts is not None:
                 was_in = _tally_stage(counts, stage, sched, pos, alive, hit, was_in)
         if d == 2:

@@ -10,11 +10,13 @@ depend on:
 
 The phase evolves through ``next_phase`` after every transition; the
 built-in strategies read the new position only through whether it is the
-origin.  They also compile to a segment plan (``plan``), which the fast
-Monte Carlo samplers and the exact evaluation engine run instead of calling
-``decide`` at every step.  ``decide`` and ``next_phase`` stay the
-reference: the generic sampler and the scalar exact engine use them, and
-never the plan.
+origin.  Every built-in one but ``always_step`` is a ``Staged`` rule: crawl
+while it may, then in each stage seek the origin and hold near it until the
+stage time.  They also compile to a ``Plan`` of numbers (walk length, crawl
+length, stage times), which the fast Monte Carlo sampler and the exact
+evaluation engine run instead of calling ``decide`` at every step.
+``decide`` and ``next_phase`` stay the reference: the generic sampler and
+the scalar exact engine use them, and never the plan.
 """
 
 from __future__ import annotations
@@ -22,50 +24,31 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from .schedule import Schedule
+from .schedule import (Schedule, ScheduleParams1D, ScheduleParams2D, build_schedule_1d,
+                       build_schedule_2d)
 from .walk import Decision, Problem, is_origin
 
 SEEK = "seek"
 HOLD = "hold"
 FAILED = "failed"
 
-LAZY = "lazy"
-SPRINT = "sprint"
-
-
-@dataclass(frozen=True)
-class Walk:
-    """``length`` time steps that all step."""
-
-    length: int
-
-
-@dataclass(frozen=True)
-class Crawl:
-    """``length`` time steps of the lazy pattern from counter 0: a step at
-    every m-th time, or a delayed step at every time in delayed mode."""
-
-    length: int
-
-
-@dataclass(frozen=True)
-class SeekHold:
-    """Step every time until the origin is hit strictly after the segment
-    starts, then crawl until ``t_end``.  A trial whose seek misses steps at
-    every time for the rest of the horizon."""
-
-    t_end: int
-
 
 @dataclass(frozen=True)
 class Plan:
-    """A strategy's trajectory as consecutive segments from time 0 to n.
+    """A strategy's trajectory from time 0 to n as numbers.
 
-    ``delayed`` turns every crawl into delayed steps; with ``schedule`` set,
-    the SeekHold segments are the schedule's stages and get stage tallies.
+    ``walk`` steps at every time, then a crawl of ``crawl`` times takes the
+    lazy pattern from counter 0 (a step at every m-th time, or a delayed
+    step at every time in delayed mode).  Each stage ends at the next of
+    ``times``: it steps at every time until the origin is hit strictly after
+    the stage starts, then crawls to the stage end.  A trial whose seek
+    misses steps at every time for the rest of the horizon.  With
+    ``schedule`` set the stages are the schedule's and get stage tallies.
     """
 
-    segments: tuple
+    walk: int = 0
+    crawl: int = 0
+    times: tuple = ()
     delayed: bool = False
     schedule: Optional[Schedule] = None
 
@@ -86,7 +69,7 @@ class Strategy:
         return phase
 
     def plan(self, problem: Problem) -> Optional[Plan]:
-        """Segment plan that the staged sampler and the exact plan engine run,
+        """Plan that the staged sampler and the exact plan engine run,
         or None (generic sampler and scalar exact engine only)."""
         return None
 
@@ -107,117 +90,71 @@ class AlwaysStep(Strategy):
         return Decision.STEP
 
     def plan(self, problem):
-        return Plan((Walk(problem.n),))
+        return Plan(walk=problem.n)
 
 
-class LazyMax(Strategy):
-    """Stand whenever allowed; one forced SSRW step every m-th time step."""
+class Staged(Strategy):
+    """Crawl, then seek the origin and hold near it until each stage time.
 
-    name = "lazy_max"
-    signature = "wj"
+    The lazy pattern (stand as long as allowed between forced steps) runs
+    for the first ``crawl`` times.  Stage k then ends at ``times[k - 1]``:
+    it steps every time until the origin is first hit strictly after the
+    stage starts (seek), then takes the lazy pattern (hold), the last stand
+    block truncated at the stage end.  A stage whose seek never reaches the
+    origin marks the run failed and the walk steps for the whole remaining
+    horizon.  The stage times rise strictly to n; without stages the crawl
+    runs to n.
 
-    def __init__(self, problem: Problem):
-        self.m = problem.m
-
-    def decide(self, w, j, i, phase):
-        return Decision.STAND if j + 1 <= self.m - 1 else Decision.STEP
-
-    def plan(self, problem):
-        return Plan((Crawl(problem.n),))
-
-
-class LazyThenSprint(Strategy):
-    """Minimize steps until time n - m, then step until the origin is hit,
-    then stand for the rest of the horizon.
-
-    The sprint counts only hits strictly after n - m; the terminal stand
-    block has length at most m - 1, so it never violates the stand budget
-    (a forced step guard remains for malformed inputs).
+    Phase values: None while crawling, (k, "seek") and (k, "hold") for
+    k = 1..len(times), and "failed".
     """
 
-    name = "lazy_then_sprint"
-    signature = "wjip"
-
-    def __init__(self, problem: Problem):
-        self.n = problem.n
-        self.m = problem.m
-        self.switch = problem.n - problem.m
-
-    def start_phase(self, problem):
-        return LAZY if self.switch >= 1 else SPRINT
-
-    def decide(self, w, j, i, phase):
-        if phase == SPRINT:
-            return Decision.STEP
-        return Decision.STAND if j + 1 <= self.m - 1 else Decision.STEP
-
-    def next_phase(self, phase, i_next, w_next, j_next):
-        if phase == LAZY:
-            return SPRINT if i_next >= self.switch else LAZY
-        if phase == SPRINT:
-            return HOLD if is_origin(w_next) else SPRINT
-        return HOLD
-
-    def plan(self, problem):
-        lazy = (Crawl(self.switch),) if self.switch >= 1 else ()
-        return Plan(lazy + (SeekHold(self.n),))
-
-
-class Windowed(Strategy):
-    """Staged strategy over a checkpoint schedule, d = 1 or 2.
-
-    Within stage k (checkpoint times (t_{k-1}, t_k]): step every time until
-    the origin is first hit strictly after t_{k-1} (seek), then stand as
-    long as allowed between forced steps (hold), the last stand block
-    truncated at t_k.  A stage whose seek never reaches the origin marks the
-    run failed and the walk steps for the whole remaining horizon.  In the
-    final stage the hold is a pure stand until the horizon; its length is at
-    most m - 1 by construction of the schedule.
-
-    Phase values: (k, "seek"), (k, "hold") for k = 1..u+1, and "failed".
-    """
-
-    signature = "wjip"
-
-    def __init__(self, schedule: Schedule, problem: Problem):
-        if schedule.n != problem.n or schedule.m != problem.m or schedule.d != problem.d:
+    def __init__(self, name: str, problem: Problem, crawl: int, times: tuple,
+                 schedule: Optional[Schedule] = None):
+        if schedule is not None and (schedule.d, schedule.n, schedule.m) != (
+                problem.d, problem.n, problem.m):
             raise ValueError(
                 f"schedule (d={schedule.d}, n={schedule.n}, m={schedule.m}) does not match "
                 f"problem (d={problem.d}, n={problem.n}, m={problem.m})")
-        self.schedule = schedule
+        ends = (crawl, *times)
+        if crawl < 0 or ends[-1] != problem.n or any(a >= b for a, b in zip(ends, ends[1:])):
+            raise ValueError(f"a crawl of {crawl} and stage times {times} must rise "
+                             f"strictly to n={problem.n}")
+        self.name = name
         self.m = problem.m
-        self.name = f"windowed_{schedule.d}d"
+        self.crawl = crawl
+        self.times = tuple(times)
+        self.schedule = schedule
+        self.signature = "wjip" if self.times else "wj"
 
     def start_phase(self, problem):
-        return (1, SEEK)
+        return (1, SEEK) if self.times and self.crawl == 0 else None
 
     def decide(self, w, j, i, phase):
-        if phase == FAILED:
-            return Decision.STEP
-        _, mode = phase
-        if mode == SEEK:
+        if phase == FAILED or (phase is not None and phase[1] == SEEK):
             return Decision.STEP
         return Decision.STAND if j + 1 <= self.m - 1 else Decision.STEP
 
     def next_phase(self, phase, i_next, w_next, j_next):
+        if phase is None:
+            return (1, SEEK) if self.times and i_next == self.crawl else None
         if phase == FAILED:
             return FAILED
         k, mode = phase
-        stage_ends = i_next == self.schedule.times[k]
+        stage_ends = i_next == self.times[k - 1]
         if mode == SEEK and not is_origin(w_next):
             return FAILED if stage_ends else (k, SEEK)
-        if stage_ends and k < self.schedule.u + 1:
+        if stage_ends and k < len(self.times):
             return (k + 1, SEEK)
         return (k, HOLD)
 
     def plan(self, problem):
-        return Plan(tuple(SeekHold(t) for t in self.schedule.times[1:]),
-                    schedule=self.schedule)
+        return Plan(crawl=self.crawl, times=self.times, schedule=self.schedule)
 
     def spec_dict(self):
         out = {"name": self.name}
         for key in ("eta", "epsilon", "theta", "kappa"):
-            val = getattr(self.schedule, key)
+            val = getattr(self.schedule, key, None)
             if val is not None:
                 out[key] = val
         return out
@@ -261,23 +198,33 @@ def always_step() -> Strategy:
 
 
 def lazy_max(problem: Problem) -> Strategy:
-    return LazyMax(problem)
+    """Stand whenever allowed; one forced step every m-th time."""
+    return Staged("lazy_max", problem, problem.n, ())
 
 
 def lazy_then_sprint(problem: Problem) -> Strategy:
-    return LazyThenSprint(problem)
+    """Crawl until time n - m, then step until the origin is hit strictly
+    after it, then hold for the rest of the horizon: one stage, whose final
+    stand block is at most m - 1 long."""
+    return Staged("lazy_then_sprint", problem, max(problem.n - problem.m, 0),
+                  (problem.n,))
+
+
+def _windowed(schedule: Schedule, problem: Problem, d: int) -> Strategy:
+    if schedule.d != d:
+        raise ValueError(f"windowed_{d}d needs a {('one', 'two')[d - 1]}-dimensional "
+                         "schedule")
+    return Staged(f"windowed_{d}d", problem, 0, schedule.times[1:], schedule)
 
 
 def windowed_1d(schedule: Schedule, problem: Problem) -> Strategy:
-    if schedule.d != 1:
-        raise ValueError("windowed_1d needs a one-dimensional schedule")
-    return Windowed(schedule, problem)
+    """Staged strategy over the stages of a d = 1 checkpoint schedule."""
+    return _windowed(schedule, problem, 1)
 
 
 def windowed_2d(schedule: Schedule, problem: Problem) -> Strategy:
-    if schedule.d != 2:
-        raise ValueError("windowed_2d needs a two-dimensional schedule")
-    return Windowed(schedule, problem)
+    """Staged strategy over the stages of a d = 2 checkpoint schedule."""
+    return _windowed(schedule, problem, 2)
 
 
 def delayed_wrapper(inner: Strategy, problem: Problem) -> Strategy:
@@ -295,10 +242,11 @@ def strategy_from_spec(spec: dict, problem: Problem,
     Recognized keys: ``name`` (required), ``delayed`` (bool), and for the
     windowed strategies either a prebuilt ``schedule`` argument or the
     schedule parameters ``eta`` (1d) / ``epsilon``, ``theta``, ``kappa`` (2d).
+    A schedule given to any other strategy raises ValueError.
     """
-    from .schedule import ScheduleParams1D, ScheduleParams2D, build_schedule_1d, build_schedule_2d
-
     name = spec.get("name")
+    if schedule is not None and name in ("always_step", "lazy_max", "lazy_then_sprint"):
+        raise ValueError(f"strategy {name!r} takes no schedule")
     if name == "always_step":
         strat = always_step()
     elif name == "lazy_max":

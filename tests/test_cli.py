@@ -271,6 +271,20 @@ def test_simulate_missing_schedule_file_exits_2(tmp_path, capsys):
     assert "simulate failed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("strategy", ["always_step", "lazy_max", "lazy_then_sprint"])
+def test_simulate_schedule_for_a_strategy_without_stages_exits_2(tmp_path, capsys,
+                                                                 strategy):
+    sched_path = tmp_path / "sched.json"
+    assert main(["schedule", "--d", "1", "--n", "1000", "--m", "10", "--eta", "0.5",
+                 "--out", str(sched_path)]) == 0
+    code, out, err = run_cli(capsys, "simulate", "--d", "1", "--n", "1000", "--m", "10",
+                             "--strategy", strategy, "--trials", "100", "--seed", "1",
+                             "--schedule-json", str(sched_path))
+    assert code == 2
+    assert f"simulate failed: strategy {strategy!r} takes no schedule" in err
+    assert "Traceback" not in err and out == ""
+
+
 def _break_times_order(s):
     s["times"][1], s["times"][2] = s["times"][2], s["times"][1]
 
@@ -385,17 +399,17 @@ def test_verify_detects_corrupted_build(capsys, monkeypatch):
     from targetwalk import strategies as strategies_mod
     from targetwalk.walk import Decision
 
-    original = strategies_mod.LazyMax.decide
+    original = strategies_mod.Staged.decide
 
     def broken(self, w, j, i, phase):
         return Decision.STAND if j + 1 <= self.m else Decision.STEP
 
-    monkeypatch.setattr(strategies_mod.LazyMax, "decide", broken)
+    monkeypatch.setattr(strategies_mod.Staged, "decide", broken)
     code, out, _ = run_cli(capsys, "verify", "--suite", "invariants", "--fast",
                            "--trials", "2000")
     assert code == 1
     assert "[FAIL]" in out
-    monkeypatch.setattr(strategies_mod.LazyMax, "decide", original)
+    monkeypatch.setattr(strategies_mod.Staged, "decide", original)
 
 
 def test_sweep_single_cell_matches_simulate(tmp_path, capsys):

@@ -1,12 +1,15 @@
-"""Pinned report digests of the two strategies whose plans are one segment.
+"""Pinned report digests of the staged sampler.
 
-``always_step`` (one ``Walk``) and ``lazy_max`` (one ``Crawl``) run on the
-staged sampler, whose stream is keyed by (master seed, chunk index).  The
-digests were computed on one thread and are asserted at one and two
-threads, so they catch a change to the stream, to the chunking or to the
-report layout, and any dependence on the thread count.  The generic sampler's
-chunk streams carry a tag of their own, so the two samplers of a law test
-never share draws.
+``always_step`` (a walk of n steps) and ``lazy_max`` (a crawl of n steps)
+take one endpoint per trial.  ``lazy_then_sprint`` (a crawl, then one stage)
+and the windowed strategies (the schedule's stages, plain and delayed) also
+seek the origin in every stage.  All run on the staged sampler, whose stream
+is keyed by (master seed, chunk index).  The digests were computed on one
+thread and are asserted at one and two threads, so they catch a change to
+the stream, to the order of the draws within a plan, to the chunking or to
+the report layout, and any dependence on the thread count.  The generic
+sampler's chunk streams carry a tag of their own, so the two samplers of a
+law test never share draws.
 """
 
 import hashlib
@@ -18,18 +21,33 @@ from targetwalk.rng import chunk_generator, step_chunk_generator, trial_generato
 
 # sha256 of to_json(include_runtime=False), computed at threads=1
 _PINNED = {
-    "always_step": ((1, 10 ** 5, 1), 10_000,
+    "always_step": ({"name": "always_step"}, (1, 10 ** 5, 1), 10_000,
                     "a9eeeb20a6c67915b4f1e29a23e7e0d6e5c9e14631c783e14d684baf2e447272"),
-    "lazy_max": ((2, 2 ** 16, 64), 20_000,
+    "lazy_max": ({"name": "lazy_max"}, (2, 2 ** 16, 64), 20_000,
                  "acf24d88d265cf68a2bf12de36352ea5d22d07d1b41b8102799547ff1106a871"),
+    "lazy_then_sprint_d1": (
+        {"name": "lazy_then_sprint"}, (1, 10 ** 5, 100), 10_000,
+        "2d65163cf59306038e348dd02dafdf54e2a1f84dd9ff9351e49ea636bc923882"),
+    "lazy_then_sprint_d2": (
+        {"name": "lazy_then_sprint"}, (2, 10 ** 4, 100), 10_000,
+        "cd9d778ba248b8a9c377272697874f58358594099e0e8f9a818acd464e6ca6a6"),
+    "windowed_1d": (
+        {"name": "windowed_1d"}, (1, 10 ** 5, 316), 10_000,
+        "11f08465e4ac21f049d97b5de73012e0c54d0fb92b51640c230ca1e314862330"),
+    "windowed_1d_delayed": (
+        {"name": "windowed_1d", "delayed": True}, (1, 10 ** 5, 316), 10_000,
+        "ab9535f7017bb406f7321afd33ec016747ec1dabd7b6074f10daf3cd4a511805"),
+    "windowed_2d": (
+        {"name": "windowed_2d"}, (2, 10 ** 4, 100), 10_000,
+        "e85b86eb850f930fa8d86dc192ce48a97dd1107df947d08a1c6fa854b9e51229"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 @pytest.mark.parametrize("threads", [1, 2])
 def test_endpoint_reports_match_pinned_digests(name, threads):
-    (d, n, m), trials, digest = _PINNED[name]
-    cfg = McConfig(problem=Problem(d=d, n=n, m=m), strategy={"name": name},
+    spec, (d, n, m), trials, digest = _PINNED[name]
+    cfg = McConfig(problem=Problem(d=d, n=n, m=m), strategy=spec,
                    trials=trials, master_seed=2 ** 63 + 2013, threads=threads,
                    store_failures=5)
     text = estimate_success(cfg).to_json(include_runtime=False)

@@ -16,12 +16,13 @@ import pytest
 from scipy.stats import binom, chi2
 
 from targetwalk import (McConfig, Problem, ScheduleParams1D, build_schedule_1d,
-                        estimate_success, evaluate_strategy_exact,
+                        delayed_wrapper, estimate_success, evaluate_strategy_exact,
                         ssrw_return_probability, wilson_interval)
 from targetwalk import samplers
+from targetwalk.exact import _propagate_scalar
 from targetwalk.rng import chunk_generator
 from targetwalk.samplers import _seek, _touch_prob
-from targetwalk.strategies import strategy_from_spec
+from targetwalk.strategies import Staged, strategy_from_spec
 
 _ALPHA = 1e-3
 _BINS = 10
@@ -323,6 +324,48 @@ def test_fast_and_generic_agree_with_exact(spec, d, n, m):
         assert abs(rep.p_hat - exact) < 3 * se, (generic, rep.p_hat, exact)
 
 
+def _successes(sampler, trials: int, seed: int) -> int:
+    """Trials of ``sampler`` that end at the origin, run chunk by chunk."""
+    total = 0
+    for lo in range(0, trials, samplers._CHUNK):
+        pos, _ = sampler.run_chunk(seed, lo, min(lo + samplers._CHUNK, trials))
+        total += int(np.count_nonzero(~pos.any(axis=0)))
+    return total
+
+
+@pytest.mark.parametrize("delayed", [False, True])
+@pytest.mark.parametrize("p, crawl, times", [
+    (Problem(d=1, n=90, m=4), 20, (45, 70, 90)),
+    (Problem(d=2, n=40, m=3), 8, (20, 32, 40)),
+])
+def test_crawl_then_stages_matches_the_references(p, crawl, times, delayed):
+    """A crawl followed by three stages, a shape no built-in has.
+
+    The plan engine must equal ``_propagate_scalar``, which follows
+    ``decide``/``next_phase`` step by step, within 1e-12 (they agree within
+    3e-17).  A plan engine that drops the crawl, or walks it at every time,
+    moves these values by 8e-4 to 0.017.
+
+    The exact value must then lie in the z = 4 Wilson interval of both the
+    staged sampler (10^5 trials) and the generic one (2 * 10^4 trials); each
+    misses it with probability about 6e-5.  A bias of 5.3 standard errors
+    is caught with probability 0.9.  On the staged sampler that is 0.0055
+    and 0.0050 at d = 1 (p = 0.123, delayed 0.101), and 0.0024 and 0.0021
+    at d = 2 (p = 0.022, delayed 0.016); on the generic one it is 2.2 times
+    that.
+    """
+    strat = Staged("staged", p, crawl, times)
+    if delayed:
+        strat = delayed_wrapper(strat, p)
+    exact = evaluate_strategy_exact(strat, p)
+    assert exact == pytest.approx(_propagate_scalar(strat, p), abs=1e-12)
+    for trials, generic in ((100_000, False), (20_000, True)):
+        sampler = samplers.make_sampler(strat, p, force_generic=generic)
+        assert sampler.name == ("generic" if generic else "staged")
+        lo, hi = wilson_interval(_successes(sampler, trials, 36), trials, z=4.0)
+        assert lo <= exact <= hi, (generic, lo, hi, exact)
+
+
 @pytest.mark.parametrize("name, delayed, d, n, m", [
     ("always_step", False, 1, 100, 3), ("always_step", False, 2, 100, 3),
     ("lazy_max", False, 1, 1000, 10), ("lazy_max", False, 2, 1000, 10),
@@ -336,8 +379,8 @@ def test_fast_and_generic_agree_with_exact(spec, d, n, m):
     ("lazy_max", False, 2, 5, 8),
 ])
 def test_one_segment_plans_match_ssrw_return_probability(name, delayed, d, n, m):
-    """``always_step`` (one Walk of n steps) and ``lazy_max`` (one Crawl of
-    n // m steps; delayed at m = 1, Binomial(n, 1) = n steps) on the staged
+    """``always_step`` (a walk of n steps) and ``lazy_max`` (a crawl of n
+    times, n // m steps; delayed at m = 1, Binomial(n, 1) = n steps) on the staged
     sampler against the exact SSRW return law.
 
     The exact value must lie inside the z = 4 Wilson interval of 4 * 10^5

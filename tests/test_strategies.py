@@ -9,7 +9,7 @@ from targetwalk import (Decision, Problem, ScheduleParams1D, ScheduleParams2D,
                         build_schedule_1d, build_schedule_2d, evaluate_strategy_exact,
                         run_trajectory)
 from targetwalk.rng import trial_generator
-from targetwalk.strategies import (FAILED, HOLD, SEEK, DelayedWrapper, Windowed,
+from targetwalk.strategies import (FAILED, HOLD, SEEK, DelayedWrapper, Staged,
                                    always_step, delayed_wrapper, lazy_max,
                                    lazy_then_sprint, strategy_from_spec,
                                    windowed_1d, windowed_2d)
@@ -192,7 +192,10 @@ def test_windowed_2d_structure():
 def test_windowed_rejects_mismatched_problem():
     sched = build_schedule_1d(ScheduleParams1D(n=100, m=5, eta=0.5))
     with pytest.raises(ValueError):
-        Windowed(sched, Problem(d=1, n=100, m=6))
+        Staged("windowed_1d", Problem(d=1, n=100, m=6), 0, sched.times[1:], sched)
+    for crawl, times in ((50, (40, 100)), (0, (40, 99)), (90, ())):
+        with pytest.raises(ValueError, match="rise strictly to n=100"):
+            Staged("staged", Problem(d=1, n=100, m=6), crawl, times)
     with pytest.raises(ValueError):
         windowed_1d(build_schedule_2d(ScheduleParams2D(n=100, m=5)),
                     Problem(d=2, n=100, m=5))
