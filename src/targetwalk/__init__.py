@@ -14,8 +14,8 @@ from .strategies import (Strategy, always_step, delayed_wrapper, lazy_max,
                          lazy_then_sprint, strategy_from_spec, windowed_1d,
                          windowed_2d)
 from .exact import (ValueTable, brute_force_value, evaluate_strategy_exact,
-                    expected_local_time, hitting_tail_1d, optimal_value,
-                    return_probabilities_2d, ssrw_return_probability)
+                    expected_local_time, optimal_value, return_probabilities_2d,
+                    ssrw_return_probability)
 from .mc import (EstimateReport, McConfig, estimate_success, sweep,
                  wilson_interval, window_conditionals)
 from .analysis import (check_hoeffding, check_local_time_ratio,
@@ -31,8 +31,8 @@ __all__ = [
     "Strategy", "always_step", "delayed_wrapper", "lazy_max", "lazy_then_sprint",
     "strategy_from_spec", "windowed_1d", "windowed_2d",
     "ValueTable", "brute_force_value", "evaluate_strategy_exact",
-    "expected_local_time", "hitting_tail_1d", "optimal_value",
-    "return_probabilities_2d", "ssrw_return_probability",
+    "expected_local_time", "optimal_value", "return_probabilities_2d",
+    "ssrw_return_probability",
     "EstimateReport", "McConfig", "estimate_success", "sweep",
     "wilson_interval", "window_conditionals",
     "check_hoeffding", "check_local_time_ratio", "check_normal_approx",

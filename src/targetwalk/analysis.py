@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import (expected_local_time, hitting_survivor_counts,
-                    hitting_tail_curve, reflection_window_count)
+from .exact import (expected_local_time, hitting_tail_curve, survivor_counts,
+                    window_counts)
 from .schedule import Schedule
 
 #: each larger |x| may deviate from the Gaussian shape at most this many
@@ -65,24 +65,28 @@ def check_reflection(xmax: int = 20, lmax: int = 400) -> ReflectionReport:
     For every start 1 <= x <= xmax and length l <= lmax of parity opposite
     to x, the number of length-l paths from x avoiding 0 must equal the
     number of length-l paths from 0 ending strictly inside (-x, x).  Both
-    sides are exact integers (denominator 2**l), so the comparison is
-    equality, not a tolerance.  Same-parity pairs are excluded and counted:
-    there the open window misses exactly the atom P_0(S_l = x), which is
-    nonzero.  The half-open window -x < S_l <= x holds at every pair, and
-    ``exact.hitting_tail_1d`` computes the tail from it.
+    sides are exact integers (denominator 2**l), streamed one row per l for
+    all starts at once: the absorbing-barrier recursion
+    ``exact.survivor_counts`` and the Pascal-row window sums
+    ``exact.window_counts``.  So the comparison is equality, not a
+    tolerance.  Same-parity pairs are excluded and counted: there the open
+    window misses exactly the atom P_0(S_l = x), which is nonzero.  The
+    half-open window -x < S_l <= x holds at every pair, and
+    ``exact.hitting_tail_curve`` computes the tail from it.
     """
     mismatches = []
     checked = 0
     excluded = 0
-    for x in range(1, xmax + 1):
-        survivors = hitting_survivor_counts(x, lmax)
-        for l in range(0, lmax + 1):
+    rows = zip(survivor_counts(xmax, lmax), window_counts(xmax, lmax))
+    for l, (survivors, windows) in enumerate(rows):
+        for x in range(1, xmax + 1):
             if (x + l) % 2 == 0:
                 excluded += 1
                 continue
             checked += 1
-            if survivors[l] != reflection_window_count(x, l):
+            if survivors[x] != windows[x]:
                 mismatches.append((x, l))
+    mismatches.sort()
     return ReflectionReport(xmax=xmax, lmax=lmax, checked_pairs=checked,
                             excluded_same_parity=excluded, mismatches=mismatches)
 

@@ -9,7 +9,8 @@ return table ``_return_table``, point probabilities ``_point_probabilities``
 and ``_binomial_pmf``), never from log-gamma differences, whose cancellation
 costs digits at large t.  First-passage tails are window sums of
 ``_binomial_pmf`` by the reflection identity.  The small-instance oracles
-(``brute_force_value``, the integer hitting-tail counts) use exact integer /
+(``brute_force_value``, and the integer path counts ``survivor_counts`` and
+``window_counts`` on the two sides of that identity) use exact integer /
 rational arithmetic so they can back equality assertions.
 """
 
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Optional
 
 import numpy as np
@@ -126,89 +127,59 @@ def expected_local_time(x: tuple[int, int], horizon: int) -> float:
 # First-passage tails for the 1d walk
 # ---------------------------------------------------------------------------
 
-def hitting_survivor_counts(x: int, lmax: int) -> list[int]:
-    """Exact path counts c_l with P(tau_0 > l | start x) = c_l / 2**l.
+def survivor_counts(xmax: int, lmax: int) -> Iterator[list[int]]:
+    """Rows c_l for l = 0..lmax, with c_l[x] the number of length-l paths
+    from x that avoid 0, so P(tau_0 > l | start x) = c_l[x] / 2**l.
 
-    Absorbing-barrier convolution over integer path counts: a walk from
-    ``x != 0`` is killed on its first visit to 0; c_l counts the surviving
-    length-l paths.
+    Absorbing-barrier recursion over exact integers for every start
+    0 <= x <= xmax at once: c_{l+1}(y) = c_l(y-1) + c_l(y+1), with
+    c_l(0) = 0.  Row l needs c_l(y) for y <= xmax + lmax - l, so the working
+    row shrinks by one each step.
     """
-    x = abs(int(x))
-    if x == 0:
-        raise ValueError("start must be nonzero")
-    # counts[y-1] = number of surviving paths currently at y >= 1
-    counts = [0] * (x + lmax + 2)
-    counts[x - 1] = 1
-    out = [1]
-    for _ in range(lmax):
-        nxt = [0] * len(counts)
-        for y_idx in range(x + lmax):
-            c = counts[y_idx]
-            if c:
-                if y_idx > 0:      # y_idx == 0 is y = 1; moving down absorbs
-                    nxt[y_idx - 1] += c
-                nxt[y_idx + 1] += c
-        counts = nxt
-        out.append(sum(counts))
-    return out
+    counts = [0] + [1] * (xmax + lmax)
+    for _ in range(lmax + 1):
+        yield counts[:xmax + 1]
+        counts = [0] + [a + b for a, b in zip(counts, counts[2:])]
 
 
-def reflection_window_count(x: int, l: int) -> int:
-    """Exact count with P(-|x| < Y_l < |x|) = count / 2**l for SSRW from 0."""
-    x = abs(int(x))
-    total = 0
-    for y in range(max(-x + 1, -l), min(x, l + 1)):
-        if (l + y) % 2 == 0:
-            total += math.comb(l, (l + y) // 2)
-    return total
+def window_counts(xmax: int, lmax: int) -> Iterator[list[int]]:
+    """Rows w_l for l = 0..lmax, with w_l[x] the number of length-l paths
+    from 0 that end strictly inside (-x, x), for 0 <= x <= xmax.
 
-
-@dataclass(frozen=True)
-class HittingTail:
-    """First-passage tail from x and the open reflection window.
-
-    By the reflection principle ``tail`` = P(tau_0 > l | start x) equals
-    P_0(-|x| < S_l <= |x|) at every (x, l).  ``reflection`` is the open
-    window P_0(-|x| < S_l < |x|), which misses exactly the atom
-    P_0(S_l = |x|).  That atom is 0 when l and |x| have opposite parity,
-    where the two agree; the flag marks those pairs.
+    S_l = 2k - l with k right steps, so w_l[x] sums Pascal's row l over
+    (l - x)/2 < k < (l + x)/2, read off its prefix sums.
     """
-
-    x: int
-    l: int
-    tail: float
-    reflection: float
-    opposite_parity: bool
-
-
-def _reflection_windows(x: int, l: int) -> tuple[float, float]:
-    """(P_0(-x < S_l <= x), P_0(-x < S_l < x)) for x >= 1, summed over
-    ``_binomial_pmf``: S_l = 2K - l with K ~ Binomial(l, 1/2)."""
-    if l < 0:
-        raise ValueError(f"length must be >= 0, got {l}")
-    lo, pmf = _binomial_pmf(l, 0.5)
-    first = max((l - x) // 2 + 1 - lo, 0)      # least K with 2K - l > -x
-    stop = (l + x) // 2 + 1 - lo               # past the last K with 2K - l <= x
-    atom = (l + x) % 2 == 0                    # S_l = x is reachable
-    return float(pmf[first:stop].sum()), float(pmf[first:stop - atom].sum())
-
-
-def hitting_tail_1d(x: int, l: int) -> HittingTail:
-    """P(tau_0 > l | start x) for the 1d walk, from the reflection identity
-    P(tau_0 > l | x) = P_0(-|x| < S_l <= |x|) (Feller, Vol. 1, ch. III)."""
-    if x == 0:
-        raise ValueError("start must be nonzero")
-    tail, refl = _reflection_windows(abs(int(x)), l)
-    return HittingTail(x=x, l=l, tail=tail, reflection=refl,
-                       opposite_parity=(abs(x) + l) % 2 == 1)
+    pascal = [1]
+    for l in range(lmax + 1):
+        prefix = list(accumulate(pascal, initial=0))
+        row = []
+        for x in range(xmax + 1):
+            first = max((l - x) // 2 + 1, 0)
+            stop = min((l + x + 1) // 2, l + 1)
+            row.append(prefix[stop] - prefix[first] if stop > first else 0)
+        yield row
+        pascal = [a + b for a, b in zip([0] + pascal, pascal + [0])]
 
 
 def hitting_tail_curve(x: int, l_points) -> dict[int, float]:
-    """P(tau_0 > l | start x) at each requested l (see ``hitting_tail_1d``)."""
+    """P(tau_0 > l | start x) for the 1d walk at each requested l.
+
+    By the reflection identity P(tau_0 > l | x) = P_0(-|x| < S_l <= |x|)
+    (Feller, Vol. 1, ch. III), summed over ``_binomial_pmf``: S_l = 2K - l
+    with K ~ Binomial(l, 1/2).
+    """
     x = abs(int(x))
     if x == 0:
         raise ValueError("start must be nonzero")
-    return {l: _reflection_windows(x, l)[0] for l in sorted({int(l) for l in l_points})}
+    curve = {}
+    for l in sorted({int(l) for l in l_points}):
+        if l < 0:
+            raise ValueError(f"length must be >= 0, got {l}")
+        lo, pmf = _binomial_pmf(l, 0.5)
+        first = max((l - x) // 2 + 1 - lo, 0)      # least K with 2K - l > -x
+        stop = (l + x) // 2 + 1 - lo               # past the last K with 2K - l <= x
+        curve[l] = float(pmf[first:stop].sum())
+    return curve
 
 
 # ---------------------------------------------------------------------------

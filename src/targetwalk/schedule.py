@@ -16,7 +16,6 @@ exactly m and the first stage is the half-split of the second checkpoint.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -125,9 +124,6 @@ class Schedule:
             if val is not None:
                 out[key] = val
         return out
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Schedule":

@@ -11,6 +11,7 @@ validator as ``validate_trajectory``.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -38,6 +39,15 @@ def _suite_reflection(trials, seed, fast) -> list[Result]:
     return [("reflection.identity", rep.passed, detail)]
 
 
+def _schedule_1d(problem: Problem):
+    """The d = 1 schedule at eta = 0.5 for a size a suite pins on purpose,
+    without the regime warning ``ScheduleParams1D`` gives other callers."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "regime hypothesis weakly satisfied",
+                                UserWarning)
+        return build_schedule_1d(ScheduleParams1D(n=problem.n, m=problem.m, eta=0.5))
+
+
 def _hoeffding_one(problem: Problem, schedule, spec, trials, seed) -> Result:
     config = McConfig(problem=problem, strategy=spec, trials=trials,
                       master_seed=seed, schedule=schedule)
@@ -62,7 +72,7 @@ def _suite_hoeffding(trials, seed, fast) -> list[Result]:
     else:
         p1 = Problem(d=1, n=1_000_000, m=10_000)
         p2 = Problem(d=2, n=1_000_000, m=1_000)
-    s1 = build_schedule_1d(ScheduleParams1D(n=p1.n, m=p1.m, eta=0.5))
+    s1 = _schedule_1d(p1)
     out.append(_hoeffding_one(p1, s1, {"name": "windowed_1d", "eta": 0.5},
                               trials, seed))
     s2 = build_schedule_2d(ScheduleParams2D(n=p2.n, m=p2.m, epsilon=0.5))
@@ -88,7 +98,7 @@ def _builtin_strategies(problem: Problem):
     yield _strategies.lazy_then_sprint(problem)
     if problem.d == 1 and problem.n > problem.m and problem.m >= 2:
         try:
-            sched = build_schedule_1d(ScheduleParams1D(n=problem.n, m=problem.m))
+            sched = _schedule_1d(problem)
             yield _strategies.windowed_1d(sched, problem)
         except ScheduleError:
             pass

@@ -8,7 +8,8 @@ from targetwalk import (McConfig, Problem, ScheduleParams1D, ScheduleParams2D,
                         check_reflection, estimate_success, fit_scaling,
                         ssrw_return_probability)
 from targetwalk.analysis import gaussian_tail_value, hoeffding_bound, hoeffding_exponent
-from targetwalk.exact import expected_local_time, hitting_tail_curve
+from targetwalk.exact import (expected_local_time, hitting_tail_curve, survivor_counts,
+                              window_counts)
 
 
 def test_check_reflection_small_grid_exact():
@@ -19,13 +20,14 @@ def test_check_reflection_small_grid_exact():
 
 
 def test_reflection_example_pairs():
-    from targetwalk.exact import hitting_survivor_counts, reflection_window_count
-
-    assert hitting_survivor_counts(1, 2)[2] == 2 and reflection_window_count(1, 2) == 2
-    assert hitting_survivor_counts(2, 1)[1] == 2 and reflection_window_count(2, 1) == 2
+    # rows are indexed [l][x]
+    survivors = list(survivor_counts(2, 2))
+    windows = list(window_counts(2, 2))
+    assert survivors[2][1] == 2 and windows[2][1] == 2
+    assert survivors[1][2] == 2 and windows[1][2] == 2
     # same parity: excluded from the identity, and indeed unequal
-    assert hitting_survivor_counts(1, 1)[1] == 1
-    assert reflection_window_count(1, 1) == 0
+    assert survivors[1][1] == 1
+    assert windows[1][1] == 0
 
 
 def test_gaussian_tail_reference_values():

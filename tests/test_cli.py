@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -370,6 +372,24 @@ def test_verify_reflection_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "reflection", "--fast")
     assert code == 0
     assert "[PASS] reflection.identity" in out
+
+
+def test_verify_reflection_line_at_default_size(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "reflection")
+    assert code == 0
+    assert out == ("[PASS] reflection.identity: 4010 opposite-parity pairs equal "
+                   "exactly, 4010 same-parity pairs excluded\n")
+
+
+def test_verify_fast_report_is_pinned_and_warns_nothing(capsys):
+    # verify pins its schedule sizes on purpose, so the regime warning that
+    # ScheduleParams1D gives other callers stays silent inside it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--fast")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "633d0cc5d30dcb4c0182b0a80f122974e2407e954a8d10d12c674e4ecd9c1057"
 
 
 def test_verify_dominance_suite(capsys):

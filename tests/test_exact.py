@@ -5,6 +5,7 @@ import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -13,14 +14,13 @@ from targetwalk import (AdmissibilityError, BudgetError, Decision, Problem,
                         ScheduleParams1D, ScheduleParams2D, SignatureError,
                         brute_force_value, build_schedule_1d, build_schedule_2d,
                         evaluate_strategy_exact, expected_local_time,
-                        hitting_tail_1d, optimal_value, return_probabilities_2d,
-                        run_trajectory, ssrw_return_probability)
+                        optimal_value, return_probabilities_2d, run_trajectory,
+                        ssrw_return_probability)
 import targetwalk
 from targetwalk.exact import (_binomial_pmf, _first_entrance_table, _point_probabilities,
                               _propagate_scalar, _return_table,
                               enumerate_decision_trees_value, evaluation_engine,
-                              hitting_survivor_counts, hitting_tail_curve,
-                              reflection_window_count)
+                              hitting_tail_curve, survivor_counts, window_counts)
 from targetwalk.strategies import (Strategy, always_step, delayed_wrapper, lazy_max,
                                    lazy_then_sprint, windowed_1d, windowed_2d)
 
@@ -396,27 +396,54 @@ def test_dominance_spot_check_2d():
 
 
 def test_hitting_tail_reference_cases():
-    ht = hitting_tail_1d(2, 1)
-    assert ht.tail == 1.0
-    ht = hitting_tail_1d(1, 2)
-    assert ht.tail == 0.5 and ht.reflection == 0.5 and ht.opposite_parity
-    ht = hitting_tail_1d(1, 1)
-    assert ht.tail == 0.5 and ht.reflection == 0.0 and not ht.opposite_parity
+    assert hitting_tail_curve(2, [1]) == {1: 1.0}
+    assert hitting_tail_curve(1, [1, 2]) == {1: 0.5, 2: 0.5}
 
 
 def test_hitting_tail_counts_small_enumeration():
     # x=1: paths of length 3 that avoid 0: RRR, RRL, RLR -> 3 of 8
-    counts = hitting_survivor_counts(1, 3)
-    assert counts == [1, 1, 2, 3]
-    assert reflection_window_count(2, 2) == 2   # paths ending at 0: LR, RL
+    assert [row[1] for row in survivor_counts(1, 3)] == [1, 1, 2, 3]
+    assert list(window_counts(2, 2))[2][2] == 2   # paths ending at 0: LR, RL
 
 
 def test_hitting_tail_reflection_equality_small_grid():
-    for x in range(1, 9):
-        counts = hitting_survivor_counts(x, 60)
-        for l in range(60):
+    rows = zip(survivor_counts(8, 59), window_counts(8, 59))
+    for l, (survivors, windows) in enumerate(rows):
+        for x in range(1, 9):
             if (x + l) % 2 == 1:
-                assert counts[l] == reflection_window_count(x, l), (x, l)
+                assert survivors[x] == windows[x], (x, l)
+
+
+def test_count_rows_match_path_enumeration():
+    """Both count streams against every +-1 path of length l <= 12 from
+    each start 0 <= x <= 6: a path from x survives when x plus its running
+    minimum stays above 0, and a path from 0 lies in the window when it ends
+    strictly inside (-x, x).  A window bound off by one, or c_0(0) = 1,
+    changes at least one of these counts."""
+    survivors = list(survivor_counts(6, 12))
+    windows = list(window_counts(6, 12))
+    for l in range(13):
+        want_survivors = [0] * 7
+        want_windows = [0] * 7
+        for steps in product((-1, 1), repeat=l):
+            walk = list(accumulate(steps, initial=0))
+            for x in range(7):
+                want_survivors[x] += x + min(walk) > 0
+                want_windows[x] += -x < walk[-1] < x
+        assert survivors[l] == want_survivors, l
+        assert windows[l] == want_windows, l
+
+
+def test_half_open_window_counts_the_survivors():
+    """survivors = open window + atom C(l, (l + x)/2) at both parities, in
+    exact integers on the default 20 x 400 grid of ``check_reflection``.
+    ``hitting_tail_curve`` sums this half-open window in floats.  A window
+    bound off by one, or c_0(0) = 1, breaks the equality at some pair."""
+    rows = zip(survivor_counts(20, 400), window_counts(20, 400))
+    for l, (survivors, windows) in enumerate(rows):
+        for x in range(1, 21):
+            atom = math.comb(l, (l + x) // 2) if (l + x) % 2 == 0 else 0
+            assert survivors[x] == windows[x] + atom, (x, l)
 
 
 def test_hitting_tail_curve_matches_exact_counts():
@@ -424,15 +451,14 @@ def test_hitting_tail_curve_matches_exact_counts():
     # parities, against the integer absorbing counts.  A window edge off by
     # one moves the tail by an atom P_0(S_l = +-x), at least 2^-20 on this
     # grid wherever it is reachable, about 10^9 times the tolerance.
-    for x in range(1, 21):
-        curve = hitting_tail_curve(x, range(401))
-        counts = hitting_survivor_counts(x, 400)
-        for l in range(401):
-            assert curve[l] == pytest.approx(counts[l] / 2**l, abs=1e-15), (x, l)
+    curves = {x: hitting_tail_curve(x, range(401)) for x in range(1, 21)}
+    for l, counts in enumerate(survivor_counts(20, 400)):
+        for x in range(1, 21):
+            assert curves[x][l] == pytest.approx(counts[x] / 2**l, abs=1e-15), (x, l)
 
 
 def test_hitting_tail_monotone_in_start():
-    tails = [hitting_tail_1d(x, 99).tail for x in (1, 2, 5, 9)]
+    tails = [hitting_tail_curve(x, [99])[99] for x in (1, 2, 5, 9)]
     assert all(a <= b + 1e-15 for a, b in zip(tails, tails[1:]))
 
 
@@ -552,23 +578,17 @@ def test_decimal_reference_matches_big_integers():
 @pytest.mark.parametrize("l", [2049, 5000])
 @pytest.mark.parametrize("x", [1, 2, 3, 10])
 def test_hitting_tail_1d_beyond_the_integer_counts(x, l):
-    # past the sizes where the absorbing counts are cheap, both windows
-    # against exact big-integer sums at both parities: the tail is the
-    # half-open window -x < S_l <= x, the open one misses the atom S_l = x
-    ht = hitting_tail_1d(x, l)
-    open_count = reflection_window_count(x, l)
-    atom = math.comb(l, (l + x) // 2) if (l + x) % 2 == 0 else 0
-    assert ht.reflection == pytest.approx(open_count / 2**l, rel=1e-12, abs=0.0)
-    assert ht.tail == pytest.approx((open_count + atom) / 2**l, rel=1e-12, abs=0.0)
-    assert ht.opposite_parity == (atom == 0)
+    # past the sizes where the absorbing counts are cheap, the tail against
+    # an exact big-integer sum at both parities: the half-open window
+    # -x < S_l <= x, that is (l - x)/2 < K <= (l + x)/2 right steps
+    count = sum(math.comb(l, k) for k in range((l - x) // 2 + 1, (l + x) // 2 + 1))
+    tail = hitting_tail_curve(x, [l])[l]
+    assert tail == pytest.approx(count / 2**l, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("tail", [lambda l: hitting_tail_1d(3, l),
-                                  lambda l: hitting_tail_curve(3, [5, l])],
-                         ids=["hitting_tail_1d", "hitting_tail_curve"])
-def test_hitting_tails_refuse_a_negative_length(tail):
+def test_hitting_tails_refuse_a_negative_length():
     with pytest.raises(ValueError, match="length"):
-        tail(-1)
+        hitting_tail_curve(3, [5, -1])
 
 
 def _reference_return_table(size: int, d: int) -> np.ndarray:

@@ -167,7 +167,7 @@ def test_regime_hypothesis_warning():
 def test_schedule_json_round_trip():
     for s in (build_schedule_1d(ScheduleParams1D(n=10**4, m=100, eta=0.5)),
               build_schedule_2d(ScheduleParams2D(n=10**4, m=100, epsilon=0.5))):
-        blob = s.to_json()
+        blob = json.dumps(s.to_json_dict())
         back = Schedule.from_json_dict(json.loads(blob))
         assert back == s
 
