@@ -283,8 +283,11 @@ def check_local_time_ratio(horizons: Sequence[int] = tuple(2 ** k for k in range
     (``LOCAL_TIME_RATIO_FLOOR``) on the whole grid, and the from-origin
     expected local time divided by log(N) must be stable within 0.10
     (``LOCAL_TIME_STABILITY_TOL``), the logarithmic growth that makes the
-    ratio work.
+    ratio work.  An empty grid, or a horizon below 2, raises ValueError.
     """
+    if not horizons or min(horizons) < 2:
+        raise ValueError(f"horizons must be a nonempty grid of horizons >= 2, "
+                         f"got {tuple(horizons)!r}")
     rows = []
     for n in horizons:
         xd = int(math.floor(n ** LOCAL_TIME_X_EXPONENT))
@@ -312,10 +315,10 @@ class FitResult:
 def fit_scaling(x_values: Sequence[float], p_values: Sequence[float]) -> FitResult:
     """Least-squares slope of log p against log x.
 
-    Requires at least 4 (``FIT_MIN_POINTS``) strictly positive estimates
-    spanning at least 1 (``FIT_MIN_DECADES``) decade in x; raises ValueError
-    on a degenerate grid (too few points, zero estimates, or too narrow a
-    span).
+    Requires at least 4 (``FIT_MIN_POINTS``) strictly positive estimates at
+    strictly positive x spanning at least 1 (``FIT_MIN_DECADES``) decade;
+    raises ValueError on a degenerate grid (too few points, an x or an
+    estimate that is not positive, or too narrow a span).
     """
     x = np.asarray(x_values, dtype=float)
     p = np.asarray(p_values, dtype=float)
@@ -323,8 +326,10 @@ def fit_scaling(x_values: Sequence[float], p_values: Sequence[float]) -> FitResu
         raise ValueError("x and p must have equal length")
     if len(x) < FIT_MIN_POINTS:
         raise ValueError(f"degenerate grid: need >= {FIT_MIN_POINTS} points, got {len(x)}")
-    if np.any(p <= 0.0):
-        raise ValueError("degenerate grid: nonpositive estimates cannot be log-fitted")
+    for name, values in (("x values", x), ("estimates", p)):
+        if not np.all(values > 0.0):        # NaN included
+            raise ValueError(f"degenerate grid: {name} that are not positive "
+                             "cannot be log-fitted")
     span = math.log10(x.max() / x.min())
     if span < FIT_MIN_DECADES - 1e-9:
         raise ValueError(f"degenerate grid: x spans {span:.3g} decades "

@@ -167,6 +167,9 @@ def _cmd_exact(args) -> int:
         print("exact failed: --policy-out writes the d=1 optimal table, without --eval",
               file=sys.stderr)
         return EXIT_BAD_INPUT
+    if args.delayed and not args.eval:
+        print("exact failed: --delayed needs --eval", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         problem = Problem(d=args.d, n=args.n, m=args.m)
         if args.eval:
@@ -305,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_args(p)
     p.add_argument("--eval", default=None, choices=STRATEGY_NAMES,
                    help="evaluate this strategy exactly instead of solving")
-    p.add_argument("--delayed", action="store_true")
+    p.add_argument("--delayed", action="store_true",
+                   help="with --eval: wrap the strategy's stands into delayed steps")
     p.add_argument("--policy-out", default=None,
                    help="write the optimal value/policy table as CSV")
     p.add_argument("--budget", type=float, default=None,

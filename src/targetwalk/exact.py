@@ -1,7 +1,8 @@
 """Exact computations: optimal value by backward induction, exact strategy
 evaluation (by renewal over time from a strategy's plan, or by scalar forward
-distribution propagation), and SSRW functionals used as oracles elsewhere
-(hitting tails, return probabilities, local times).
+distribution propagation on the decision step of ``walk``'s lockstep engine),
+and SSRW functionals used as oracles elsewhere (hitting tails, return
+probabilities, local times).
 
 All float routines use 64-bit arithmetic.  Every SSRW and binomial
 probability comes from ratio recurrences of binomial coefficients (the
@@ -26,9 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, BudgetError, SignatureError
+from .errors import BudgetError, SignatureError
 from .strategies import Plan, Strategy
-from .walk import _MOVES, Decision, Problem, _add
+from .walk import (_MOVE_COLUMNS, _MOVES, _STAND, Decision, Problem, _add, _classes,
+                   _position, _Rule)
 
 DEFAULT_DP_BUDGET = 2.0e9          # backward-induction cell updates
 DEFAULT_EVAL_BUDGET = 6.0e8        # plan-engine float entries or scalar cell-steps
@@ -810,62 +812,39 @@ def _plan_cost(plan: Plan, problem: Problem) -> float:
     return cost
 
 
-def _add_mass(atoms: dict, key: tuple, mass: float, strategy: Strategy) -> None:
-    """Add ``mass`` to the (phase, j, position) atom ``key``; an unhashable
-    phase raises SignatureError."""
-    try:
-        atoms[key] = atoms.get(key, 0.0) + mass
-    except TypeError:
-        raise SignatureError(
-            f"strategy {strategy.name!r} has the unhashable phase {key[0]!r}; "
-            "the scalar exact engine needs hashable phases") from None
-
-
 def state_distribution(strategy: Strategy, problem: Problem) -> dict:
     """Probability mass over (phase, j, position) atoms at the horizon n.
 
     Scalar reference propagation: handles position-dependent decisions and
     arbitrary phase transitions, at quadratic cost.  It never reads
     ``Strategy.plan``, so the plan engine is validated against it on small
-    instances.  Phases key the atoms, so they must be hashable
-    (``SignatureError`` otherwise).
+    instances.  The atoms are the columns of the lockstep engine's state
+    array, and each step is that engine's decision step (``walk._Rule``),
+    so both reject the same decisions and phases.  Every atom then takes
+    its 2d moves and a stay, weighted by its decision, and equal atoms
+    merge; atoms of zero mass are dropped.
     """
-    n, m, d = problem.n, problem.m, problem.d
-    inv_m = 1.0 / m
-    moves = _MOVES[d]
-    pstep = 1.0 / len(moves)
-    cur: dict = {}
-    _add_mass(cur, (strategy.start_phase(problem), 0, problem.origin), 1.0, strategy)
-    for i in range(n):
-        new: dict = {}
-        for (p, j, x), mass in cur.items():
-            dec = strategy.decide(x, j, i, p)
-            if dec is Decision.STAND:
-                j2 = j + 1
-                if j2 > m - 1:
-                    raise AdmissibilityError(
-                        f"strategy {strategy.name!r} stands at time {i + 1} with "
-                        f"counter {j}", time_step=i + 1)
-                _add_mass(new, (strategy.next_phase(p, i + 1, x, j2), j2, x), mass,
-                          strategy)
-                continue
-            targets = []
-            if dec is Decision.DELAYED_STEP:
-                p2 = strategy.next_phase(p, i + 1, x, 0)
-                targets.append(((p2, 0, x), (1.0 - inv_m) * mass))
-                w_step = inv_m * mass
-            elif dec is Decision.STEP:
-                w_step = mass
-            else:
-                raise ValueError(f"unknown decision {dec!r}")
-            for mv in moves:
-                x2 = _add(x, mv, d)
-                p2 = strategy.next_phase(p, i + 1, x2, 0)
-                targets.append(((p2, 0, x2), w_step * pstep))
-            for key, val in targets:
-                _add_mass(new, key, val, strategy)
-        cur = new
-    return cur
+    d, m = problem.d, problem.m
+    q = 1.0 / (2 * d)
+    # rows by decision code: weights of the 2d moves of _MOVE_COLUMNS, then the stay
+    weights = np.array([[0.0] * 2 * d + [1.0], [q] * 2 * d + [0.0],
+                        [1.0 / m * q] * 2 * d + [1.0 - 1.0 / m]])
+    rule = _Rule(strategy, problem)
+    state, mass = np.zeros((d + 2, 1), dtype=np.int64), np.ones(1)
+    for i in range(problem.n):
+        dec, c = rule.decide(state, i)
+        if c is not None:
+            raise rule.inadmissible(i + 1, int(state[d, c]))
+        state[d] = np.where(dec == _STAND, state[d] + 1, 0)
+        kids = np.repeat(state, 2 * d + 1, axis=1)
+        kids[:d] += np.tile(_MOVE_COLUMNS[d], state.shape[1])
+        w = (mass[:, None] * weights[dec]).ravel()
+        kids, w = kids[:, w > 0], w[w > 0]
+        rule.next_phase(kids, i + 1)
+        first, inverse = _classes(kids)
+        state, mass = kids.take(first, axis=1), np.bincount(inverse, weights=w)
+    return {(rule.phases[col[d + 1]], col[d], _position(col, d)): w
+            for col, w in zip(state.T.tolist(), mass.tolist())}
 
 
 def _propagate_scalar(strategy: Strategy, problem: Problem) -> float:

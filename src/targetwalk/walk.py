@@ -11,14 +11,13 @@ A delayed-step mode is also supported: instead of a hard stand, the walker
 may choose a delayed step, which stands with probability ``1 - 1/m`` and
 takes an SSRW step with probability ``1/m``, with no consecutive-use limit.
 
-Every step-by-step simulation runs on one engine, ``_lockstep``, which moves
-k trials at once on numpy arrays of positions, counters and phase ids, and
-calls ``decide`` and ``next_phase`` once per distinct state rather than once
-per trial.  ``run_trajectory`` is its one-trial case; the generic sampler
-and the ``invariants`` suite of ``verify`` run it on whole batches, and
-``_validate_steps`` checks a batch's steps as ``validate_trajectory`` checks
-one trajectory.  The engine keeps no history: it yields each step, and it
-moves the walk with one function, ``_step``.
+Both step-by-step references share one decision step, ``_Rule``, which
+calls ``decide`` and ``next_phase`` once per distinct (position, counter,
+phase id) column of a state array.  ``_lockstep`` moves k sampled trials
+with it, each step by one function, ``_step``, keeping no history, and
+``exact.state_distribution`` moves probability mass with it.  The generic
+sampler, ``run_trajectory`` (one trial) and the ``invariants`` suite of
+``verify`` run ``_lockstep``; ``_validate_steps`` checks its steps.
 """
 
 from __future__ import annotations
@@ -174,18 +173,73 @@ def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
+class _Rule:
+    """A strategy's decision step on a (d + 2, k) state array whose columns
+    are walkers: the d coordinates, the counter j and a phase id.
+
+    Phases are interned to ids, so they must be hashable (``SignatureError``
+    otherwise).  ``decide`` is called once per distinct (position, j, phase)
+    and ``next_phase`` once per distinct (phase, new position, new j), so
+    both must be functions of their arguments.
+    """
+
+    def __init__(self, strategy: "Strategy", problem: Problem):
+        self.strategy, self.d, self.m = strategy, problem.d, problem.m
+        self.phases: list = []
+        self.ids: dict = {}
+        self.intern(strategy.start_phase(problem))      # id 0: an all-zero state starts in it
+
+    def intern(self, phase) -> int:
+        try:
+            pid = self.ids.setdefault(phase, len(self.ids))
+        except TypeError:
+            raise SignatureError(
+                f"strategy {self.strategy.name!r} has the unhashable phase {phase!r}; "
+                "the step-by-step engines need hashable phases") from None
+        if pid == len(self.phases):
+            self.phases.append(phase)
+        return pid
+
+    def decide(self, state: np.ndarray, i: int) -> tuple[np.ndarray, int | None]:
+        """The (k,) decision codes at time step i + 1 and the lowest column
+        that stands at j = m - 1, or None; an unknown decision is a ValueError."""
+        d = self.d
+        first, inverse = _classes(state)
+        decs = [self.strategy.decide(_position(col, d), col[d], i, self.phases[col[d + 1]])
+                for col in state.take(first, axis=1).T.tolist()]
+        for dec in decs:
+            if dec not in _DECISIONS:
+                raise ValueError(f"unknown decision {dec!r}")
+        dec = np.array([_DECISIONS.index(dec) for dec in decs]).take(inverse)
+        offending = np.flatnonzero((dec == _STAND) & (state[d] >= self.m - 1))
+        return dec, (int(offending[0]) if offending.size else None)
+
+    def next_phase(self, after: np.ndarray, i_next: int) -> None:
+        """Replace the phase ids of a state array just stepped to time
+        ``i_next`` by those of the phases its walkers move on to."""
+        d = self.d
+        first, inverse = _classes(after)
+        pids = [self.intern(self.strategy.next_phase(self.phases[col[d + 1]], i_next,
+                                                     _position(col, d), col[d]))
+                for col in after.take(first, axis=1).T.tolist()]
+        after[d + 1] = np.array(pids).take(inverse)
+
+    def inadmissible(self, t: int, j: int, trial: int | None = None) -> AdmissibilityError:
+        """The error for a stand at time step t from counter j."""
+        return AdmissibilityError(
+            f"strategy {self.strategy.name!r} emitted an inadmissible stand at time {t} "
+            f"(counter would reach {j + 1} > {self.m - 1})",
+            time_step=t, trial_index=trial)
+
+
 def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource):
     """Run k trials of ``strategy`` from the origin in lockstep.
 
     Yields (decisions, before, after) for each time step 1..n: the (k,)
     decision codes (indices into ``_DECISIONS``) and the (d, k) positions
-    before and after the step.  The state of a trial is its position, its
-    counter j and its phase; phases are interned, so they must be hashable
-    (``SignatureError`` otherwise).  ``decide`` is called once per distinct
-    (position, j, phase) and ``next_phase`` once per distinct (phase, new
-    position, new j), so both must be functions of their arguments.  Each
-    step is ``_step``; at k = 1 its draws are those of a scalar
-    step-by-step loop: the coin, then the move.
+    before and after the step.  Each step is ``_Rule``'s decision step,
+    then ``_step``; at k = 1 its draws are those of a scalar step-by-step
+    loop: the coin, then the move.
 
     A trial that stands with j = m - 1 is inadmissible.  The trials from it
     on are dropped, so the yielded arrays narrow, and the others run on, as
@@ -193,58 +247,22 @@ def _lockstep(strategy: "Strategy", problem: Problem, k: int, rng: RandomSource)
     lowest offending trial and its time step.
     """
     d, m = problem.d, problem.m
-    phases: list = []
-    ids: dict = {}
-
-    def intern(phase) -> int:
-        try:
-            pid = ids.setdefault(phase, len(ids))
-        except TypeError:
-            raise SignatureError(
-                f"strategy {strategy.name!r} has the unhashable phase {phase!r}; "
-                "the step-by-step engine needs hashable phases") from None
-        if pid == len(phases):
-            phases.append(phase)
-        return pid
-
-    # rows: the d coordinates, the counter j, the phase id
+    rule = _Rule(strategy, problem)
     state = np.zeros((d + 2, k), dtype=np.int64)
-    state[d + 1] = intern(strategy.start_phase(problem))
     violation = None
     for i in range(problem.n):
-        first, inverse = _classes(state)
-        codes = []              # decision code per class
-        offending = []
-        for col in state.take(first, axis=1).T.tolist():
-            dec = strategy.decide(_position(col, d), col[d], i, phases[col[d + 1]])
-            try:
-                code = _DECISIONS.index(dec)
-            except ValueError:
-                raise ValueError(f"unknown decision {dec!r}") from None
-            if code == _STAND and col[d] >= m - 1:
-                offending.append(len(codes))
-            codes.append(code)
-        if offending:
-            c = int(first[offending].min())
-            violation = (c, i + 1, int(state[d, c]) + 1)
+        dec, c = rule.decide(state, i)
+        if c is not None:
+            violation = (i + 1, int(state[d, c]), c)
             if c == 0:
                 break
-            state, inverse = state[:, :c], inverse[:c]
-        dec = np.array(codes).take(inverse)
+            state, dec = state[:, :c], dec[:c]
         after = _step(state, dec, rng, d, m)
-        first, inverse = _classes(after)
-        pids = [intern(strategy.next_phase(phases[col[d + 1]], i + 1,
-                                           _position(col, d), col[d]))
-                for col in after.take(first, axis=1).T.tolist()]
-        after[d + 1] = np.array(pids).take(inverse)
+        rule.next_phase(after, i + 1)
         yield dec, state[:d], after[:d]
         state = after
     if violation is not None:
-        trial, t, count = violation
-        raise AdmissibilityError(
-            f"strategy {strategy.name!r} emitted an inadmissible stand at time {t} "
-            f"(counter would reach {count} > {m - 1})",
-            time_step=t, trial_index=trial)
+        raise rule.inadmissible(*violation)
 
 
 def run_trajectory(strategy: "Strategy", problem: Problem,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -143,3 +144,14 @@ def test_fit_scaling_degenerate_grids():
         fit_scaling([1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4])  # under a decade
     with pytest.raises(ValueError):
         fit_scaling([1, 3, 9, 27], [0.1, 0.0, 0.3, 0.4])  # zero estimate
+    for x0 in (0, -1, math.nan):                            # x not positive
+        with pytest.raises(ValueError, match="degenerate grid"):
+            fit_scaling([x0, 10, 100, 1000], [0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ValueError, match="degenerate grid"):
+        fit_scaling([1, 10, 100, 1000], [0.1, math.nan, 0.3, 0.4])  # NaN estimate
+
+
+@pytest.mark.parametrize("horizons", [(), (1,), (1024, 1)], ids=repr)
+def test_local_time_ratio_refuses_short_horizons(horizons):
+    with pytest.raises(ValueError, match=re.escape(f"horizons >= 2, got {horizons!r}")):
+        check_local_time_ratio(horizons=horizons)

@@ -216,6 +216,20 @@ def test_exact_policy_out_refused_up_front(tmp_path, capsys, monkeypatch, flags)
     assert not path.exists()
 
 
+def test_exact_delayed_without_eval_exits_2(capsys, monkeypatch):
+    # --delayed only wraps an evaluated strategy; the optimum has no delayed form
+    from targetwalk import exact
+
+    def never(*args, **kwargs):
+        raise AssertionError("solved before refusing --delayed")
+
+    monkeypatch.setattr(exact, "optimal_value", never)
+    code, out, err = run_cli(capsys, "exact", "--d", "1", "--n", "100", "--m", "4",
+                             "--delayed")
+    assert code == 2 and out == ""
+    assert err == "exact failed: --delayed needs --eval\n"
+
+
 def test_simulate_requires_seed(capsys):
     code = main(["simulate", "--d", "1", "--n", "10", "--m", "2",
                  "--strategy", "always_step", "--trials", "10"])

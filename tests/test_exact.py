@@ -333,6 +333,106 @@ def test_state_distribution_invariants():
             assert abs(x) <= t
 
 
+class _Holding(Strategy):
+    """Holds where ``holds`` says and steps elsewhere.  A hold is a stand
+    while the counter allows one, or a delayed step, which has no limit."""
+
+    signature = "wjip"
+
+    def __init__(self, problem, hold):
+        self.m, self.hold = problem.m, hold
+        self.name = f"{self.name}+{hold.value}"
+
+    def decide(self, w, j, i, phase):
+        if self.holds(w, i, phase) and (self.hold is Decision.DELAYED_STEP
+                                        or j + 1 <= self.m - 1):
+            return self.hold
+        return Decision.STEP
+
+
+def _l1(w):
+    return abs(w) if isinstance(w, int) else abs(w[0]) + abs(w[1])
+
+
+class _DriftHome(_Holding):
+    # holds at the origin, and at the sites two to the right of it on odd times
+    name = "drift_home"
+
+    def holds(self, w, i, phase):
+        return _l1(w) == 0 or (w in (2, (2, 0)) and i % 2 == 1)
+
+
+class _Homing(_Holding):
+    # the phase counts origin visits and records the farthest distance
+    # reached; holds at the origin on an even count, and at a new farthest
+    # distance of at least 2
+    name = "homing"
+
+    def start_phase(self, problem):
+        return (0, 0)
+
+    def holds(self, w, i, phase):
+        visits, farthest = phase
+        return (_l1(w) == 0 and visits % 2 == 0) or _l1(w) == farthest >= 2
+
+    def next_phase(self, phase, i_next, w_next, j_next):
+        visits, farthest = phase
+        return (visits + (_l1(w_next) == 0), max(farthest, _l1(w_next)))
+
+
+def _enumerated_distribution(strategy, p):
+    """Mass over (phase, j, position) at the horizon, as exact rationals:
+    every step and coin outcome of every path is enumerated, with no
+    merging of equal states."""
+    moves = [1, -1] if p.d == 1 else [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    out = {}
+
+    def run(i, x, j, phase, prob):
+        if i == p.n:
+            out[phase, j, x] = out.get((phase, j, x), 0) + prob
+            return
+        dec = strategy.decide(x, j, i, phase)
+        if dec is Decision.STAND:
+            assert j + 1 <= p.m - 1
+            branches = [(Fraction(1), x, j + 1)]
+        else:
+            move = Fraction(1) if dec is Decision.STEP else Fraction(1, p.m)
+            branches = [(1 - move, x, 0)] + [
+                (move / len(moves), x + mv if p.d == 1 else (x[0] + mv[0], x[1] + mv[1]), 0)
+                for mv in moves]
+        for pr, y, k in branches:
+            if pr:
+                run(i + 1, y, k, strategy.next_phase(phase, i + 1, y, k), prob * pr)
+
+    run(0, p.origin, 0, strategy.start_phase(p), Fraction(1))
+    return out
+
+
+@pytest.mark.parametrize("p", [Problem(d=1, n=10, m=3), Problem(d=1, n=11, m=4),
+                               Problem(d=2, n=6, m=3), Problem(d=1, n=10, m=1)],
+                         ids=repr)
+def test_state_distribution_matches_enumeration(p):
+    """The scalar exact engine against rational enumeration of every path,
+    for rules that read the position and the phase, plain and delayed: the
+    same atoms, each within 1e-12, and the same value.
+
+    Power: each of these slips in ``state_distribution`` fails it: a delayed
+    step that stays with weight 1/m instead of 1 - 1/m (m = 1 included), and
+    a stand that does not increment j."""
+    from targetwalk.exact import state_distribution
+
+    for strategy in (_DriftHome(p, Decision.STAND), _DriftHome(p, Decision.DELAYED_STEP),
+                     _Homing(p, Decision.STAND), _Homing(p, Decision.DELAYED_STEP)):
+        assert evaluation_engine(strategy, p) == "scalar"
+        dist = state_distribution(strategy, p)
+        ref = _enumerated_distribution(strategy, p)
+        assert dist.keys() == ref.keys(), strategy.name
+        for atom, mass in ref.items():
+            assert dist[atom] == pytest.approx(float(mass), abs=1e-12), (strategy.name, atom)
+        value = sum(mass for (_, _, x), mass in ref.items() if x == p.origin)
+        assert evaluate_strategy_exact(strategy, p) == pytest.approx(float(value), abs=1e-12)
+
+
 def test_evaluate_refuses_history_signature():
     class FullHistory(Strategy):
         name = "full_history"
