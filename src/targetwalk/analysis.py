@@ -9,6 +9,7 @@ checks bound ratios and trends, and fits report their residuals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -283,10 +284,12 @@ def check_local_time_ratio(horizons: Sequence[int] = tuple(2 ** k for k in range
     (``LOCAL_TIME_RATIO_FLOOR``) on the whole grid, and the from-origin
     expected local time divided by log(N) must be stable within 0.10
     (``LOCAL_TIME_STABILITY_TOL``), the logarithmic growth that makes the
-    ratio work.  An empty grid, or a horizon below 2, raises ValueError.
+    ratio work.  An empty grid, or a horizon that is not an integer (a bool
+    or an integral float included) or is below 2, raises ValueError.
     """
-    if not horizons or min(horizons) < 2:
-        raise ValueError(f"horizons must be a nonempty grid of horizons >= 2, "
+    if not horizons or any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                           or n < 2 for n in horizons):
+        raise ValueError(f"horizons must be a nonempty grid of integer horizons >= 2, "
                          f"got {tuple(horizons)!r}")
     rows = []
     for n in horizons:

@@ -194,7 +194,7 @@ def _cmd_exact(args) -> int:
             updates, cells = _exact.dp_cost(problem, kept=want_policy)
             payload = {"schema_version": 1, "mode": "optimal",
                        "problem": {"d": args.d, "n": args.n, "m": args.m},
-                       "value": value,
+                       "value": value, "truncation_bound": table.truncation_bound,
                        "runtime": {"engine": "backward", "dp_cell_updates": updates,
                                    "dp_cells_held": cells}}
     except (SignatureError, ScheduleError, ValueError) as exc:

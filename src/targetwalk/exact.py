@@ -35,6 +35,7 @@ from .walk import (_MOVE_COLUMNS, _MOVES, _STAND, Decision, Problem, _add, _clas
 DEFAULT_DP_BUDGET = 2.0e9          # backward-induction cell updates
 DEFAULT_EVAL_BUDGET = 6.0e8        # plan-engine float entries or scalar cell-steps
 _FULL_TABLE_CELLS = 5.0e7          # cap on backward-induction float cells held
+_TRUNCATION_TARGET = 1e-15         # bound on what value-only induction may cut off
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +255,17 @@ class ValueTable:
     access to the centered grid of half-width n with one guard cell on each
     side: ``values[i]`` has shape (2n+3,)*d + (m,), indexed [x..., j], and
     so has ``policy[i]``, with 1 for STAND and 0 for STEP.
+
+    ``truncation_bound`` is beta of ``_certified_radius``: ``value`` lies
+    at most beta below the optimum, and is the optimum when beta is 0.0
+    (every kept table, and any horizon where the radius cuts nothing).
     """
 
     problem: Problem
     value: float
     values: Optional[Sequence] = None
     policy: Optional[Sequence] = None
+    truncation_bound: float = 0.0
 
     @property
     def center(self) -> int:
@@ -330,19 +336,63 @@ def _check_budget(budget: float) -> None:
         raise ValueError(f"budget must be a positive number, got {budget!r}")
 
 
+@functools.lru_cache(maxsize=8)
+def _certified_radius(d: int, n: int, target: float) -> tuple[int, float]:
+    """(R, beta): the least radius R with beta(R) <= ``target``, where
+
+        beta(R) = 2d (P(S_n >= R+1) + P(S_n > R+1))
+
+    for the 1d SSRW S.  A controlled walk's path is an SSRW path run with
+    pauses, and each coordinate of an SSRW on Z^d is a 1d SSRW run with
+    pauses, so by the reflection principle (Feller, Vol. 1, ch. III) the
+    walk leaves |x|_inf <= R before time n with probability at most
+    beta(R).  Killing it there costs at most that much value.  The
+    probabilities are tail sums of ``_binomial_pmf(n, 1/2)``, as
+    S_n = 2K - n.  beta is 0.0 when R >= n // 2, as min(i, n - i) never
+    exceeds n // 2 and nothing is cut.
+    """
+    lo, pmf = _binomial_pmf(n, 0.5)
+    upper = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)     # P(K >= lo + k)
+
+    def at_least(a: np.ndarray) -> np.ndarray:               # P(S_n >= a)
+        return upper[np.clip((n + a + 1) // 2 - lo, 0, upper.size - 1)]
+
+    # beta is 0 from R = 2 (lo + pmf.size) - n on, where K would pass the pmf
+    radii = np.arange(min(n, 2 * (lo + pmf.size) - n) + 1)
+    beta = 2 * d * (at_least(radii + 1) + at_least(radii + 2))
+    r = int(np.argmax(beta <= target))
+    return r, (0.0 if r >= n // 2 else float(beta[r]))
+
+
+def _power_sum(k: int, d: int) -> int:
+    """1^d + 2^d + ... + k^d for d in {1, 2}."""
+    return k * (k + 1) // 2 if d == 1 else k * (k + 1) * (2 * k + 1) // 6
+
+
 def dp_cost(problem: Problem, kept: bool = False) -> tuple[int, int]:
     """(cell updates, cells held) of backward induction on ``problem``.
 
-    Backward step i updates the folded cone 0 <= x_k <= n - i, (n-i+1)^d
-    cells, so sum_{k=2..n+1} k^d in all.  The window holds min(m, n+1)
-    slices of (n+3)^d cells, and a kept table (``keep="full"`` or a
-    policy) n+1 more.
+    Backward step i updates the folded box 0 <= x_k <= r_i, (r_i+1)^d
+    cells (see ``_step_values``).  A kept table (``keep="full"`` or a
+    policy) runs on r_i = n - i, so sum_{k=2..n+1} k^d updates in all; its
+    window holds min(m, n+1) slices of (n+3)^d cells, and the table n+1
+    more.  The value alone runs on r_i = min(i, n - i, R), with R from
+    ``_certified_radius``, and its window slices hold
+    (min(n // 2, R) + 3)^d cells.
     """
     n, m, d = problem.n, problem.m, problem.d
-    updates = ((n + 1) * (n + 2) // 2 - 1 if d == 1
-               else (n + 1) * (n + 2) * (2 * n + 3) // 6 - 1)
-    slices = min(m, n + 1) + (n + 1 if kept else 0)
-    return updates, (n + 3) ** d * slices
+    slices = min(m, n + 1)
+    if kept:
+        return _power_sum(n + 1, d) - 1, (n + 3) ** d * (slices + n + 1)
+    reach = _certified_radius(d, n, _TRUNCATION_TARGET)[0]
+
+    def capped(top: int) -> int:          # sum over r = 0..top of (min(r, R) + 1)^d
+        return (_power_sum(min(top, reach) + 1, d)
+                + max(top - reach, 0) * (reach + 1) ** d)
+
+    # min(i, n - i) over i = 0..n-1 runs through 0..n//2, then 1..ceil(n/2)-1
+    updates = capped(n // 2) + capped((n + 1) // 2 - 1) - 1
+    return updates, (min(n // 2, reach) + 3) ** d * slices
 
 
 def _dp_budget_check(problem: Problem, budget: float, kept: bool) -> None:
@@ -376,6 +426,9 @@ def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
     keep: "none" (value only), "full" (every time slice, small instances).
     The table keeps the n+1 step-value slices when ``keep="full"`` or
     ``want_policy``, and derives values and policy from them on access.
+    The value alone is computed on the reachable diamond within the
+    certified radius of ``_certified_radius``, so it may lie up to
+    ``table.truncation_bound`` (at most 1e-15) below the optimum.
     A budget that is NaN or not positive raises ValueError.
     """
     if keep not in ("none", "full"):
@@ -383,10 +436,13 @@ def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
     _check_budget(budget)
     kept = keep == "full" or want_policy
     _dp_budget_check(problem, budget, kept)
-    value, steps = _step_values(problem.d, problem.n, problem.m, kept)
-    values = _DerivedSlices(steps, problem.m, policy=False) if keep == "full" else None
-    policy = _DerivedSlices(steps, problem.m, policy=True) if want_policy else None
-    table = ValueTable(problem=problem, value=value, values=values, policy=policy)
+    d, n, m = problem.d, problem.n, problem.m
+    reach, beta = (None, 0.0) if kept else _certified_radius(d, n, _TRUNCATION_TARGET)
+    value, steps = _step_values(d, n, m, kept, reach)
+    values = _DerivedSlices(steps, m, policy=False) if keep == "full" else None
+    policy = _DerivedSlices(steps, m, policy=True) if want_policy else None
+    table = ValueTable(problem=problem, value=value, values=values, policy=policy,
+                       truncation_bound=beta)
     return value, table
 
 
@@ -399,9 +455,15 @@ class _WindowMax:
     stack holds the raw arrays pushed since the last transfer, with their
     running max.  When the front stack runs empty, a transfer rewrites the
     back stack's slots, newest to oldest, into suffix maxima, so the oldest
-    slot of the front holds the max of the whole front.  Every operation
-    acts on a caller-given region that must cover the nonzero entries of
-    all stored arrays; outside it the buffers stay zero.
+    slot of the front holds the max of the whole front.
+
+    Every operation acts on a caller-given region and leaves the entries
+    outside it as they were, and the buffers start zero.  So ``max`` is
+    exact at a cell when every operation since the oldest array in the
+    window was pushed covered that cell, or when every buffer holds 0
+    there and so does every array in the window.  Regions may grow and
+    then shrink: see ``_step_values`` for how backward induction keeps to
+    this.
     """
 
     def __init__(self, length: int, shape: tuple):
@@ -447,7 +509,7 @@ class _WindowMax:
 
 
 def _folded_box(r: int, d: int) -> tuple:
-    """Index of the folded cone 0 <= x_k <= r with its ghost layer x_k = -1."""
+    """Index of the folded box 0 <= x_k <= r with its ghost layer x_k = -1."""
     return (slice(0, r + 2),) * d
 
 
@@ -473,50 +535,65 @@ def _neighbour_mean(field: np.ndarray, box: tuple, out: np.ndarray,
     out *= 0.5 / len(box)
 
 
-def _step_values(d: int, n: int, m: int, keep: bool):
+def _step_values(d: int, n: int, m: int, keep: bool, reach: Optional[int]):
     """Backward induction without the stand counter, on the folded grid.
 
     A_t, the value of stepping at time t, is the neighbour mean of
     v_{t+1}(., 0), and v_t(x, 0) = max(A_t(x), ..., A_{min(t+m-1, n)}(x))
     with A_n = 1 at the origin.  So only A is built, and v(., 0) is a
-    sliding-window max over time.  A_t vanishes outside the cone
-    |x|_inf <= n - t, and all work at time t stays inside that cone.
+    sliding-window max over time.
+
+    Step i writes A_i on the box |x|_inf <= r_i and reads v_{i+1} on the
+    box of radius r_i + 1.  A_i vanishes outside the backward cone
+    |x|_inf <= n - i, so with ``reach`` None the run is on r_i = n - i and
+    exact everywhere, as a kept table (``keep``) needs.  Otherwise it is on
+    r_i = min(i, n - i, reach): v_0(0) reads A_i only where a walk from the
+    origin can be at time i (the forward cone |x|_inf <= i, an exact cut),
+    and A is zero past ``reach``, which kills a walk that leaves that box
+    (see ``_certified_radius``).  The radii rise to a peak, may stay
+    there, and then fall to 0, which keeps the region contract of
+    ``_WindowMax`` without zeroing any layer: while they rise or stay,
+    every buffer and every A is 0 past r_{i+1}; while they fall,
+    r_i + 1 = r_{i+1}, and every operation since the oldest array in the
+    window covered that box.
 
     The recursion is invariant under x_k -> -x_k on each axis and, in two
     dimensions, under the axis swap; ``_neighbour_mean`` keeps that exact.
     So the grid is folded: x_k >= 0 is held at index x_k + 1, with a ghost
     layer at x_k = -1 (index 0) copied from x_k = +1 after each step and a
-    guard at x_k = n + 1 that stays 0, shape (n+3,)*d.  Max is exact in
-    floating point, so the result equals the full-grid (x, j) recursion's
-    bit for bit.
+    guard one past the peak radius that stays 0, shape (peak + 3,)*d.  Max
+    is exact in floating point, so the result equals the full-grid (x, j)
+    recursion's on the same boxes bit for bit.
 
     Returns v_0(0, 0) and, when ``keep``, the (n+1,) + (n+3,)*d array of A.
     """
-    shape = (n + 3,) * d
+    peak = n if reach is None else min(n // 2, reach)
+    shape = (peak + 3,) * d
     origin = (1,) * d
     steps = np.zeros((n + 1,) + shape) if keep else None
     window = _WindowMax(min(m, n + 1), shape)
-    scratch = np.empty((n + 1) ** d)
+    scratch = np.empty((peak + 1) ** d)
     inner = (slice(1, None),) * d
     # ghost x_k = -1 (index 0) from x_k = +1 (index 2), axis by axis
     ghosts = [((slice(None),) * k + (0,), (slice(None),) * k + (2,)) for k in range(d)]
-    cone = _folded_box(0, d)
-    window.slot(cone)[origin] = 1.0
-    window.commit(cone)
+    box = _folded_box(0, d)
+    window.slot(box)[origin] = 1.0
+    window.commit(box)
     if steps is not None:
         steps[n][origin] = 1.0
     for i in range(n - 1, -1, -1):
-        v_next = window.max(cone)                # the cone of time i + 1
-        cone = _folded_box(n - i, d)
-        a = window.slot(cone)
-        _neighbour_mean(v_next, (slice(1, n - i + 2),) * d, out=a[inner],
+        r = n - i if reach is None else min(i, n - i, reach)
+        v_next = window.max(_folded_box(r + 1, d))
+        box = _folded_box(r, d)
+        a = window.slot(box)
+        _neighbour_mean(v_next, (slice(1, r + 2),) * d, out=a[inner],
                         scratch=scratch)
-        for ghost, mirror in ghosts:
+        for ghost, mirror in ghosts if r else ():   # A_0 is read at the origin only
             a[ghost] = a[mirror]
-        window.commit(cone)
+        window.commit(box)
         if steps is not None:
-            steps[i][cone] = a
-    return float(window.max(cone)[origin]), steps
+            steps[i][box] = a
+    return float(window.max(box)[origin]), steps
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,15 @@ def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
+def _decision_codes(decisions) -> np.ndarray:
+    """Codes (indices into ``_DECISIONS``) of a list of decisions; anything
+    that is not a ``Decision`` is a ValueError."""
+    for dec in decisions:
+        if dec not in _DECISIONS:
+            raise ValueError(f"unknown decision {dec!r}")
+    return np.array([_DECISIONS.index(dec) for dec in decisions], dtype=np.intp)
+
+
 class _Rule:
     """A strategy's decision step on a (d + 2, k) state array whose columns
     are walkers: the d coordinates, the counter j and a phase id.
@@ -207,10 +216,7 @@ class _Rule:
         first, inverse = _classes(state)
         decs = [self.strategy.decide(_position(col, d), col[d], i, self.phases[col[d + 1]])
                 for col in state.take(first, axis=1).T.tolist()]
-        for dec in decs:
-            if dec not in _DECISIONS:
-                raise ValueError(f"unknown decision {dec!r}")
-        dec = np.array([_DECISIONS.index(dec) for dec in decs]).take(inverse)
+        dec = _decision_codes(decs).take(inverse)
         offending = np.flatnonzero((dec == _STAND) & (state[d] >= self.m - 1))
         return dec, (int(offending[0]) if offending.size else None)
 
@@ -335,6 +341,6 @@ def validate_trajectory(traj: Trajectory, problem: Problem) -> None:
     pos = np.array(traj.positions, dtype=np.int64).reshape(len(traj.positions), -1)
     if pos.shape[1] != problem.d:
         raise ValueError(f"positions are not {problem.d}-dimensional")
-    codes = [np.array([_DECISIONS.index(dec)]) for dec in traj.decisions]
-    _validate_steps(((codes[t], pos[t, :, None], pos[t + 1, :, None])
+    codes = _decision_codes(traj.decisions)
+    _validate_steps(((codes[t:t + 1], pos[t, :, None], pos[t + 1, :, None])
                      for t in range(len(codes))), problem)

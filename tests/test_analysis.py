@@ -155,3 +155,11 @@ def test_fit_scaling_degenerate_grids():
 def test_local_time_ratio_refuses_short_horizons(horizons):
     with pytest.raises(ValueError, match=re.escape(f"horizons >= 2, got {horizons!r}")):
         check_local_time_ratio(horizons=horizons)
+
+
+@pytest.mark.parametrize("horizons", [(2.5,), (1024.0,), (True,), (1024, False),
+                                      (1024, "2048")], ids=repr)
+def test_local_time_ratio_refuses_non_integer_horizons(horizons):
+    # checked before any horizon is used: a float reached numpy's TypeError
+    with pytest.raises(ValueError, match=re.escape(f"horizons >= 2, got {horizons!r}")):
+        check_local_time_ratio(horizons=horizons)

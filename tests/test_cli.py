@@ -96,10 +96,11 @@ def test_exact_json_names_the_engine(capsys):
     assert data["runtime"] == {"engine": "plan"}
     assert data["value"] == pytest.approx(0.0021185320835944233, rel=1e-12)
     code, out, _ = run_cli(capsys, "exact", "--d", "1", "--n", "4", "--m", "2", "--json")
-    # the folded cones x = 0..r for r = 1..4 hold 2 + 3 + 4 + 5 cells, and
-    # the 2-slice window holds 2 slices of n + 3 = 7 cells
+    # steps i = 3, 2, 1, 0 update the folded boxes x = 0..r for
+    # r = min(i, n - i) = 1, 2, 1, 0, that is 2 + 3 + 2 + 1 = 8 cells, and
+    # the 2-slice window holds 2 slices of n // 2 + 3 = 5 cells
     assert code == 0 and json.loads(out)["runtime"] == {
-        "engine": "backward", "dp_cell_updates": 14, "dp_cells_held": 14}
+        "engine": "backward", "dp_cell_updates": 8, "dp_cells_held": 10}
 
 
 def test_zero_horizon_exits_2(capsys):
@@ -122,15 +123,42 @@ def test_exact_policy_out(tmp_path, capsys):
 
 
 def test_exact_json_counts_the_dp_work(capsys):
-    # d = 2, n = 3, m = 2: the folded cones 0 <= x_1, x_2 <= r for r = 1, 2, 3
-    # hold 4 + 9 + 16 cells, and the window 2 slices of (n + 3)^2 = 36 cells;
-    # at m = 9 the window is cut to n + 1 = 4 slices
+    # d = 2, n = 3, m = 2: steps i = 2, 1, 0 update the folded boxes
+    # 0 <= x_1, x_2 <= r for r = min(i, n - i) = 1, 1, 0, that is
+    # 4 + 4 + 1 = 9 cells, and the window holds 2 slices of
+    # (n // 2 + 3)^2 = 16 cells; at m = 9 the window is cut to n + 1 = 4 slices
     code, out, _ = run_cli(capsys, "exact", "--d", "2", "--n", "3", "--m", "2", "--json")
     assert code == 0
     assert json.loads(out)["runtime"] == {
-        "engine": "backward", "dp_cell_updates": 29, "dp_cells_held": 72}
+        "engine": "backward", "dp_cell_updates": 9, "dp_cells_held": 32}
     code, out, _ = run_cli(capsys, "exact", "--d", "2", "--n", "3", "--m", "9", "--json")
-    assert code == 0 and json.loads(out)["runtime"]["dp_cells_held"] == 4 * 36
+    assert code == 0 and json.loads(out)["runtime"]["dp_cells_held"] == 4 * 16
+
+
+def test_exact_json_reports_the_truncation_bound(capsys):
+    # nothing is cut at n = 3; at n = 300 the radius is 139 < n // 2, and the
+    # bound it certifies is at most 1e-15
+    code, out, _ = run_cli(capsys, "exact", "--d", "2", "--n", "3", "--m", "2", "--json")
+    assert code == 0 and json.loads(out)["truncation_bound"] == 0.0
+    code, out, _ = run_cli(capsys, "exact", "--d", "2", "--n", "300", "--m", "8", "--json")
+    data = json.loads(out)
+    assert code == 0 and 0.0 < data["truncation_bound"] <= 1e-15
+    assert data["value"] == pytest.approx(0.10001012633206274, rel=1e-15)
+    code, out, _ = run_cli(capsys, "exact", "--d", "1", "--n", "12", "--m", "3",
+                           "--eval", "lazy_max", "--json")
+    assert code == 0 and "truncation_bound" not in json.loads(out)
+
+
+def test_exact_paper_scale_optimum_fits_the_default_budget():
+    # d = 1, n = 10^5, m = 133 ~ (log n)^2: about n R = 2.5e8 updates on the
+    # diamond within R = 2564, where the whole backward cone prices 5e9;
+    # priced only, not solved
+    from targetwalk import Problem, exact
+
+    updates, cells = exact.dp_cost(Problem(d=1, n=100_000, m=133))
+    assert 2.4e8 < updates < 2.6e8 < exact.DEFAULT_DP_BUDGET
+    assert cells == 133 * (2564 + 3)
+    assert exact.dp_cost(Problem(d=1, n=100_000, m=133), kept=True)[0] > 5e9
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,8 +17,9 @@ from targetwalk import (AdmissibilityError, BudgetError, Decision, Problem,
                         optimal_value, return_probabilities_2d, run_trajectory,
                         ssrw_return_probability)
 import targetwalk
-from targetwalk.exact import (_binomial_pmf, _first_entrance_table, _point_probabilities,
-                              _propagate_scalar, _return_table,
+from targetwalk.exact import (_binomial_pmf, _certified_radius, _first_entrance_table,
+                              _point_probabilities, _propagate_scalar, _return_table,
+                              _step_values,
                               enumerate_decision_trees_value, evaluation_engine,
                               hitting_tail_curve, survivor_counts, window_counts)
 from targetwalk.strategies import (Strategy, always_step, delayed_wrapper, lazy_max,
@@ -197,11 +198,14 @@ def test_full_table_cap_counts_kept_slices():
     assert err.value.required_bytes == 8.0 * 403 ** 2 * (8 + 401)
 
 
-@pytest.mark.parametrize("d,n,m", [(1, 7, 3), (1, 5, 12), (2, 6, 2), (2, 4, 9)])
+@pytest.mark.parametrize("d,n,m", [(1, 7, 3), (1, 5, 12), (2, 6, 2), (2, 4, 9),
+                                   (1, 40, 5), (2, 30, 3)])
 def test_dp_cost_prices_the_work_the_engine_does(monkeypatch, d, n, m):
     # the priced updates are the cells the neighbour mean writes, and the
-    # priced cells are the window ring plus the kept step slices
+    # priced cells are the window ring plus the kept step slices; a target
+    # of 0.1 makes the radius cut the value-only boxes at n = 40 and 30
     exact = targetwalk.exact
+    monkeypatch.setattr(exact, "_TRUNCATION_TARGET", 0.1)
     written, rings = [], []
     neighbour_mean = exact._neighbour_mean
 
@@ -220,9 +224,122 @@ def test_dp_cost_prices_the_work_the_engine_does(monkeypatch, d, n, m):
     _, table = optimal_value(p, keep="full")
     assert exact.dp_cost(p, kept=True) == (sum(written),
                                            rings[0] + table.values.steps.size)
-    assert exact.dp_cost(p) == (sum(written), rings[0])
     # by hand: sum over r = 1..n of (r + 1)^d cells
     assert sum(written) == sum((r + 1) ** d for r in range(1, n + 1))
+    # the value alone: step i writes the box of radius min(i, n - i, R), and
+    # the ring holds slices of (min(n // 2, R) + 3)^d cells
+    written.clear()
+    optimal_value(p)
+    reach, beta = exact._certified_radius(d, n, 0.1)
+    assert exact.dp_cost(p) == (sum(written), rings[1])
+    assert sum(written) == sum((min(i, n - i, reach) + 1) ** d for i in range(n))
+    assert rings[1] == min(m, n + 1) * (min(n // 2, reach) + 3) ** d
+    assert (reach < n // 2) == (n >= 30) == (beta > 0)
+
+
+def _killed_recursion(problem, reach):
+    """Optimal value when a walk that leaves |x|_inf <= reach is killed: the
+    (x, j) recursion of ``_counter_recursion`` on the whole grid, with every
+    step value past ``reach`` set to 0."""
+    n, m, d = problem.n, problem.m, problem.d
+    c = n + 1
+    far = np.abs(np.arange(2 * n + 3) - c) > reach
+    if d == 2:
+        far = far[:, None] | far[None, :]
+    v = np.zeros((2 * n + 3,) * d + (m,))
+    v[(c,) * d] = 1.0
+    for _ in range(n):
+        v0 = v[..., 0]
+        step = np.zeros(v0.shape)
+        if d == 1:
+            step[1:-1] = 0.5 * (v0[:-2] + v0[2:])
+        else:
+            step[1:-1, 1:-1] = 0.25 * ((v0[:-2, 1:-1] + v0[2:, 1:-1])
+                                       + (v0[1:-1, :-2] + v0[1:-1, 2:]))
+        step[far] = 0.0
+        nv = np.empty_like(v)
+        nv[..., m - 1] = step
+        nv[..., :m - 1] = np.maximum(step[..., None], v[..., 1:])
+        v = nv
+    return float(v[(c,) * d + (0,)])
+
+
+@pytest.mark.parametrize("d,n,ms", [(1, 2000, (1, 2, 64, 2001)), (1, 5000, (3, 64)),
+                                    (2, 300, (1, 8)), (2, 301, (17,))])
+def test_value_alone_equals_the_backward_cone_bit_for_bit(d, n, ms):
+    """The value alone, on the boxes min(i, n - i, R), against the same
+    loop on the kept path's boxes n - i, at sizes where R < n // 2, so both
+    the forward cone and the radius cut.  At the default target the cut
+    mass is far below one ulp, and the bits are equal.
+
+    Power, checked in a copy of the tree: a forward cone one cell too
+    narrow (min(i - 1, ...)) fails the two cases with m = 1, where every
+    path counts; R + 1 in place of R fails every case.  A fault in the
+    loop both sides share (a stale layer r_i + 1 in each new slice, which
+    a skipped zeroing would leave) passes here and fails
+    ``test_optimal_value_equals_counter_recursion`` and the test below."""
+    reach, beta = _certified_radius(d, n, 1e-15)
+    assert reach < n // 2 and 0.0 < beta <= 1e-15
+    for m in ms:
+        value, table = optimal_value(Problem(d=d, n=n, m=m))
+        assert table.truncation_bound == beta
+        assert value == _step_values(d, n, m, False, None)[0], m
+
+
+def test_value_alone_equals_the_kept_table_at_a_cutting_radius():
+    # the same, against a real kept table: R = 313 < n // 2 = 750; R + 1 in
+    # place of R fails it
+    p = Problem(d=1, n=1500, m=40)
+    assert _certified_radius(1, 1500, 1e-15)[0] == 313
+    assert optimal_value(p)[0] == optimal_value(p, keep="full")[0]
+
+
+@pytest.mark.parametrize("d,n,m,target", [(1, 100, 1, 1e-3), (1, 100, 3, 1e-3),
+                                          (1, 101, 2, 1e-3), (2, 40, 1, 0.1),
+                                          (2, 41, 2, 0.1)])
+def test_a_radius_that_bites_costs_at_most_beta(monkeypatch, d, n, m, target):
+    """With the target raised, the radius kills mass the optimum keeps:
+    V_R < V <= V_R + beta, and V_R is the killed recursion's value bit for
+    bit.  In d = 2 the target is 0.1, since a coordinate moves half as
+    often, and at 1e-3 the killed mass is below one ulp of V.
+
+    Power, checked in a copy of the tree: a forward cone one cell too
+    narrow fails the two cases with m = 1; a stale layer r_i + 1 in each
+    new slice (0.5 where a zeroing would have written 0) fails the three
+    cases with m > 1; R + 1 in place of R fails every case."""
+    monkeypatch.setattr(targetwalk.exact, "_TRUNCATION_TARGET", target)
+    p = Problem(d=d, n=n, m=m)
+    value, table = optimal_value(p)
+    reach, beta = _certified_radius(d, n, target)
+    assert reach < n // 2 and table.truncation_bound == beta <= target
+    assert value == _killed_recursion(p, reach)
+    full = optimal_value(p, keep="full")[0]
+    assert value < full <= value + beta
+
+
+@pytest.mark.parametrize("d,n", [(1, 100), (2, 100), (1, 3000), (2, 300), (1, 7)])
+def test_certified_radius_is_the_least_with_beta_under_target(d, n):
+    # beta(R) = 2d (P(S_n >= R+1) + P(S_n > R+1)) from exact binomial sums
+    at_least = [Fraction(0)] * (n + 3)                  # P(S_n >= a) for a = 0..n+2
+    for k in range(n, -1, -1):
+        at_least[max(2 * k - n, 0)] += Fraction(math.comb(n, k), 2 ** n)
+    at_least = list(accumulate(reversed(at_least)))[::-1]
+
+    def beta(r):
+        return 2 * d * (at_least[min(r + 1, n + 2)] + at_least[min(r + 2, n + 2)])
+
+    for target in (1e-3, 1e-15):
+        reach, bound = _certified_radius(d, n, target)
+        assert beta(reach - 1) > target >= beta(reach) * (1 - 1e-12)
+        if reach < n // 2:
+            assert bound == pytest.approx(float(beta(reach)), rel=1e-12)
+        else:
+            assert bound == 0.0
+    # at the default target, the radii the README quotes
+    if (d, n) == (1, 3000):
+        assert reach == 443
+    if (d, n) == (2, 300):
+        assert reach == 139
 
 
 def test_value_table_csv_and_runs():

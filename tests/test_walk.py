@@ -356,6 +356,13 @@ def test_validate_trajectory_runs_the_batch_checks():
         assert "trial" not in str(err.value)
 
 
+@pytest.mark.parametrize("decision", ["step", None, 1])
+def test_validate_trajectory_names_an_unknown_decision(decision):
+    # the message of both step-by-step engines, not tuple.index's
+    with pytest.raises(ValueError, match=re.escape(f"unknown decision {decision!r}")):
+        validate_trajectory(Trajectory([0, 1], [decision]), Problem(d=1, n=1, m=2))
+
+
 class _ListPhase(Strategy):
     name = "list_phase"
     signature = "history"
