@@ -177,11 +177,13 @@ def _cmd_exact(args) -> int:
                                           problem)
             budget = args.budget if args.budget is not None else _exact.DEFAULT_EVAL_BUDGET
             value = _exact.evaluate_strategy_exact(strategy, problem, budget=budget)
+            engine, work = _exact.evaluation_cost(strategy, problem)
+            work_key = "plan_entries" if engine == "plan" else "scalar_cell_steps"
             payload = {"schema_version": 1, "mode": "evaluate",
                        "strategy": strategy.spec_dict(),
                        "problem": {"d": args.d, "n": args.n, "m": args.m},
                        "value": value,
-                       "runtime": {"engine": _exact.evaluation_engine(strategy, problem)}}
+                       "runtime": {"engine": engine, work_key: work}}
         else:
             want_policy = args.policy_out is not None
             budget = args.budget if args.budget is not None else _exact.DEFAULT_DP_BUDGET

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -396,6 +397,11 @@ def dp_cost(problem: Problem, kept: bool = False) -> tuple[int, int]:
 
 
 def _dp_budget_check(problem: Problem, budget: float, kept: bool) -> None:
+    if problem.n > budget:      # every step updates a cell; refused before the radius
+        raise BudgetError(
+            f"backward induction needs at least {problem.n:.3g} cell updates, one "
+            f"per step (budget {budget:.3g}); raise the budget to force the run",
+            required_transitions=float(problem.n))
     updates, cells = dp_cost(problem, kept)
     if updates > budget:
         raise BudgetError(
@@ -689,10 +695,14 @@ def enumerate_decision_trees_value(problem: Problem) -> Fraction:
 # Exact strategy evaluation
 # ---------------------------------------------------------------------------
 
-def evaluation_engine(strategy: Strategy, problem: Problem) -> str:
-    """The engine ``evaluate_strategy_exact`` runs for a strategy: "plan"
-    when it compiles to a plan, "scalar" otherwise."""
-    return "plan" if strategy.plan(problem) is not None else "scalar"
+def evaluation_cost(strategy: Strategy, problem: Problem) -> tuple[str, int]:
+    """(engine, priced work) of ``evaluate_strategy_exact`` on a strategy:
+    ("plan", float entries of ``_plan_cost``) when it compiles to a plan,
+    ("scalar", (2n+1)^d * n cell-steps) otherwise."""
+    plan = strategy.plan(problem)
+    if plan is not None:
+        return "plan", _plan_cost(plan, problem)
+    return "scalar", (2 * problem.n + 1) ** problem.d * problem.n
 
 
 def evaluate_strategy_exact(strategy: Strategy, problem: Problem,
@@ -703,28 +713,24 @@ def evaluate_strategy_exact(strategy: Strategy, problem: Problem,
     evaluated from the plan by renewal over time (``_evaluate_plan``), priced
     in the float entries its convolutions touch.  Any other strategy gets
     the scalar forward propagation of ``state_distribution``, priced in
-    (2n+1)^d * n cell-steps.  Exact up to float accumulation.  Full-history
-    strategies are refused: their state space is the trajectory itself.  A
-    budget that is NaN or not positive raises ValueError.
+    (2n+1)^d * n cell-steps.  Both prices come from ``evaluation_cost``.
+    Exact up to float accumulation.  Full-history strategies are refused:
+    their state space is the trajectory itself.  A budget that is NaN or
+    not positive raises ValueError.
     """
     if strategy.signature not in ("wj", "wji", "wjip"):
         raise SignatureError(
             f"strategy {strategy.name!r} declares signature {strategy.signature!r}; "
             "exact evaluation supports wj / wji / wjip only (use Monte Carlo)")
     _check_budget(budget)
-    plan = strategy.plan(problem)
-    if plan is not None:
-        entries = _plan_cost(plan, problem)
-        if entries > budget:
-            raise BudgetError(
-                f"plan evaluation touches ~{entries:.3g} float entries "
-                f"(budget {budget:.3g})", required_transitions=entries)
-        return _evaluate_plan(plan, problem)
-    cells = float(2 * problem.n + 1) ** problem.d * problem.n
-    if cells > budget:
-        raise BudgetError(
-            f"scalar forward propagation needs ~{cells:.3g} cell-steps "
-            f"(budget {budget:.3g})", required_transitions=cells)
+    engine, work = evaluation_cost(strategy, problem)
+    if work > budget:
+        need = (f"plan evaluation touches ~{work:.3g} float entries" if engine == "plan"
+                else f"scalar forward propagation needs ~{work:.3g} cell-steps")
+        raise BudgetError(f"{need} (budget {budget:.3g})",
+                          required_transitions=float(work))
+    if engine == "plan":
+        return _evaluate_plan(strategy.plan(problem), problem)
     return _propagate_scalar(strategy, problem)
 
 
@@ -775,47 +781,111 @@ def _first_entrance_table(size: int, d: int) -> np.ndarray:
     return q
 
 
+_UNDERFLOW = 1075 * math.log(2.0)      # -log of half the least subnormal float64
+
+
+def _x_log_ratio(x: float, y: float) -> float:
+    """x log(x / y), and 0 at x = 0."""
+    return x * math.log(x / y) if x else 0.0
+
+
+def _binomial_band(length: int, p: float) -> tuple[int, int]:
+    """(first, stop) with P(X = k) / P(X = mode) below 2^-1075, half the
+    least subnormal float64, for every k outside first <= k < stop, where
+    X ~ Binomial(length, p).
+
+    By the Chernoff bound P(X >= k) <= exp(-length D(k/length || p)) above
+    the mean, and its mirror below, with D the relative entropy of two
+    Bernoulli laws, and P(X = mode) >= 1 / (length + 1): the band is where
+    length D stays under 1075 log 2 + log(length + 1).  Both edges are
+    found by bisection, as length D grows away from the mean.
+    """
+    if p == 1.0:
+        return length, length + 1
+    level = _UNDERFLOW + math.log(length + 1.0)
+    mean = length * p
+
+    def exponent(k: int) -> float:          # length D(k / length || p)
+        return _x_log_ratio(k, mean) + _x_log_ratio(length - k, length - mean)
+
+    above = range(math.ceil(mean), length + 1)
+    below = range(math.floor(mean), -1, -1)
+    return (below[0] + 1 - bisect_left(below, level, key=exponent),
+            above[0] + bisect_left(above, level, key=exponent))
+
+
 def _binomial_pmf(length: int, p: float) -> tuple[int, np.ndarray]:
     """(lo, pmf) with pmf[i] = P(Binomial(length, p) = lo + i), cut to the
     entries that do not underflow to 0.  Built by the ratio recurrence out
-    from the mode and normalised to sum 1, so no log-gamma rounding enters."""
+    from the mode over ``_binomial_band`` only and normalised to sum 1, so
+    no log-gamma rounding enters."""
     if p == 1.0:
         return length, np.ones(1)
+    first, stop = _binomial_band(length, p)
     mode = min(int((length + 1) * p), length)
     odds = p / (1.0 - p)
-    down = np.arange(mode, 0, -1, dtype=np.float64)       # P(k-1) / P(k)
-    up = np.arange(mode, length, dtype=np.float64)        # P(k+1) / P(k)
+    down = np.arange(mode, first, -1, dtype=np.float64)   # P(k-1) / P(k)
+    up = np.arange(mode, stop - 1, dtype=np.float64)      # P(k+1) / P(k)
     pmf = np.concatenate([np.cumprod(down / ((length + 1.0 - down) * odds))[::-1],
                           [1.0], np.cumprod((length - up) / (up + 1.0) * odds)])
     pmf /= pmf.sum()
     live = np.flatnonzero(pmf)
-    return int(live[0]), pmf[live[0]:live[-1] + 1]
+    return first + int(live[0]), pmf[live[0]:live[-1] + 1]
 
 
-def _binomial_width(length: int, p: float) -> int:
-    """Upper bound on the entries 0, 1, ... of Binomial(length, p) that do
-    not underflow: by Bernstein's inequality P(X >= mean + x) is below
-    e^-745, under the smallest float64, once x^2 >= 1490 (var + x / 3)."""
-    a = 1490.0 / 3.0
-    x = 0.5 * (a + math.sqrt(a * a + 4 * 1490.0 * length * p * (1.0 - p)))
-    return min(length, math.ceil(length * p + x)) + 1
+def _block_size(length: int) -> int:
+    """K of ``_binomial_mixture``: about sqrt(length), which balances the
+    K inner against the length / K outer Horner steps."""
+    return max(1, math.isqrt(length))
+
+
+def _block_horner(rows: np.ndarray, p: float) -> np.ndarray:
+    """Column b of the result is sum_i rows[i, b] Bernoulli(p)^{*i} as a pmf
+    over the step count, for every column at once: Horner's rule
+    a <- a * Bernoulli(p) + rows[i] from the last row, with the support cut
+    where its top row underflows to 0."""
+    a = np.zeros(rows.shape)
+    a[0] = rows[-1]
+    top = 1
+    for row in rows[-2::-1]:
+        moved = p * a[:top]
+        a[:top] *= 1.0 - p
+        a[1:top + 1] += moved
+        if a[top].any():
+            top += 1
+        a[0] += row
+    return a[:top]
 
 
 def _binomial_mixture(hits: np.ndarray, p: float) -> np.ndarray:
-    """sum_s hits[s] * Binomial(len(hits) - 1 - s, p) as a pmf over the step
-    count: Horner's rule acc <- acc * Bernoulli(p) + hits[s], with the
-    support cut where its top entry underflows to 0."""
-    acc = np.zeros(hits.size)
-    acc[0] = hits[0]
-    top = 1
-    for h in hits[1:]:
-        moved = p * acc[:top]
-        acc[:top] *= 1.0 - p
-        acc[1:top + 1] += moved
-        if acc[top] != 0.0:
-            top += 1
-        acc[0] += h
-    return acc[:top]
+    """sum_s hits[s] * Binomial(L - 1 - s, p) as a pmf over the step count,
+    L = len(hits), by a blocked Horner rule.
+
+    With g_j = hits[L - 1 - j] and beta = Bernoulli(p) the sum is
+    sum_j g_j beta^{*j}.  Cut j = bK + i into blocks of K = ``_block_size``
+    (the last one padded with zeros).  One K-step ``_block_horner`` pass
+    gives every A_b = sum_{i<K} g_{bK+i} beta^{*i} at once.  Then
+    acc <- acc * gamma + A_b over the blocks, from the last, with
+    gamma = beta^{*K} = Binomial(K, p) from ``_binomial_pmf``: about
+    2 sqrt(L) Python steps in all.  The outer product is a direct
+    ``np.convolve``: by FFT, round-off would fill the tail that underflows
+    to exactly 0.
+    """
+    k = _block_size(hits.size)
+    blocks = -(-hits.size // k)
+    g = np.zeros(blocks * k)
+    g[:hits.size] = hits[::-1]
+    a = _block_horner(g.reshape(blocks, k).T.copy(), p)     # rows[i, b] = g_{bK+i}
+    lo, gamma = _binomial_pmf(k, p)
+    acc = a[:, -1]
+    for column in a.T[-2::-1]:
+        moved = np.convolve(acc, gamma)
+        acc = np.zeros(max(lo + moved.size, column.size))
+        acc[lo:lo + moved.size] = moved
+        acc[:column.size] += column
+        live = np.flatnonzero(acc)
+        acc = acc[:live[-1] + 1 if live.size else 1]     # g may open with zero blocks
+    return acc
 
 
 def _evaluate_plan(plan: Plan, problem: Problem) -> float:
@@ -864,29 +934,49 @@ def _evaluate_plan(plan: Plan, problem: Problem) -> float:
     return float(value + np.dot(w, r[c0:c0 + w.size]))
 
 
-def _plan_cost(plan: Plan, problem: Problem) -> float:
+def _plan_cost(plan: Plan, problem: Problem) -> int:
     """Float entries ``_evaluate_plan`` touches, an upper bound: the r and Q
-    tables, every correlation and first-hit product by output length, and
-    every binomial and Horner step of the delayed mode by its support."""
+    tables, every correlation and first-hit product by output length, the
+    leading crawl's binomial by its band, and each delayed stage's mixture
+    by ``_mixture_cost``."""
     n, m, d = problem.n, problem.m, problem.d
     p = 1.0 / m
-    cost, width, t = float(n + 1), 1, plan.walk + plan.crawl
+    cost, width, t = n + 1, 1, plan.walk + plan.crawl
     if plan.times:
         # d = 2: about five output entries per coefficient over Newton's rounds
         cost += (5 if d == 2 else 1) * _table_size(n + 1)
     if plan.delayed and plan.crawl:
-        width = _binomial_width(plan.crawl, p)
-        cost += plan.crawl + 2 + width
+        first, stop = _binomial_band(plan.crawl, p)
+        width = stop - first
+        cost += 3 * width
     for t_end in plan.times:
         length = t_end - t
         cost += 2 * width + 3 * length
         if plan.delayed:
-            width = _binomial_width(length - 1, p)
-            cost += length * width
+            width = _binomial_band(length - 1, p)[1]
+            cost += _mixture_cost(length, p)
         else:
             width = (length - 1) // m + 1
         t = t_end
     return cost
+
+
+def _mixture_cost(length: int, p: float) -> int:
+    """Float entries ``_binomial_mixture`` touches on ``length`` hits, an
+    upper bound, with every support bounded by ``_binomial_band``: the
+    (K, blocks) arrays; each of the K - 1 inner Horner steps over every
+    block by the live support of Binomial(K - 1, p); gamma; and each of the
+    blocks - 1 outer steps by |acc| |gamma| multiply-adds and the |acc| +
+    |gamma| entries of its sum, with |acc| the support of
+    Binomial(length - 1, p)."""
+    k = _block_size(length)
+    blocks = -(-length // k)
+    inner = _binomial_band(k - 1, p)[1]
+    first, stop = _binomial_band(k, p)
+    gamma = stop - first
+    acc = _binomial_band(length - 1, p)[1] + first
+    return (3 * k * blocks + (k - 1) * blocks * inner + 3 * gamma
+            + (blocks - 1) * (acc * gamma + acc + gamma))
 
 
 def state_distribution(strategy: Strategy, problem: Problem) -> dict:

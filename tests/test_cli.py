@@ -2,7 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -75,7 +79,7 @@ def test_exact_bad_budget_exits_2(capsys, budget, mode):
 def test_exact_eval_uses_the_eval_budget(capsys):
     # the delayed hit mixtures price this plan at ~1.2e9 float entries: over
     # the eval default (6e8), under the DP one (2e9)
-    code, _, err = run_cli(capsys, "exact", "--d", "1", "--n", "1000000", "--m", "2000",
+    code, _, err = run_cli(capsys, "exact", "--d", "1", "--n", "1000000", "--m", "300",
                            "--eval", "windowed_1d", "--delayed")
     assert code == 3
     assert "refused" in err and "float entries" in err
@@ -86,6 +90,23 @@ def test_exact_eval_at_paper_scale(capsys):
                            "--eval", "windowed_1d")
     assert code == 0
     assert float(out.strip()) == pytest.approx(0.948258, abs=1e-6)
+    # delayed, at the default budget: the blocked mixture prices it at 2.1e8
+    code, out, _ = run_cli(capsys, "exact", "--d", "1", "--n", "1000000", "--m", "10000",
+                           "--eval", "windowed_1d", "--delayed")
+    assert code == 0
+    # the value with the mixture in long double and the rest as it is; the
+    # per-hit Horner loop gave 0.4549909966650274, 1.1e-11 off
+    assert float(out.strip()) == pytest.approx(0.4549909966600378, rel=1e-12)
+
+
+def test_a_horizon_over_the_budget_is_refused_before_any_table(capsys):
+    # each backward step updates a cell, so n = 10^12 is refused by n alone,
+    # before the certified radius builds its binomial
+    code, out, err = run_cli(capsys, "exact", "--d", "2", "--n", "1000000000000",
+                             "--m", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("refused: backward induction needs at least 1e+12 cell updates")
+    assert err.count("\n") == 1
 
 
 def test_exact_json_names_the_engine(capsys):
@@ -93,7 +114,8 @@ def test_exact_json_names_the_engine(capsys):
                            "--eval", "always_step", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["runtime"] == {"engine": "plan"}
+    # the plan has no stage, so its price is the r table: n + 1 entries
+    assert data["runtime"] == {"engine": "plan", "plan_entries": 301}
     assert data["value"] == pytest.approx(0.0021185320835944233, rel=1e-12)
     code, out, _ = run_cli(capsys, "exact", "--d", "1", "--n", "4", "--m", "2", "--json")
     # steps i = 3, 2, 1, 0 update the folded boxes x = 0..r for
@@ -578,3 +600,13 @@ def test_sweep_bad_threads_exit_2_before_any_cell(tmp_path, capsys, threads):
     assert code == 2
     assert out == "" and "threads" in err and "cell(s) failed" not in err
     assert not state.exists() or list(state.iterdir()) == []
+
+
+def test_package_runs_as_a_module():
+    # python -m targetwalk from a source checkout, as the tests import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "targetwalk", "exact", "--d", "1",
+                          "--n", "2", "--m", "2"], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "0.5\n", "")

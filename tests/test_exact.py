@@ -17,10 +17,10 @@ from targetwalk import (AdmissibilityError, BudgetError, Decision, Problem,
                         optimal_value, return_probabilities_2d, run_trajectory,
                         ssrw_return_probability)
 import targetwalk
-from targetwalk.exact import (_binomial_pmf, _certified_radius, _first_entrance_table,
-                              _point_probabilities, _propagate_scalar, _return_table,
-                              _step_values,
-                              enumerate_decision_trees_value, evaluation_engine,
+from targetwalk.exact import (_binomial_mixture, _binomial_pmf, _certified_radius,
+                              _first_entrance_table, _point_probabilities,
+                              _propagate_scalar, _return_table, _step_values,
+                              enumerate_decision_trees_value, evaluation_cost,
                               hitting_tail_curve, survivor_counts, window_counts)
 from targetwalk.strategies import (Strategy, always_step, delayed_wrapper, lazy_max,
                                    lazy_then_sprint, windowed_1d, windowed_2d)
@@ -540,7 +540,7 @@ def test_state_distribution_matches_enumeration(p):
 
     for strategy in (_DriftHome(p, Decision.STAND), _DriftHome(p, Decision.DELAYED_STEP),
                      _Homing(p, Decision.STAND), _Homing(p, Decision.DELAYED_STEP)):
-        assert evaluation_engine(strategy, p) == "scalar"
+        assert evaluation_cost(strategy, p)[0] == "scalar"
         dist = state_distribution(strategy, p)
         ref = _enumerated_distribution(strategy, p)
         assert dist.keys() == ref.keys(), strategy.name
@@ -852,6 +852,113 @@ def test_binomial_pmf_matches_exact_rationals(length, m):
     np.testing.assert_allclose(pmf, want[lo:lo + pmf.size], rtol=1e-13, atol=1e-300)
 
 
+def _exact_mixture(hits, m):
+    """sum_s h_s Binomial(N_s, 1/m), N_s = L - 1 - s, in big integers over
+    the common denominator den m^(L-1), with h_s the exact rational value of
+    each float (den a power of two); true division rounds correctly."""
+    fracs = [Fraction(float(h)) for h in hits]
+    size = len(fracs)
+    den = max(f.denominator for f in fracs)
+    num = [0] * size
+    for s, f in enumerate(fracs):
+        top = size - 1 - s
+        c = f.numerator * (den // f.denominator) * m ** s
+        for k in range(top + 1):
+            num[k] += c * math.comb(top, k) * (m - 1) ** (top - k)
+    return np.array([x / (den * m ** (size - 1)) for x in num])
+
+
+@pytest.mark.parametrize("length", [1, 2, 48, 49, 50, 300])
+@pytest.mark.parametrize("m", [1, 2, 7, 100])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_binomial_mixture_matches_exact_rationals(length, m, zeros):
+    """The blocked mixture against the big-integer sum of
+    ``_exact_mixture``.  Blocks are K = isqrt(L) long: L = 1 and 2 have
+    K = 1; 48, 49 and 50 are K^2 - 1 = 6 * 8, K^2 = 7 * 7 and K^2 + 1, whose
+    eighth block holds one hit; 300 has 17 blocks of 17 and one of 11.
+    With ``zeros`` the hits open with a run of L // 2 zeros, so the outer
+    Horner starts on blocks that are all zero (at L = 2, on one).
+
+    Power, checked in a copy of the tree: gamma = Binomial(K + 1, p) or
+    Binomial(K - 1, p) fails each of the 36 cases where two blocks hold
+    hits (all but L = 1, and L = 2 with zeros); each A_b added one entry
+    late in the outer Horner fails 40 cases, and the hits put one slot late
+    in the blocks all 48."""
+    rng = np.random.default_rng(length)
+    hits = rng.random(length)
+    hits *= 0.9 / hits.sum()
+    if zeros:
+        hits[:length // 2] = 0.0
+    got = _binomial_mixture(hits, 1.0 / m)
+    want = _exact_mixture(hits, m)
+    assert got.size <= length and got[-1] > 0.0
+    padded = np.zeros(length)
+    padded[:got.size] = got
+    # subnormal tail entries keep fewer digits, hence the absolute floor
+    np.testing.assert_allclose(padded, want, rtol=1e-13, atol=1e-300)
+
+
+def _mixture_work(monkeypatch, hits, p):
+    """Entries ``_binomial_mixture`` touches on (hits, p), counted from its
+    calls: the (K, blocks) array and blocks x top per inner Horner step
+    (top only grows, so its last value bounds each step), then
+    |acc| |gamma| multiply-adds and |acc| + |gamma| entries per outer step."""
+    exact = targetwalk.exact
+    work = []
+    block_horner, convolve = exact._block_horner, np.convolve
+
+    def counting_horner(rows, q):
+        out = block_horner(rows, q)
+        work.append(rows.size + (rows.shape[0] - 1) * rows.shape[1] * out.shape[0])
+        return out
+
+    def counting_convolve(a, b):
+        work.append(a.size * b.size + a.size + b.size)
+        return convolve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_block_horner", counting_horner)
+        patch.setattr(np, "convolve", counting_convolve)
+        exact._binomial_mixture(hits, p)
+    return sum(work)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_plan_cost_prices_the_blocked_mixture(monkeypatch):
+    """Pricing only: delayed ``windowed_1d`` at n = 10^6 fits the default
+    budget at m = 10^4 and at m = 10^3 (one Horner step per hit priced them
+    at 6.7e8 and 1.65e9 entries).  And ``_mixture_cost`` bounds the entries
+    that each mixture of a small grid of delayed plans touches, counted by
+    ``_mixture_work``, and is at most three times it (plus 10 for the
+    shortest stages): the support bounds of ``_binomial_band`` hold, and
+    are not far above the live supports."""
+    exact = targetwalk.exact
+    for m in (10**4, 10**3):
+        p = Problem(d=1, n=10**6, m=m)
+        sched = build_schedule_1d(ScheduleParams1D(n=p.n, m=m, eta=0.5))
+        engine, work = evaluation_cost(delayed_wrapper(windowed_1d(sched, p), p), p)
+        assert engine == "plan" and work <= exact.DEFAULT_EVAL_BUDGET
+    calls = []
+    mixture = exact._binomial_mixture
+
+    def recording(hits, p):
+        calls.append((hits, p))
+        return mixture(hits, p)
+
+    monkeypatch.setattr(exact, "_binomial_mixture", recording)
+    for p in (Problem(d=1, n=10_000, m=100), Problem(d=1, n=2000, m=3),
+              Problem(d=1, n=97, m=9), Problem(d=1, n=12, m=1),
+              Problem(d=2, n=300, m=8), Problem(d=2, n=41, m=3)):
+        for strat in _built_ins(p):
+            if strat.plan(p).delayed:
+                evaluate_strategy_exact(strat, p)
+    monkeypatch.undo()
+    assert len({(hits.size, p) for hits, p in calls}) >= 10
+    for hits, p in calls:
+        work = _mixture_work(monkeypatch, hits, p)
+        assert work <= exact._mixture_cost(hits.size, p) <= 3 * work + 10
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_first_entrance_table_is_the_first_return_law(d):
     # direct renewal recursion f(t) = r(t) - sum_{0<s<t} f(s) r(t - s)
@@ -867,14 +974,14 @@ def test_first_entrance_table_is_the_first_return_law(d):
 
 def test_evaluation_engine_names():
     p = Problem(d=1, n=20, m=4)
-    assert evaluation_engine(lazy_max(p), p) == "plan"
-    assert evaluation_engine(delayed_wrapper(lazy_then_sprint(p), p), p) == "plan"
+    assert evaluation_cost(lazy_max(p), p) == ("plan", 21)
+    assert evaluation_cost(delayed_wrapper(lazy_then_sprint(p), p), p)[0] == "plan"
 
     class NoPlan(Strategy):
         def decide(self, w, j, i, phase):
             return Decision.STEP
 
-    assert evaluation_engine(NoPlan(), p) == "scalar"
+    assert evaluation_cost(NoPlan(), p) == ("scalar", 41 * 20)
     assert evaluate_strategy_exact(NoPlan(), p) == pytest.approx(
         math.comb(20, 10) / 2**20, abs=1e-14)
 
@@ -901,7 +1008,7 @@ def test_step_by_step_references_agree_on_bad_decisions(strategy, error, time_st
     # the scalar exact engine and the trajectory engine reject the same
     # decisions: an unknown one, and a stand past the budget at m = 3
     p = Problem(d=1, n=4, m=3)
-    assert evaluation_engine(strategy, p) == "scalar"
+    assert evaluation_cost(strategy, p)[0] == "scalar"
     for run in (lambda: evaluate_strategy_exact(strategy, p),
                 lambda: run_trajectory(strategy, p, 0)):
         with pytest.raises(error) as err:
