@@ -78,7 +78,11 @@ class McConfig:
 
 @dataclass
 class EstimateReport:
-    """Success estimate with Wilson interval and optional per-stage counters."""
+    """Success estimate with Wilson interval and optional per-stage counters.
+
+    ``runtime`` also names the sampler, the chunk count and the entries of
+    the staged sampler's lead table (0 where it draws no lead from one).
+    """
 
     problem: Problem
     strategy: dict
@@ -93,6 +97,8 @@ class EstimateReport:
     wall_time_s: float = 0.0
     threads: int = 1
     sampler: str = "generic"
+    chunks: int = 0
+    lead_table_entries: int = 0
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
         out = {
@@ -112,7 +118,8 @@ class EstimateReport:
             out["failures"] = self.failures
         if include_runtime:
             out["runtime"] = {"wall_time_s": self.wall_time_s, "threads": self.threads,
-                              "sampler": self.sampler}
+                              "sampler": self.sampler, "chunks": self.chunks,
+                              "lead_table_entries": self.lead_table_entries}
         return out
 
     def to_json(self, include_runtime: bool = True) -> str:
@@ -179,7 +186,8 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
         successes=successes, p_hat=successes / config.trials,
         wilson_lo=lo, wilson_hi=hi, stage_stats=stage_stats,
         failures=failures, wall_time_s=time.perf_counter() - t0,
-        threads=config.threads, sampler=sampler.name)
+        threads=config.threads, sampler=sampler.name, chunks=len(chunks),
+        lead_table_entries=sampler.lead_table_entries)
 
 
 def window_conditionals(config: McConfig) -> dict:

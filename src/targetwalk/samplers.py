@@ -8,7 +8,11 @@ laws:
 
 * a walk of length W and a crawl of length L take W + L // m fair steps,
   or W + Binomial(L, 1/m) of them in delayed mode, so their displacement is
-  one walk endpoint;
+  one walk endpoint.  Outside delayed mode every trial's lead has the same
+  length, and its endpoint is read off one inverse-CDF table of that
+  binomial law, built once per sampler (``_BinomialTable``); a delayed lead,
+  whose length varies, and a lead over ``_TABLE_MAX_LENGTH`` steps take one
+  numpy binomial draw per coordinate;
 * a seek steps every time until the origin is hit.  Positions are kept in
   diagonal coordinates (x + y, x - y), in which a planar walk is two
   independent +/-1 walks.  Each coordinate's endpoint is one binomial draw,
@@ -48,6 +52,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import AdmissibilityError
+from .exact import _binomial_pmf
 from .schedule import Schedule
 from .strategies import Plan, Strategy
 from .walk import Problem, _lockstep
@@ -78,6 +83,57 @@ def _tally_stage(counts: np.ndarray, k: int, schedule: Schedule, pos: np.ndarray
 def _endpoints(g: np.random.Generator, steps: np.ndarray, d: int) -> np.ndarray:
     """(d, k) diagonal displacements of fair walks of ``steps`` (k,) steps."""
     return 2 * g.binomial(steps, 0.5, size=(d, steps.size)) - steps
+
+
+# longer leads keep numpy's binomial: up to here a table draws an endpoint
+# 2-12 times faster (17 against 38 ns at this length, with 157 k entries);
+# beyond, its gain shrinks while its size and build time grow as sqrt(length)
+_TABLE_MAX_LENGTH = 1 << 24
+
+
+class _BinomialTable:
+    """Endpoints 2 Binomial(length, 1/2) - length of fair walks of one
+    length, by inversion of one table.
+
+    Atom j is the value lo + j of ``exact._binomial_pmf(length, 0.5)``, the
+    law the plan engine uses, and a uniform u in [0, 1) draws the least j
+    with u < cdf[j]; the last cdf entry is +inf.  A guide table (Chen &
+    Asau 1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2)
+    cuts [0, 1) into ``buckets`` equal parts and holds the atom of every
+    bucket that no cdf entry falls in, else -1; only uniforms in a bucket
+    marked -1 are searched.  ``buckets`` is the power of two of at least
+    max(4096, 64 sqrt(length)), so a few percent of the buckets are marked,
+    and ``cdf`` is stored times ``buckets``, exactly, like the uniforms.
+    """
+
+    def __init__(self, length: int):
+        lo, pmf = _binomial_pmf(length, 0.5)
+        self.shift = 2 * lo - length
+        self.buckets = max(1 << 12, 1 << (64 * math.isqrt(length) - 1).bit_length())
+        self.cdf = np.cumsum(pmf)
+        self.cdf[-1] = np.inf
+        self.cdf *= self.buckets
+        # first[b] = the least j with cdf[j] > b = the count of cdf[j] <= b
+        edges = np.ceil(self.cdf[:-1]).astype(np.int64)
+        first = np.cumsum(np.bincount(np.minimum(edges, self.buckets + 1),
+                                      minlength=self.buckets + 2))[:-1]
+        self.guide = np.where(first[:-1] == first[1:], first[:-1], -1).astype(np.int32)
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """Atoms (int32) of uniforms u in [0, 1); scales u in place."""
+        u *= self.buckets
+        atoms = self.guide.take(u.astype(np.int32))
+        flat = atoms.reshape(-1)
+        hard = np.flatnonzero(flat < 0)
+        flat[hard] = self.cdf.searchsorted(u.reshape(-1)[hard], side="right")
+        return atoms
+
+    def add_endpoints(self, g: np.random.Generator, pos: np.ndarray) -> None:
+        """Add one endpoint to every entry of ``pos``, in place."""
+        atoms = self.index(g.random(pos.shape))
+        atoms *= 2
+        pos += atoms
+        pos += self.shift
 
 
 # numpy's hypergeometric needs ngood and nbad each below 10**9; in a block of
@@ -226,6 +282,7 @@ class Sampler:
 
     name = "sampler"
     schedule: Optional[Schedule] = None
+    lead_table_entries = 0
 
     def run_chunk(self, master_seed: int, lo: int,
                   hi: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -234,7 +291,8 @@ class Sampler:
 
 class StagedSampler(Sampler):
     """All trials of a chunk run a plan in lockstep: one endpoint for the
-    leading walk and crawl, then a seek and a crawl per stage time.
+    leading walk and crawl, then a seek and a crawl per stage time.  The
+    lead's table, if it has one, is built here and shared by every chunk.
 
     Chunk state is a (d, trials) array of diagonal coordinates plus one
     mask of trials whose seek missed; in d = 2 it is turned into lattice
@@ -248,6 +306,13 @@ class StagedSampler(Sampler):
         self.problem = problem
         self.plan = plan
         self.schedule = plan.schedule
+        lead = plan.walk + plan.crawl // problem.m
+        self._lead = (_BinomialTable(lead) if not plan.delayed
+                      and 0 < lead <= _TABLE_MAX_LENGTH else None)
+
+    @property
+    def lead_table_entries(self) -> int:
+        return 0 if self._lead is None else self._lead.cdf.size
 
     def _crawl_steps(self, g: np.random.Generator, lengths: np.ndarray) -> np.ndarray:
         if self.plan.delayed:
@@ -265,8 +330,11 @@ class StagedSampler(Sampler):
                                                      dtype=np.int64)
         was_in = np.ones(k, dtype=bool)        # W_0 is the origin, inside window 0
         plan = self.plan
-        crawled = self._crawl_steps(g, np.full(k, plan.crawl, dtype=np.int64))
-        pos += _endpoints(g, plan.walk + crawled, d)
+        if self._lead is not None:
+            self._lead.add_endpoints(g, pos)
+        elif plan.walk or plan.crawl:
+            crawled = self._crawl_steps(g, np.full(k, plan.crawl, dtype=np.int64))
+            pos += _endpoints(g, plan.walk + crawled, d)
         t = plan.walk + plan.crawl
         for stage, t_end in enumerate(plan.times, start=1):
             free = np.nonzero(walking)[0]

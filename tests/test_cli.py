@@ -412,6 +412,18 @@ def test_simulate_schedule_file_with_a_bad_size_exits_2(tmp_path, capsys, field,
     assert f"schedule {field} must be" in err and "Traceback" not in err
 
 
+def test_simulate_runtime_reports_chunks_and_lead_table(capsys):
+    entries = {}
+    for strategy in ("lazy_max", "windowed_1d"):
+        code, out, _ = run_cli(capsys, "simulate", "--d", "1", "--n", "1000", "--m", "10",
+                               "--strategy", strategy, "--trials", "5000", "--seed", "3")
+        assert code == 0
+        runtime = json.loads(out)["runtime"]
+        assert runtime["chunks"] == 2
+        entries[strategy] = runtime["lead_table_entries"]
+    assert entries == {"lazy_max": 101, "windowed_1d": 0}
+
+
 def test_simulate_csv_format(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--d", "1", "--n", "20", "--m", "4",
                            "--strategy", "lazy_max", "--trials", "500",

@@ -7,9 +7,11 @@ seek the origin in every stage.  All run on the staged sampler, whose stream
 is keyed by (master seed, chunk index).  The digests were computed on one
 thread and are asserted at one and two threads, so they catch a change to
 the stream, to the order of the draws within a plan, to the chunking or to
-the report layout, and any dependence on the thread count.  The generic
-sampler's chunk streams carry a tag of their own, so the two samplers of a
-law test never share draws.
+the report layout, and any dependence on the thread count.  The first four
+draw their leading walk and crawl from the sampler's lead table; the
+windowed plans have no lead, so their digests pin the stage draws alone.
+The generic sampler's chunk streams carry a tag of their own, so the two
+samplers of a law test never share draws.
 """
 
 import hashlib
@@ -22,15 +24,15 @@ from targetwalk.rng import chunk_generator, step_chunk_generator, trial_generato
 # sha256 of to_json(include_runtime=False), computed at threads=1
 _PINNED = {
     "always_step": ({"name": "always_step"}, (1, 10 ** 5, 1), 10_000,
-                    "a9eeeb20a6c67915b4f1e29a23e7e0d6e5c9e14631c783e14d684baf2e447272"),
+                    "fd9a07be3404dbc96320e3f7642b474e5abe80a3712cf2dd52ab66f4bb4511b9"),
     "lazy_max": ({"name": "lazy_max"}, (2, 2 ** 16, 64), 20_000,
-                 "acf24d88d265cf68a2bf12de36352ea5d22d07d1b41b8102799547ff1106a871"),
+                 "0de6f777d58459221be0b86edd16d0a5685e2f86721afd5d081cb75d40d054d4"),
     "lazy_then_sprint_d1": (
         {"name": "lazy_then_sprint"}, (1, 10 ** 5, 100), 10_000,
-        "2d65163cf59306038e348dd02dafdf54e2a1f84dd9ff9351e49ea636bc923882"),
+        "9a15babfc580156decc42429e855b4c78dcd81e573373599a5d64183b7b2132c"),
     "lazy_then_sprint_d2": (
         {"name": "lazy_then_sprint"}, (2, 10 ** 4, 100), 10_000,
-        "cd9d778ba248b8a9c377272697874f58358594099e0e8f9a818acd464e6ca6a6"),
+        "41ce6530d129763b734eac8905bb765244ce5239fb2fd29346b7789684a3db88"),
     "windowed_1d": (
         {"name": "windowed_1d"}, (1, 10 ** 5, 316), 10_000,
         "11f08465e4ac21f049d97b5de73012e0c54d0fb92b51640c230ca1e314862330"),

@@ -8,6 +8,7 @@ relative error of r in one bin of probability p shows once N * p * r^2 >= 34.
 
 import logging
 import math
+import time
 from fractions import Fraction
 from math import comb
 
@@ -21,7 +22,7 @@ from targetwalk import (McConfig, Problem, ScheduleParams1D, build_schedule_1d,
 from targetwalk import samplers
 from targetwalk.exact import _propagate_scalar
 from targetwalk.rng import chunk_generator
-from targetwalk.samplers import _seek, _touch_prob
+from targetwalk.samplers import _TABLE_MAX_LENGTH, _BinomialTable, _seek, _touch_prob
 from targetwalk.strategies import Staged, strategy_from_spec
 
 _ALPHA = 1e-3
@@ -404,18 +405,127 @@ def test_one_segment_plans_match_ssrw_return_probability(name, delayed, d, n, m)
 
 
 def test_runtime_names_the_sampler_and_warns_on_generic(caplog):
-    cases = [({"name": "always_step"}, "staged"), ({"name": "lazy_max"}, "staged"),
-             ({"name": "lazy_max", "delayed": True}, "staged"),
-             ({"name": "lazy_then_sprint"}, "staged"),
-             ({"name": "windowed_1d", "eta": 0.5}, "staged")]
+    """``runtime`` names the sampler and counts the chunks and the entries
+    of the lead table: L + 1 for a lead of L = walk + crawl // m steps (40,
+    13 and 37 // 3 = 12 here), and 0 for a plan without a lead, a delayed
+    plan and the generic sampler."""
+    cases = [({"name": "always_step"}, "staged", 41), ({"name": "lazy_max"}, "staged", 14),
+             ({"name": "lazy_max", "delayed": True}, "staged", 0),
+             ({"name": "lazy_then_sprint"}, "staged", 13),
+             ({"name": "lazy_then_sprint", "delayed": True}, "staged", 0),
+             ({"name": "windowed_1d", "eta": 0.5}, "staged", 0),
+             ({"name": "windowed_1d", "eta": 0.5, "delayed": True}, "staged", 0)]
     p = Problem(d=1, n=40, m=3)
     with caplog.at_level(logging.WARNING, logger="targetwalk.samplers"):
-        for spec, name in cases:
-            cfg = McConfig(problem=p, strategy=spec, trials=50, master_seed=1)
-            assert estimate_success(cfg).to_json_dict()["runtime"]["sampler"] == name
+        for spec, name, entries in cases:
+            cfg = McConfig(problem=p, strategy=spec, trials=5000, master_seed=1)
+            runtime = estimate_success(cfg).to_json_dict()["runtime"]
+            assert (runtime["sampler"], runtime["chunks"],
+                    runtime["lead_table_entries"]) == (name, 2, entries), spec
         assert not caplog.records
         cfg = McConfig(problem=p, strategy={"name": "lazy_max"}, trials=50, master_seed=1)
         rep = estimate_success(cfg, force_generic=True)
     assert rep.to_json_dict()["runtime"]["sampler"] == "generic"
+    assert (rep.chunks, rep.lead_table_entries) == (1, 0)
     assert "runtime" not in rep.to_json_dict(include_runtime=False)
     assert any("generic" in r.getMessage() for r in caplog.records)
+
+
+_TABLE_LENGTHS = [0, 1, 2, 63, 64, 1000, 3000]
+
+
+@pytest.mark.parametrize("length", _TABLE_LENGTHS)
+def test_lead_table_cdf_matches_exact_rationals(length):
+    """Every finite cdf entry of the lead table is within 1e-13 of the exact
+    sum_{i <= lo + j} C(length, i) / 2^length, the entries outside the table
+    hold less than 1e-13 of mass, and the last entry is +inf.
+
+    Power: a table built for length - 1 or length + 1 moves the cdf near
+    the mode by about one pmf entry, which is above 1e-2 at these lengths
+    (at length 0 the table for 1 has two atoms where the law has one), and
+    a cdf shifted by one atom is off by as much.
+    """
+    table = _BinomialTable(length)
+    cdf = table.cdf / table.buckets
+    lo = (table.shift + length) // 2
+    assert 2 * lo - length == table.shift and cdf[-1] == np.inf
+    total = 2 ** length
+    exact = np.cumsum([comb(length, i) for i in range(lo, lo + cdf.size)],
+                      dtype=object)
+    for j in range(cdf.size - 1):
+        assert abs(Fraction(float(cdf[j])) - Fraction(int(exact[j]), total)) <= 1e-13, j
+    below = sum(comb(length, i) for i in range(lo))
+    assert Fraction(below, total) < 1e-13
+    assert Fraction(total - below - int(exact[-1]), total) < 1e-13
+
+
+@pytest.mark.parametrize("length", _TABLE_LENGTHS)
+def test_lead_table_lookup_inverts_the_cdf(length):
+    """The lookup maps a uniform u to the least atom j with u < cdf[j].
+
+    It maps u = cdf[j] to the next atom whose cdf is larger (j + 1 where
+    the entries differ), the double just below cdf[j] to the first atom
+    whose cdf is that large (j where the entries differ), u = 0 to the
+    first atom, and the largest double below 1 to the first atom whose cdf
+    rounds to 1 or more: the last atom for length <= 52; beyond, the atoms
+    past it hold less than 2^-53 and no double below 1 reaches them.  Each
+    bucket's two ends are checked against ``np.searchsorted`` too.
+
+    Power: a guide read one bucket off sends the double below a cdf entry
+    in a bucket of its own to the next bucket's atom, j + 1, and fails at
+    every length here but 0, whose single atom every u maps to.  A search
+    with side="left" sends u = cdf[j] to j and fails at every length above
+    2; at 0, 1 and 2 every cdf entry lies on a bucket edge, so no uniform
+    that meets one is searched.
+    """
+    table = _BinomialTable(length)
+    cdf = table.cdf / table.buckets
+    finite = cdf[:-1]
+    u = np.concatenate([finite, np.nextafter(finite, 0.0), [0.0, np.nextafter(1.0, 0.0)],
+                        np.arange(table.buckets) / table.buckets,
+                        np.nextafter(np.arange(1, table.buckets + 1) / table.buckets, 0.0)])
+    u = u[u < 1.0]
+    atoms = table.index(u.copy())
+    assert atoms.dtype == np.int32
+    np.testing.assert_array_equal(atoms, np.searchsorted(cdf, u, side="right"))
+    j = np.arange(finite.size)
+    rises = finite < cdf[1:]
+    inside = finite < 1.0
+    np.testing.assert_array_equal(table.index(finite[rises & inside]), j[rises & inside] + 1)
+    rose = np.concatenate([[True], finite[1:] > finite[:-1]])
+    below = np.nextafter(finite, 0.0)
+    np.testing.assert_array_equal(table.index(below[rose & inside]), j[rose & inside])
+    first, last = table.index(np.array([0.0, np.nextafter(1.0, 0.0)]))
+    assert first == 0
+    assert last == (np.flatnonzero(cdf >= 1.0)[0])
+    if length <= 52:
+        assert last == cdf.size - 1
+
+
+def test_lead_table_draws_only_from_its_atoms():
+    """Draws of a d = 2 chunk land on the table's support with the walk's
+    parity; a shift or scale slip moves them off it."""
+    table = _BinomialTable(64)
+    pos = np.zeros((2, 4096), dtype=np.int64)
+    table.add_endpoints(chunk_generator(7, 0), pos)
+    assert pos.min() >= -64 and pos.max() <= 64 and not (pos % 2).any()
+    assert abs(pos.mean()) < 1.0 and 7.0 < pos.std() < 9.0
+
+
+def test_lead_tables_stop_at_the_length_cap():
+    """Leads up to ``_TABLE_MAX_LENGTH`` steps draw from a table; longer
+    ones keep numpy's binomial, whose cost does not grow with the length:
+    ``always_step`` at d = 1, n = 10^9 over 10 trials takes well under 1 s.
+    """
+    for n, entries in ((_TABLE_MAX_LENGTH, True), (_TABLE_MAX_LENGTH + 1, False)):
+        sampler = samplers.make_sampler(strategy_from_spec({"name": "always_step"},
+                                                           Problem(d=1, n=n, m=1)),
+                                        Problem(d=1, n=n, m=1))
+        assert (sampler.lead_table_entries > 0) == entries, n
+    start = time.perf_counter()
+    rep = estimate_success(McConfig(problem=Problem(d=1, n=10 ** 9, m=1),
+                                    strategy={"name": "always_step"}, trials=10,
+                                    master_seed=3))
+    assert time.perf_counter() - start < 1.0
+    assert rep.lead_table_entries == 0 and rep.chunks == 1
+
