@@ -6,8 +6,11 @@ sweep (parameter grids).  Outputs are JSON or CSV with a schema_version
 field and the full parameter set echoed, so every result file is
 self-describing.
 
-Exit codes: 0 ok, 1 check failed / admissibility violation, 2 bad input,
-3 computation over budget.
+Exit codes: 0 ok; 1 a verify check failed; 2 bad input, which is a usage
+error, an output path that cannot be written (``cannot write <path>:
+<reason>``) or a ValueError or OSError raised by the command (``<command>
+failed: <reason>``); 3 a BudgetError, computation over budget (``refused:
+<reason>``).
 
 CSV columns (sweep): cell, d, n, m, strategy, delayed, params, trials,
 master_seed, successes, p_hat, wilson_lo, wilson_hi, status, error.
@@ -22,8 +25,7 @@ import sys
 
 from . import exact as _exact
 from . import mc as _mc
-from .errors import BudgetError, ScheduleError, SignatureError
-from .rng import check_seed
+from .errors import BudgetError
 from .schedule import (ScheduleParams1D, ScheduleParams2D, Schedule,
                        build_schedule_1d, build_schedule_2d, validate_regime)
 from .strategies import STRATEGY_NAMES, strategy_from_spec
@@ -106,53 +108,45 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    try:
-        if args.d == 1:
-            params = ScheduleParams1D(n=args.n, m=args.m, eta=args.eta)
-            sched = build_schedule_1d(params)
-            diag = validate_regime(params).to_json_dict()
-        else:
-            params = ScheduleParams2D(n=args.n, m=args.m, epsilon=args.epsilon,
-                                      theta=args.theta, kappa=args.kappa)
-            sched = build_schedule_2d(params)
-            diag = {"theta": params.theta, "kappa": params.kappa,
-                    "constraint_ratio": (1 - 2 * params.theta)
-                    / (1 - 2 * params.kappa * params.theta)}
-    except (ScheduleError, ValueError) as exc:
-        print(f"schedule construction failed: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.d == 1:
+        params = ScheduleParams1D(n=args.n, m=args.m, eta=args.eta)
+        sched = build_schedule_1d(params)
+        diag = validate_regime(params).to_json_dict()
+    else:
+        params = ScheduleParams2D(n=args.n, m=args.m, epsilon=args.epsilon,
+                                  theta=args.theta, kappa=args.kappa)
+        sched = build_schedule_2d(params)
+        diag = {"theta": params.theta, "kappa": params.kappa,
+                "constraint_ratio": (1 - 2 * params.theta)
+                / (1 - 2 * params.kappa * params.theta)}
     payload = {"schedule": sched.to_json_dict(), "diagnostics": diag}
     return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
 
 
 def _cmd_simulate(args) -> int:
     spec = _strategy_spec_from_args(args, args.strategy)
-    try:
-        schedule = None
-        if args.schedule_json:
-            with open(args.schedule_json) as fh:
-                data = json.load(fh)
-            if isinstance(data, dict):
-                data = data.get("schedule", data)
-            schedule = Schedule.from_json_dict(data)
-        problem = Problem(d=args.d, n=args.n, m=args.m)
-        config = _mc.McConfig(problem=problem, strategy=spec, trials=args.trials,
-                              master_seed=args.seed, threads=args.threads,
-                              store_failures=args.store_failures,
-                              schedule=schedule)
-        if args.per_window:
-            result = _mc.window_conditionals(config)
-            report = result.pop("report")
-            payload = report.to_json_dict()
-            payload["window_conditionals"] = {
-                "stages": result["stages"],
-                "stage_product": result["stage_product"]}
-        else:
-            report = _mc.estimate_success(config)
-            payload = report.to_json_dict()
-    except (OSError, ScheduleError, ValueError) as exc:
-        print(f"simulate failed: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    schedule = None
+    if args.schedule_json:
+        with open(args.schedule_json) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict):
+            data = data.get("schedule", data)
+        schedule = Schedule.from_json_dict(data)
+    problem = Problem(d=args.d, n=args.n, m=args.m)
+    config = _mc.McConfig(problem=problem, strategy=spec, trials=args.trials,
+                          master_seed=args.seed, threads=args.threads,
+                          store_failures=args.store_failures,
+                          schedule=schedule)
+    if args.per_window:
+        result = _mc.window_conditionals(config)
+        report = result.pop("report")
+        payload = report.to_json_dict()
+        payload["window_conditionals"] = {
+            "stages": result["stages"],
+            "stage_product": result["stage_product"]}
+    else:
+        report = _mc.estimate_success(config)
+        payload = report.to_json_dict()
     if args.format == "csv":
         import io
 
@@ -164,68 +158,50 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exact(args) -> int:
     if args.policy_out is not None and (args.eval or args.d != 1):
-        print("exact failed: --policy-out writes the d=1 optimal table, without --eval",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("--policy-out writes the d=1 optimal table, without --eval")
     if args.delayed and not args.eval:
-        print("exact failed: --delayed needs --eval", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        problem = Problem(d=args.d, n=args.n, m=args.m)
-        if args.eval:
-            strategy = strategy_from_spec(_strategy_spec_from_args(args, args.eval),
-                                          problem)
-            budget = args.budget if args.budget is not None else _exact.DEFAULT_EVAL_BUDGET
-            value = _exact.evaluate_strategy_exact(strategy, problem, budget=budget)
-            engine, work = _exact.evaluation_cost(strategy, problem)
-            work_key = "plan_entries" if engine == "plan" else "scalar_cell_steps"
-            payload = {"schema_version": 1, "mode": "evaluate",
-                       "strategy": strategy.spec_dict(),
-                       "problem": {"d": args.d, "n": args.n, "m": args.m},
-                       "value": value,
-                       "runtime": {"engine": engine, work_key: work}}
-        else:
-            want_policy = args.policy_out is not None
-            budget = args.budget if args.budget is not None else _exact.DEFAULT_DP_BUDGET
-            value, table = _exact.optimal_value(
-                problem, budget=budget,
-                keep="full" if want_policy else "none",
-                want_policy=want_policy)
-            if want_policy and _write_file(args.policy_out, table.to_csv) != EXIT_OK:
-                return EXIT_BAD_INPUT
-            updates, cells = _exact.dp_cost(problem, kept=want_policy)
-            payload = {"schema_version": 1, "mode": "optimal",
-                       "problem": {"d": args.d, "n": args.n, "m": args.m},
-                       "value": value, "truncation_bound": table.truncation_bound,
-                       "runtime": {"engine": "backward", "dp_cell_updates": updates,
-                                   "dp_cells_held": cells}}
-    except (SignatureError, ScheduleError, ValueError) as exc:
-        print(f"exact failed: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("--delayed needs --eval")
+    problem = Problem(d=args.d, n=args.n, m=args.m)
+    if args.eval:
+        strategy = strategy_from_spec(_strategy_spec_from_args(args, args.eval),
+                                      problem)
+        budget = args.budget if args.budget is not None else _exact.DEFAULT_EVAL_BUDGET
+        value = _exact.evaluate_strategy_exact(strategy, problem, budget=budget)
+        engine, work = _exact.evaluation_cost(strategy, problem)
+        work_key = "plan_entries" if engine == "plan" else "scalar_cell_steps"
+        payload = {"schema_version": 1, "mode": "evaluate",
+                   "strategy": strategy.spec_dict(),
+                   "problem": {"d": args.d, "n": args.n, "m": args.m},
+                   "value": value,
+                   "runtime": {"engine": engine, work_key: work}}
+    else:
+        want_policy = args.policy_out is not None
+        budget = args.budget if args.budget is not None else _exact.DEFAULT_DP_BUDGET
+        value, table = _exact.optimal_value(
+            problem, budget=budget,
+            keep="full" if want_policy else "none",
+            want_policy=want_policy)
+        if want_policy and _write_file(args.policy_out, table.to_csv) != EXIT_OK:
+            return EXIT_BAD_INPUT
+        updates, cells = _exact.dp_cost(problem, kept=want_policy)
+        payload = {"schema_version": 1, "mode": "optimal",
+                   "problem": {"d": args.d, "n": args.n, "m": args.m},
+                   "value": value, "truncation_bound": table.truncation_bound,
+                   "runtime": {"engine": "backward", "dp_cell_updates": updates,
+                               "dp_cells_held": cells}}
     if args.json:
         return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return _emit(f"{payload['value']!r}", args.out)
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError(f"expected a JSON object, got {type(config).__name__}")
-        cells = config["cells"]
-        default_trials = config.get("trials", 10_000)
-        if not isinstance(cells, list) or type(default_trials) is not int or default_trials < 1:
-            raise ValueError("'cells' must be a list and 'trials' a positive integer")
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"bad sweep config: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        rows = _mc.sweep(cells, master_seed=args.seed, default_trials=default_trials,
-                         threads=args.threads, out_dir=args.state_dir)
-    except ValueError as exc:
-        print(f"bad sweep arguments: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"expected a JSON object, got {type(config).__name__}")
+    rows = _mc.sweep(config.get("cells"), master_seed=args.seed,
+                     default_trials=config.get("trials", 10_000),
+                     threads=args.threads, out_dir=args.state_dir)
     if args.out:
         if _write_file(args.out, lambda fh: _mc.sweep_to_csv(rows, fh),
                        newline="") != EXIT_OK:
@@ -242,31 +218,14 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _verify_suites(args) -> list[tuple[str, bool, str]]:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    results = []
-    for name in names:
-        results.extend(run_suite(name, trials=args.trials, seed=args.seed,
-                                 fast=args.fast))
-    return results
-
-
 def _cmd_verify(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        print(f"verify failed: trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        check_seed(args.seed)
-    except ValueError as exc:
-        print(f"verify failed: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    results = _verify_suites(args)
-    failed = 0
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    results = [result for name in names
+               for result in run_suite(name, trials=args.trials, seed=args.seed,
+                                       fast=args.fast)]
     for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
-        if not ok:
-            failed += 1
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    failed = sum(not ok for _, ok, _ in results)
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -359,6 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_OVER_BUDGET
+    except (OSError, ValueError) as exc:
+        # ScheduleError, SignatureError and json.JSONDecodeError included
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

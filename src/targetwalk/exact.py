@@ -928,7 +928,8 @@ def _evaluate_plan(plan: Plan, problem: Problem) -> float:
         if plan.delayed:
             w = _binomial_mixture(hits, p)
         else:
-            w = np.bincount((length - 1 - np.arange(length)) // m, weights=hits)
+            w = np.bincount((length - 1 - np.arange(length)) // min(m, length),
+                            weights=hits)
         c0 = 0
         t = t_end
     return float(value + np.dot(w, r[c0:c0 + w.size]))

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import check_seed
-from .samplers import _CHUNK, STAGE_COUNTS, make_sampler
+from .samplers import _CHUNK, MAX_STEPS, STAGE_COUNTS, make_sampler
 from .schedule import Schedule
 from .strategies import strategy_from_spec
 from .walk import Problem, _check_integer, _position
@@ -53,6 +53,10 @@ class McConfig:
     ``per_window`` is accepted for existing callers, but nothing reads it:
     stage counters come with every windowed strategy, and
     ``window_conditionals`` turns them into per-stage estimates.
+    ``problem.n`` and ``m`` must be at most ``samplers.MAX_STEPS`` =
+    (2**63 - 1 - 2**29) // 2, as the samplers work in int64: ``_endpoints``
+    doubles a binomial draw of up to n steps and ``_first_zero`` adds two
+    positions (each at most n) to a block length (at most 2**29).
     """
 
     problem: Problem
@@ -68,6 +72,9 @@ class McConfig:
         for name in ("trials", "threads", "store_failures"):
             _check_integer(name, getattr(self, name))
         check_seed(self.master_seed)
+        for name, size in (("n", self.problem.n), ("m", self.problem.m)):
+            if size > MAX_STEPS:
+                raise ValueError(f"{name} must be <= {MAX_STEPS} for Monte Carlo, got {size}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
@@ -302,11 +309,16 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
     leaves no marker, so a rerun retries it.  A marker is keyed by a hash of
     (cell, master seed, trials, schema version) and written atomically; a
     torn marker or one keyed for another configuration is recomputed.
-    ``threads`` below 1, or a master seed outside [0, 2**64), raises
+    ``cells`` that is not a list, ``default_trials`` that is not a positive
+    int, ``threads`` below 1 or a master seed outside [0, 2**64) raises
     ValueError before any cell runs; a cell that is not an object with a
     ``strategy`` object, or whose ``d``, ``n``, ``m`` or ``trials`` is not an
     integer in range, is an error row.
     """
+    if not isinstance(cells, list):
+        raise ValueError(f"cells must be a list, got {type(cells).__name__}")
+    if type(default_trials) is not int or default_trials < 1:
+        raise ValueError(f"default_trials must be a positive int, got {default_trials!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     check_seed(master_seed)

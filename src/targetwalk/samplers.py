@@ -140,6 +140,9 @@ class _BinomialTable:
 # at most 2**29 steps every bridge holds fewer up (and down) steps than that.
 _BLOCK = 1 << 29
 
+# the largest n and m the int64 arithmetic holds (``mc.McConfig`` says why)
+MAX_STEPS = (np.iinfo(np.int64).max - _BLOCK) // 2
+
 # lgamma(z) and the Stirling remainder r(z) = lgamma(z) - (z - 1/2) log z + z
 # - log(2 pi) / 2 of the integers z < _SMALL (index 0 unused); above, r(z) is
 # a two-term series with error below 1e-15

@@ -19,7 +19,6 @@ from . import analysis as _analysis
 from . import exact as _exact
 from . import strategies as _strategies
 from . import walk as _walk
-from .errors import ScheduleError
 from .mc import McConfig, estimate_success
 from .samplers import _CHUNK
 from .rng import check_seed, trial_generator
@@ -92,16 +91,12 @@ def _suite_localtime(trials, seed, fast) -> list[Result]:
 
 def _builtin_strategies(problem: Problem):
     """The built-in strategies for ``problem`` in a fixed order; windowed_1d
-    only in d = 1 and where its schedule builds."""
+    only in d = 1 with n > m >= 2, where the suites' sizes build its schedule."""
     yield _strategies.always_step()
     yield _strategies.lazy_max(problem)
     yield _strategies.lazy_then_sprint(problem)
     if problem.d == 1 and problem.n > problem.m and problem.m >= 2:
-        try:
-            sched = _schedule_1d(problem)
-            yield _strategies.windowed_1d(sched, problem)
-        except ScheduleError:
-            pass
+        yield _strategies.windowed_1d(_schedule_1d(problem), problem)
 
 
 def _suite_dominance(trials, seed, fast) -> list[Result]:
@@ -194,5 +189,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 20240601,
               fast: bool = False) -> list[Result]:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
     return _SUITES[name](trials, seed, fast)

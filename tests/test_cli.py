@@ -424,6 +424,84 @@ def test_simulate_runtime_reports_chunks_and_lead_table(capsys):
     assert entries == {"lazy_max": 101, "windowed_1d": 0}
 
 
+_WINDOWED_2D = ("--d", "2", "--n", "10000", "--m", "100", "--epsilon", "0.5",
+                "--theta", "0.45", "--kappa", "0.4")
+_WINDOWED_2D_SPEC = {"name": "windowed_2d", "epsilon": 0.5, "theta": 0.45, "kappa": 0.4}
+
+
+def test_simulate_windowed_2d_takes_the_schedule_flags(capsys):
+    from targetwalk import ScheduleParams2D, build_schedule_2d
+
+    code, out, _ = run_cli(capsys, "simulate", *_WINDOWED_2D, "--strategy",
+                           "windowed_2d", "--trials", "2000", "--seed", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["strategy"] == _WINDOWED_2D_SPEC
+    sched = build_schedule_2d(ScheduleParams2D(n=10_000, m=100, epsilon=0.5,
+                                               theta=0.45, kappa=0.4))
+    assert len(report["stage_stats"]) == sched.u + 1
+
+
+def test_exact_eval_windowed_2d_takes_the_schedule_flags(capsys):
+    from targetwalk import Problem, evaluate_strategy_exact
+    from targetwalk.strategies import strategy_from_spec
+
+    code, out, _ = run_cli(capsys, "exact", *_WINDOWED_2D, "--eval", "windowed_2d",
+                           "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["strategy"] == _WINDOWED_2D_SPEC
+    problem = Problem(d=2, n=10_000, m=100)
+    value = evaluate_strategy_exact(strategy_from_spec(_WINDOWED_2D_SPEC, problem),
+                                    problem)
+    assert payload["value"] == value
+    assert value == pytest.approx(0.05768416561659294, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["n", "m"])
+def test_simulate_sizes_past_the_int64_bound_exit_2(capsys, field):
+    from targetwalk.samplers import MAX_STEPS
+
+    def simulate(size):
+        sizes = {"n": "10", "m": "2", field: str(size)}
+        return run_cli(capsys, "simulate", "--d", "1", "--n", sizes["n"], "--m", sizes["m"],
+                       "--strategy", "always_step", "--trials", "10", "--seed", "1")
+
+    code, out, err = simulate(MAX_STEPS)
+    assert code == 0 and json.loads(out)["trials"] == 10 and err == ""
+    code, out, err = simulate(MAX_STEPS + 1)
+    assert code == 2 and out == ""
+    assert err == f"simulate failed: {field} must be <= {MAX_STEPS} for Monte Carlo, " \
+                  f"got {MAX_STEPS + 1}\n"
+
+
+def test_exact_accepts_a_stand_budget_past_the_int64_bound(capsys):
+    # the exact engines keep m in Python ints; with m > n no stand block is
+    # cut short within the horizon, so every value equals its value at m = n + 1
+    for d in ("1", "2"):
+        for eval_flags in ((), ("--eval", "always_step"), ("--eval", "lazy_max"),
+                           ("--eval", "lazy_then_sprint")):
+            values = []
+            for m in ("11", str(10 ** 20)):
+                code, out, err = run_cli(capsys, "exact", "--d", d, "--n", "10",
+                                         "--m", m, *eval_flags)
+                assert code == 0 and err == ""
+                values.append(float(out))
+            assert values[0] == values[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("schedule", "--d", "1", "--n", "1000", "--m", "10", "--out"),
+    ("exact", "--d", "1", "--n", "40", "--m", "2", "--policy-out"),
+], ids=["schedule", "exact-policy"])
+def test_a_write_that_fails_after_the_check_exits_2(capsys, argv):
+    # /dev/full opens for appending, so only the write itself fails
+    code, out, err = run_cli(capsys, *argv, "/dev/full")
+    assert code == 2 and out == ""
+    assert err == "cannot write /dev/full: No space left on device\n"
+
+
 def test_simulate_csv_format(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--d", "1", "--n", "20", "--m", "4",
                            "--strategy", "lazy_max", "--trials", "500",

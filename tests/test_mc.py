@@ -376,6 +376,59 @@ def test_sweep_rejects_bad_threads_before_any_cell(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+_CELLS = [{"d": 1, "n": 10, "m": 2, "strategy": {"name": "always_step"}}]
+
+
+@pytest.mark.parametrize("cells, default_trials, match", [
+    ({"d": 1}, 100, "cells"), (None, 100, "cells"), ("cells", 100, "cells"),
+    (_CELLS, 0, "default_trials"), (_CELLS, True, "default_trials"),
+    (_CELLS, 2.5, "default_trials")])
+def test_sweep_rejects_bad_cells_or_trials_before_any_cell(tmp_path, monkeypatch, cells,
+                                                           default_trials, match):
+    import targetwalk.mc as mc_mod
+
+    calls = []
+    monkeypatch.setattr(mc_mod, "estimate_success", lambda *a, **k: calls.append(a))
+    state = tmp_path / "state"
+    with pytest.raises(ValueError, match=match):
+        sweep(cells, master_seed=1, default_trials=default_trials, out_dir=str(state))
+    assert calls == [] and not state.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_run_suite_rejects_trials_below_1_before_any_suite(monkeypatch, trials):
+    import targetwalk.verify as verify_mod
+
+    calls = []
+    for name in list(verify_mod._SUITES):
+        monkeypatch.setitem(verify_mod._SUITES, name, lambda *a: calls.append(a))
+    for name in verify_mod._SUITES:
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_suite(name, trials=trials, fast=True)
+    assert calls == []
+
+
+def test_config_refuses_sizes_the_int64_samplers_cannot_hold():
+    from targetwalk.samplers import _BLOCK, MAX_STEPS
+
+    # 2n and a block length plus two positions of size n fit int64 up to here
+    assert 2 * MAX_STEPS + _BLOCK < 2 ** 63 <= 2 * (MAX_STEPS + 1) + _BLOCK
+    for d in (1, 2):
+        for n, m in ((MAX_STEPS, 2), (10, MAX_STEPS)):
+            report = estimate_success(McConfig(
+                problem=Problem(d=d, n=n, m=m), strategy={"name": "always_step"},
+                trials=10, master_seed=1))
+            assert report.trials == 10 and 0 <= report.successes <= 10
+    for field, n, m in (("n", MAX_STEPS + 1, 2), ("m", 10, MAX_STEPS + 1)):
+        with pytest.raises(ValueError, match=f"^{field} must be <= {MAX_STEPS}"):
+            McConfig(problem=Problem(d=1, n=n, m=m), strategy={"name": "always_step"},
+                     trials=10, master_seed=1)
+    row, = sweep([{"d": 1, "n": MAX_STEPS + 1, "m": 2,
+                   "strategy": {"name": "always_step"}}], master_seed=1, default_trials=10)
+    assert row["status"] == "error"
+    assert row["error"].startswith(f"ValueError: n must be <= {MAX_STEPS}")
+
+
 def test_sweep_retries_a_failed_cell_on_rerun(tmp_path, monkeypatch):
     import targetwalk.mc as mc_mod
 
