@@ -56,18 +56,10 @@ def _add_schedule_args(p: argparse.ArgumentParser) -> None:
 
 
 def _strategy_spec_from_args(args, name: str) -> dict:
-    spec = {"name": name}
-    if name == "windowed_1d":
-        spec["eta"] = args.eta
-    if name == "windowed_2d":
-        spec["epsilon"] = args.epsilon
-        if args.theta is not None:
-            spec["theta"] = args.theta
-        if args.kappa is not None:
-            spec["kappa"] = args.kappa
-    if args.delayed:
-        spec["delayed"] = True
-    return spec
+    """Every schedule flag and ``delayed``: ``strategy_from_spec`` reads
+    what the strategy needs."""
+    return {"name": name, "eta": args.eta, "epsilon": args.epsilon,
+            "theta": args.theta, "kappa": args.kappa, "delayed": args.delayed}
 
 
 def _write_file(path: str, write, newline: str | None = None) -> int:
@@ -177,10 +169,8 @@ def _cmd_exact(args) -> int:
     else:
         want_policy = args.policy_out is not None
         budget = args.budget if args.budget is not None else _exact.DEFAULT_DP_BUDGET
-        value, table = _exact.optimal_value(
-            problem, budget=budget,
-            keep="full" if want_policy else "none",
-            want_policy=want_policy)
+        value, table = _exact.optimal_value(problem, budget=budget,
+                                            want_policy=want_policy)
         if want_policy and _write_file(args.policy_out, table.to_csv) != EXIT_OK:
             return EXIT_BAD_INPUT
         updates, cells = _exact.dp_cost(problem, kept=want_policy)

@@ -201,18 +201,16 @@ class _DerivedSlices(Sequence):
         v_i(x, j) = max(A_i(x), ..., A_{i+k}(x)),
 
     and the tie-prefers-stand policy stands iff j < m-1 and
-    max(A_{i+1}(x), ..., A_{i+k}(x)) >= A_i(x).  Item i is derived on the
-    folded grid and unfolded on access: full index n+1+x reads folded index
-    |x|+1 on every axis.  So it has shape (2n+3,)*d + (m,), indexed [x..., j];
-    ``at`` reads one cell without building the slice.
+    max(A_{i+1}(x), ..., A_{i+k}(x)) >= A_i(x).  Lattice position x reads
+    folded index |x_k|+1 on every axis.  Item i is derived on the folded
+    grid and unfolded to shape (2n+3,)*d + (m,), indexed [n+1+x..., j];
+    ``at`` reads one cell at x without building the slice.
     """
 
     def __init__(self, steps: np.ndarray, m: int, policy: bool):
         self.steps = steps
         self.m = m
         self.policy = policy
-        n = len(steps) - 1
-        self.unfold = np.abs(np.arange(-n - 1, n + 2)) + 1
 
     def __len__(self) -> int:
         return len(self.steps) - int(self.policy)
@@ -230,16 +228,16 @@ class _DerivedSlices(Sequence):
             if m >= 2:
                 later = np.maximum.accumulate(a[i + 1:i + span[0] + 1])
                 folded[..., :m - 1] = np.moveaxis(later[span[:-1] - 1] >= a[i], 0, -1)
-        return folded[np.ix_(*(self.unfold,) * (a.ndim - 1))]
+        unfold = np.abs(np.arange(-n - 1, n + 2)) + 1
+        return folded[np.ix_(*(unfold,) * (a.ndim - 1))]
 
-    def at(self, i: int, cell: tuple, j: int):
-        """values[i][cell + (j,)] or policy[i][cell + (j,)], from one column of A."""
+    def at(self, i: int, x: tuple, j: int):
+        """values[i][n+1+x..., j] or policy[i][n+1+x..., j], from one column of A."""
         i = range(len(self))[i]
         if not 0 <= j < self.m:
             raise IndexError(f"counter j={j} outside [0, {self.m - 1}]")
         k = min(self.m - 1 - j, len(self.steps) - 1 - i)
-        folded = tuple(self.unfold[g] for g in cell)
-        column = self.steps[(slice(i, i + k + 1),) + folded]
+        column = self.steps[(slice(i, i + k + 1),) + tuple(abs(v) + 1 for v in x)]
         if not self.policy:
             return column.max()
         return k >= 1 and column[1:].max() >= column[0]
@@ -250,12 +248,13 @@ class ValueTable:
     """Backward-induction output: the optimal value and, when kept, the
     per-time-slice value function and extracted policy.
 
-    Only the step values A_t (t = 0..n) are stored, on the folded grid of
-    ``_step_values``: shape (n+3,)*d per time.  ``values`` (length n+1) and
-    ``policy`` (length n) derive their items from them and unfold them on
-    access to the centered grid of half-width n with one guard cell on each
-    side: ``values[i]`` has shape (2n+3,)*d + (m,), indexed [x..., j], and
-    so has ``policy[i]``, with 1 for STAND and 0 for STEP.
+    A kept table stores only the step values A_t (t = 0..n), on the folded
+    grid of ``_step_values``: shape (n+3,)*d per time.  It has both views,
+    ``values`` (length n+1) and ``policy`` (length n), which derive their
+    items from A and unfold them on access to the centered grid of
+    half-width n with one guard cell on each side: ``values[i]`` has shape
+    (2n+3,)*d + (m,), indexed [n+1+x..., j], and so has ``policy[i]``, with
+    1 for STAND and 0 for STEP.  A value-only table has neither.
 
     ``truncation_bound`` is beta of ``_certified_radius``: ``value`` lies
     at most beta below the optimum, and is the optimum when beta is 0.0
@@ -268,63 +267,44 @@ class ValueTable:
     policy: Optional[Sequence] = None
     truncation_bound: float = 0.0
 
-    @property
-    def center(self) -> int:
-        return self.problem.n + 1
+    def _kept(self) -> None:
+        if self.values is None:
+            raise ValueError("value-only table: build it with keep='full' "
+                             "or want_policy=True")
 
     def _cell(self, x) -> tuple:
-        c = self.center
+        self._kept()
+        c = self.problem.n + 1
         coords = (x,) if self.problem.d == 1 else tuple(x)
         if any(abs(v) > c for v in coords):
             raise ValueError(f"position {x} lies outside the stored grid "
                              f"|x_i| <= n+1 = {c}")
-        return tuple(c + v for v in coords)
+        return coords
 
     def value_at(self, i: int, x, j: int) -> float:
-        if self.values is None:
-            raise ValueError("table was built with keep='none'")
-        return float(self.values.at(i, self._cell(x), j))
+        cell = self._cell(x)
+        return float(self.values.at(i, cell, j))
 
     def policy_at(self, i: int, x, j: int) -> Decision:
-        if self.policy is None:
-            raise ValueError("policy was not requested")
-        return Decision.STAND if self.policy.at(i, self._cell(x), j) else Decision.STEP
-
-    def policy_runs(self, i: int, j: int) -> list[tuple[int, int, Decision]]:
-        """Run-length view of the d=1 policy row at (i, j): (x_lo, x_hi, decision)."""
-        if self.problem.d != 1 or self.policy is None:
-            raise ValueError("run-length view needs a kept d=1 policy")
-        n, c = self.problem.n, self.center
-        row = self.policy[i][:, j]
-        runs = []
-        cur = None
-        start = None
-        for x in range(-n, n + 1):
-            val = bool(row[c + x])
-            if cur is None:
-                cur, start = val, x
-            elif val != cur:
-                runs.append((start, x - 1, Decision.STAND if cur else Decision.STEP))
-                cur, start = val, x
-        runs.append((start, n, Decision.STAND if cur else Decision.STEP))
-        return runs
+        cell = self._cell(x)
+        return Decision.STAND if self.policy.at(i, cell, j) else Decision.STEP
 
     def to_csv(self, fh) -> None:
-        """Write rows i,x,j,V,policy for every reachable state (d=1 only)."""
+        """Write rows i,x,j,V,policy for every reachable state (d=1 only);
+        the policy is empty at i = n."""
         if self.problem.d != 1:
             raise ValueError("CSV export supports d=1 tables")
-        if self.values is None:
-            raise ValueError("table was built with keep='none'")
-        n, m, c = self.problem.n, self.problem.m, self.center
+        self._kept()
+        n, m = self.problem.n, self.problem.m
         fh.write("i,x,j,V,policy\n")
         for i in range(n + 1):
             values = self.values[i]
-            policy = self.policy[i] if self.policy is not None and i < n else None
+            policy = self.policy[i] if i < n else None
             for x in range(-i, i + 1):
                 for j in range(m):
-                    v = float(values[c + x, j])
+                    v = float(values[n + 1 + x, j])
                     if policy is not None:
-                        pi = "stand" if policy[c + x, j] else "step"
+                        pi = "stand" if policy[n + 1 + x, j] else "step"
                     else:
                         pi = ""
                     fh.write(f"{i},{x},{j},{v!r},{pi}\n")
@@ -430,11 +410,12 @@ def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
     recursion runs without the counter: see ``_step_values``.
 
     keep: "none" (value only), "full" (every time slice, small instances).
-    The table keeps the n+1 step-value slices when ``keep="full"`` or
-    ``want_policy``, and derives values and policy from them on access.
-    The value alone is computed on the reachable diamond within the
-    certified radius of ``_certified_radius``, so it may lie up to
-    ``table.truncation_bound`` (at most 1e-15) below the optimum.
+    Either ``keep="full"`` or ``want_policy`` keeps one table of the n+1
+    step-value slices, which has both views, ``values`` and ``policy``,
+    derived from those slices on access.  The value alone is computed on
+    the reachable diamond within the certified radius of
+    ``_certified_radius``, so it may lie up to ``table.truncation_bound``
+    (at most 1e-15) below the optimum.
     A budget that is NaN or not positive raises ValueError.
     """
     if keep not in ("none", "full"):
@@ -445,10 +426,10 @@ def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
     d, n, m = problem.d, problem.n, problem.m
     reach, beta = (None, 0.0) if kept else _certified_radius(d, n, _TRUNCATION_TARGET)
     value, steps = _step_values(d, n, m, kept, reach)
-    values = _DerivedSlices(steps, m, policy=False) if keep == "full" else None
-    policy = _DerivedSlices(steps, m, policy=True) if want_policy else None
-    table = ValueTable(problem=problem, value=value, values=values, policy=policy,
-                       truncation_bound=beta)
+    table = ValueTable(problem=problem, value=value, truncation_bound=beta)
+    if kept:
+        table.values = _DerivedSlices(steps, m, policy=False)
+        table.policy = _DerivedSlices(steps, m, policy=True)
     return value, table
 
 

@@ -29,8 +29,29 @@ SCHEMA_VERSION = 1
 # default theta/kappa picker shifts theta upward until kappa clears it.
 _KAPPA_FLOOR = 1.0 / 3.0
 
-#: the most stages a two-dimensional schedule may have
+#: the most stages a schedule may have
 STAGE_CAP = 64
+
+#: the largest n a schedule takes (see ``_check_sizes``)
+MAX_SIZE = 2 ** 1023
+
+
+def _check_sizes(n: int, m: int) -> None:
+    """Refuse m < 2, n <= m and n > ``MAX_SIZE`` with ValueError.
+
+    A schedule is built in floats: the regime ratio and eps_m take
+    m^(1-eta), and ``_checkpoint_times`` floors powers m^e of at most
+    n^(1 + 1e-12), the slack of ``stage_count``, from float estimates up to
+    1e-9 above them.  With m < n <= 2^1023 each of them stays below
+    2^(1023 + 1e-8) < 2^1024, past which a float overflows.
+    """
+    if m < 2:
+        raise ValueError(f"m must be >= 2 for a schedule, got {m}")
+    if n <= m:
+        raise ValueError(f"need n > m, got n={n}, m={m}")
+    if n > MAX_SIZE:
+        raise ValueError("n must be at most 2**1023 for a schedule, which is "
+                         "built in floats")
 
 
 @dataclass(frozen=True)
@@ -42,10 +63,7 @@ class ScheduleParams1D:
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2 for a schedule, got {self.m}")
-        if self.n <= self.m:
-            raise ValueError(f"need n > m, got n={self.n}, m={self.m}")
+        _check_sizes(self.n, self.m)
         hyp = self.m ** (1.0 - self.eta) * math.log(self.m) / math.log(max(self.n, 2)) ** 2
         if hyp < 10.0:
             # level 3 skips the dataclass-generated __init__ and names the
@@ -66,10 +84,7 @@ class ScheduleParams2D:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2 for a schedule, got {self.m}")
-        if self.n <= self.m:
-            raise ValueError(f"need n > m, got n={self.n}, m={self.m}")
+        _check_sizes(self.n, self.m)
         theta, kappa = self.theta, self.kappa
         if theta is None or kappa is None:
             t, k = choose_theta_kappa(self.epsilon)
@@ -169,9 +184,10 @@ class Schedule:
 
 
 def _as_fraction(x: float) -> Fraction | None:
-    """Rational form of x when it has a small exact denominator, else None."""
+    """Rational form of x > 0 when it has a small exact denominator, else
+    None (never 0, which would stand for a positive x)."""
     f = Fraction(x).limit_denominator(10_000)
-    return f if abs(float(f) - x) <= 1e-15 * max(1.0, abs(x)) else None
+    return f if f and abs(float(f) - x) <= 1e-15 * max(1.0, abs(x)) else None
 
 
 def _power_leq(m: int, exponent: Fraction, n: int) -> bool:
@@ -182,45 +198,51 @@ def _power_leq(m: int, exponent: Fraction, n: int) -> bool:
 def stage_count(n: int, m: int, lam: float) -> int:
     """Largest k >= 0 with m**(1 + k*lam) <= n; 0 when even m itself exceeds n.
 
-    Uses exact integer power comparisons when ``lam`` is rational with a
-    small denominator, otherwise log comparisons with 1e-12 relative slack.
+    The log form k <= (log n / log m - 1) / lam, with 1e-12 relative slack
+    on log n, gives k; the quotient is taken exactly, so no small lam
+    overflows it.  When ``lam`` is rational with a small denominator, exact
+    integer power comparisons then correct that estimate by a step or two.
     """
     if n < 1 or m < 2 or lam <= 0.0:
         raise ValueError(f"need n >= 1, m >= 2, lam > 0; got n={n}, m={m}, lam={lam}")
     if m > n:
         return 0
+    ratio = math.log(n) * (1.0 + 1e-12) / math.log(m)
+    k = math.floor((Fraction(ratio) - 1) / Fraction(lam))
     frac = _as_fraction(lam)
-    log_n, log_m = math.log(n), math.log(m)
-    k = 0
-    while True:
-        e = 1.0 + (k + 1) * lam
-        if frac is not None:
-            ok = _power_leq(m, 1 + (k + 1) * frac, n)
-        else:
-            ok = e * log_m <= log_n * (1.0 + 1e-12)
-        if not ok:
-            return k
-        k += 1
-        if k > 10_000:  # lam > 0 and m >= 2 make this unreachable
-            raise RuntimeError("stage_count failed to terminate")
+    if frac is not None:
+        while k > 0 and not _power_leq(m, 1 + k * frac, n):
+            k -= 1
+        while _power_leq(m, 1 + (k + 1) * frac, n):
+            k += 1
+    return k
 
 
 def _floor_power(m: int, exponent: float, frac_exp: Fraction | None) -> int:
-    """floor(m**exponent), exact when the exponent is rational."""
+    """floor(m**exponent), exact when the exponent is rational p/q: the
+    integer q-th root of m**p by Newton's method, from just above the float
+    estimate, which converges in a few steps at any size."""
     if frac_exp is not None:
-        if frac_exp.denominator == 1:
-            return m ** frac_exp.numerator
-        cand = int(m ** float(frac_exp))
-        # fix float drift around integer boundaries
-        while (cand + 1) ** frac_exp.denominator <= m ** frac_exp.numerator:
-            cand += 1
-        while cand ** frac_exp.denominator > m ** frac_exp.numerator:
-            cand -= 1
-        return cand
+        p, q = frac_exp.numerator, frac_exp.denominator
+        if q == 1:
+            return m ** p
+        power = m ** p
+        root = int(m ** float(frac_exp) * (1.0 + 1e-9)) + 1
+        while True:
+            lower = ((q - 1) * root + power // root ** (q - 1)) // q
+            if lower >= root:
+                return root
+            root = lower
     return int(math.floor(m ** exponent))
 
 
-def _checkpoint_times(n: int, m: int, lam: float, u: int) -> tuple[int, ...]:
+def _checkpoint_times(n: int, m: int, lam: float) -> tuple[int, ...]:
+    """The u + 2 checkpoint times, u = max(stage_count, 2); ScheduleError
+    before any power is taken when the stage count exceeds ``STAGE_CAP``."""
+    u_n = stage_count(n, m, lam)
+    if u_n > STAGE_CAP:
+        raise ScheduleError(f"stage count {u_n} exceeds the cap {STAGE_CAP}")
+    u = max(u_n, 2)
     frac = _as_fraction(lam)
     times = [0] * (u + 2)
     times[u + 1] = n
@@ -241,11 +263,12 @@ def build_schedule_1d(params: ScheduleParams1D) -> Schedule:
     """Window schedule for the one-dimensional staged strategy.
 
     Half-widths are floor(sqrt(eps_m * N_{k+1})) with
-    eps_m = log(m) / m**(1 - eta) (natural log).
+    eps_m = log(m) / m**(1 - eta) (natural log).  Raises ScheduleError when
+    the stage count exceeds ``STAGE_CAP`` (64).
     """
     n, m, eta = params.n, params.m, params.eta
-    u = max(stage_count(n, m, eta), 2)
-    times = _checkpoint_times(n, m, eta, u)
+    times = _checkpoint_times(n, m, eta)
+    u = len(times) - 2
     eps_m = math.log(m) / m ** (1.0 - eta)
     widths = [0] * (u + 2)
     for k in range(1, u + 1):
@@ -264,11 +287,8 @@ def build_schedule_2d(params: ScheduleParams2D) -> Schedule:
     """
     n, m = params.n, params.m
     theta, kappa = params.theta, params.kappa
-    u_n = stage_count(n, m, kappa)
-    if u_n > STAGE_CAP:
-        raise ScheduleError(f"stage count {u_n} exceeds the cap {STAGE_CAP}")
-    u = max(u_n, 2)
-    times = _checkpoint_times(n, m, kappa, u)
+    times = _checkpoint_times(n, m, kappa)
+    u = len(times) - 2
     widths = [0] * (u + 2)
     for k in range(1, u + 1):
         n_next = times[k + 1] - times[k]

@@ -242,7 +242,8 @@ def strategy_from_spec(spec: dict, problem: Problem,
     Recognized keys: ``name`` (required), ``delayed`` (bool), and for the
     windowed strategies either a prebuilt ``schedule`` argument or the
     schedule parameters ``eta`` (1d) / ``epsilon``, ``theta``, ``kappa`` (2d).
-    A schedule given to any other strategy raises ValueError.
+    A strategy ignores the keys it does not read; a schedule given to any
+    other strategy raises ValueError.
     """
     name = spec.get("name")
     if schedule is not None and name in ("always_step", "lazy_max", "lazy_then_sprint"):

@@ -144,6 +144,20 @@ def test_exact_policy_out(tmp_path, capsys):
     assert len(lines) > 5
 
 
+@pytest.mark.parametrize("n,m,lines,digest", [
+    (12, 3, 508, "9a8e1bc69f3130de533af67efb5fee658f24e73a57f01b6f43d14eeda31f1c80"),
+    (40, 5, 8406, "91dc4fbdf92c1352b6170177c45f42b230fe31a988e62014fbca44778de74749"),
+])
+def test_exact_policy_out_is_pinned(tmp_path, capsys, n, m, lines, digest):
+    path = tmp_path / "policy.csv"
+    code, _, _ = run_cli(capsys, "exact", "--d", "1", "--n", str(n), "--m", str(m),
+                         "--policy-out", str(path))
+    assert code == 0
+    data = path.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_exact_json_counts_the_dp_work(capsys):
     # d = 2, n = 3, m = 2: steps i = 2, 1, 0 update the folded boxes
     # 0 <= x_1, x_2 <= r for r = min(i, n - i) = 1, 1, 0, that is
@@ -456,6 +470,31 @@ def test_exact_eval_windowed_2d_takes_the_schedule_flags(capsys):
                                     problem)
     assert payload["value"] == value
     assert value == pytest.approx(0.05768416561659294, rel=1e-12)
+
+
+_SIZE_1E6 = ("--n", "1000000", "--m", "100")
+
+
+@pytest.mark.parametrize("argv", [
+    ("schedule", "--d", "1", *_SIZE_1E6, "--eta", "0.00001"),
+    ("schedule", "--d", "1", *_SIZE_1E6, "--eta", "1e-300"),
+    ("schedule", "--d", "2", *_SIZE_1E6, "--epsilon", "0.5", "--theta", "0.45",
+     "--kappa", "0.0001"),
+    ("simulate", "--d", "1", *_SIZE_1E6, "--strategy", "windowed_1d", "--eta", "0.00001",
+     "--trials", "10", "--seed", "1"),
+    ("exact", "--d", "2", *_SIZE_1E6, "--eval", "windowed_2d", "--kappa", "0.0001"),
+    ("schedule", "--d", "1", "--n", str(10**400), "--m", "2"),
+    ("schedule", "--d", "1", "--n", str(10**800), "--m", str(10**700)),
+    ("schedule", "--d", "2", "--n", str(10**800), "--m", str(10**700)),
+], ids=["eta-1e-5", "eta-1e-300", "kappa-1e-4", "simulate-eta", "exact-kappa",
+        "n-1e400", "1d-n-1e800", "2d-n-1e800"])
+def test_bad_schedule_inputs_exit_2(capsys, argv):
+    # tiny stage exponents pass the stage cap, and sizes past 2**1023 the
+    # float range, in either dimension
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"{argv[0]} failed: ") and err.count("\n") == 1
+    assert "cap 64" in err or "n must be at most 2**1023" in err
 
 
 @pytest.mark.parametrize("field", ["n", "m"])

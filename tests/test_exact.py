@@ -86,6 +86,28 @@ def test_policy_tie_breaks_to_stand():
     assert table.policy_at(0, (1, 0), 0) is Decision.STEP
 
 
+@pytest.mark.parametrize("d,n,m", [(1, 9, 3), (2, 6, 4)])
+def test_either_flag_keeps_both_views(d, n, m):
+    p = Problem(d=d, n=n, m=m)
+    _, both = optimal_value(p, keep="full", want_policy=True)
+    for flags in ({"keep": "full"}, {"want_policy": True}):
+        _, table = optimal_value(p, **flags)
+        for view, want in ((table.values, both.values), (table.policy, both.policy)):
+            assert len(view) == len(want)
+            for i in range(len(want)):
+                assert np.array_equal(view[i], want[i]), (flags, i)
+
+
+def test_value_only_table_refuses_cell_lookups():
+    _, table = optimal_value(Problem(d=1, n=5, m=2))
+    errors = []
+    for lookup in (table.value_at, table.policy_at):
+        with pytest.raises(ValueError) as err:
+            lookup(0, 0, 0)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] and "value-only" in errors[0]
+
+
 def test_value_table_rejects_positions_off_the_grid():
     # the stored grid is |x_i| <= n+1: one guard cell past the reachable cone
     _, table = optimal_value(Problem(d=1, n=3, m=2), keep="full", want_policy=True)
@@ -353,10 +375,6 @@ def test_value_table_csv_and_runs():
     assert len(lines) > 10
     row = lines[1].split(",")
     assert float(row[3]) == table.value_at(int(row[0]), int(row[1]), int(row[2]))
-    runs = table.policy_runs(0, 0)
-    assert runs[0][0] == -p.n and runs[-1][1] == p.n
-    covered = sum(hi - lo + 1 for lo, hi, _ in runs)
-    assert covered == 2 * p.n + 1
 
 
 def test_evaluate_reference_cases():

@@ -1,12 +1,17 @@
 import ast
 import dataclasses
 import inspect
+import shlex
 from pathlib import Path
+
+import pytest
 
 import targetwalk
 import targetwalk.verify  # noqa: F401  (the benchmark reaches run_suite as tw.verify)
+from targetwalk.cli import build_parser
 
-_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_ROOT = Path(__file__).resolve().parents[1]
+_BENCH = _ROOT / "bench"
 
 
 def test_all_lists_exactly_the_imported_names():
@@ -58,3 +63,32 @@ def test_benchmark_api_resolves():
             missing.append(name)
     assert missing == []
     assert keywords <= {f.name for f in dataclasses.fields(targetwalk.McConfig)}
+
+
+def _readme_commands() -> list[list[str]]:
+    """Argument lists of the commands in README's "Command line" block, with
+    continuation lines joined, comments dropped and the ``targetwalk`` or
+    ``PYTHONPATH=src python -m targetwalk`` prefix cut."""
+    block = (_ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```")[1].replace("\\\n", " ")
+    prefixes = (["targetwalk"], ["PYTHONPATH=src", "python", "-m", "targetwalk"])
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            prefix = next(p for p in prefixes if words[:len(p)] == p)
+            commands.append(words[len(prefix):])
+    return commands
+
+
+def test_readme_commands_parse():
+    """Every command README shows parses with the CLI's own parser: a
+    renamed or deleted flag fails here instead of leaving stale docs."""
+    commands = _readme_commands()
+    assert len(commands) == 9
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

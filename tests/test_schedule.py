@@ -183,3 +183,46 @@ def test_schedule_from_json_rejects_bools_and_bad_d(field, value):
     data[field] = value
     with pytest.raises(ScheduleError, match=f"schedule {field} must be"):
         Schedule.from_json_dict(data)
+
+
+def test_stage_count_takes_any_positive_exponent():
+    # one log estimate, corrected by exact powers where lam is rational: no
+    # loop grows as lam shrinks
+    assert stage_count(10**6, 100, 1e-5) == 200_000
+    assert stage_count(10**6, 100, 1e-4) == 20_000       # 100**(1 + 2) == 10**6
+    assert stage_count(10**6, 100, 1e-300) > 10**300
+    assert stage_count(10**6, 100, 5e-324) > 10**323
+
+
+def test_stage_cap_applies_in_one_dimension():
+    # eta = 4/9 as in the d = 2 case: 65 stages
+    with pytest.raises(ScheduleError, match="cap 64"):
+        build_schedule_1d(ScheduleParams1D(n=2**30, m=2, eta=4 / 9))
+    with pytest.raises(ScheduleError, match="cap 64"):
+        build_schedule_1d(ScheduleParams1D(n=10**6, m=100, eta=1e-300))
+
+
+def test_schedule_sizes_past_the_float_range_are_refused():
+    from targetwalk.schedule import MAX_SIZE
+
+    # at the bound every float the schedule takes is finite
+    s = build_schedule_1d(ScheduleParams1D(n=MAX_SIZE, m=2**1000, eta=0.5))
+    assert s.times[-1] == MAX_SIZE and s.u == 2
+    s = build_schedule_2d(ScheduleParams2D(n=MAX_SIZE, m=2**1000, epsilon=0.5))
+    assert s.times[-1] == MAX_SIZE
+    for params in (ScheduleParams1D, ScheduleParams2D):
+        with pytest.raises(ValueError, match=r"n must be at most 2\*\*1023"):
+            params(n=MAX_SIZE + 1, m=2)
+        with pytest.raises(ValueError, match=r"n must be at most 2\*\*1023"):
+            params(n=10**800, m=10**700)
+
+
+def test_checkpoint_powers_are_exact_past_the_float_mantissa():
+    # m^e reaches 1e27 here, where a float estimate is about 1e11 off; a
+    # fix-up by unit steps never finished
+    n, m = 9311121896934247819774385769, 45867
+    s = build_schedule_1d(ScheduleParams1D(n=n, m=m, eta=1 / 3))
+    assert s.u == stage_count(n, m, 1 / 3) > 2
+    for k in range(2, s.u + 1):
+        power = n - s.times[k]
+        assert power ** 3 <= m ** (3 + s.u - k) < (power + 1) ** 3
