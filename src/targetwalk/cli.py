@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
+import warnings
 
 from . import exact as _exact
 from . import mc as _mc
@@ -36,6 +38,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_OVER_BUDGET = 3
+
+_log = logging.getLogger(__name__)
 
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
@@ -222,6 +226,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _log_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` while a command runs: a warning, such as the
+    advisory regime one, is one stderr line through ``logging``, without the
+    source line that ``warnings`` prints."""
+    _log.warning("%s", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="targetwalk",
@@ -303,15 +314,17 @@ def main(argv: list[str] | None = None) -> int:
     for path in (getattr(args, "out", None), getattr(args, "policy_out", None)):
         if path and not _writable(path):
             return EXIT_BAD_INPUT
-    try:
-        return args.func(args)
-    except BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_OVER_BUDGET
-    except (OSError, ValueError) as exc:
-        # ScheduleError, SignatureError and json.JSONDecodeError included
-        print(f"{args.command} failed: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    with warnings.catch_warnings():
+        warnings.showwarning = _log_warning
+        try:
+            return args.func(args)
+        except BudgetError as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return EXIT_OVER_BUDGET
+        except (OSError, ValueError) as exc:
+            # ScheduleError, SignatureError and json.JSONDecodeError included
+            print(f"{args.command} failed: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

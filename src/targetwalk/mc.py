@@ -3,7 +3,9 @@
 Estimates are reproducible by construction: trials run in fixed chunks of
 ``_CHUNK``, each chunk draws from streams that depend only on the master
 seed and its trial range, chunk results are integer counters, and the thread
-count only changes who runs which chunk.
+count only changes who runs which chunk.  A pool task is a span of
+``_SPAN`` = 4 stream chunks, so that a plan's lead is inverted from the lead
+table once per span; every chunk keeps its own stream, so no draw moves.
 Wilson score intervals are used throughout; unlike the normal-approximation
 interval they stay sane at p_hat = 0 or 1, which lazy strategies produce.
 """
@@ -29,6 +31,10 @@ from .strategies import strategy_from_spec
 from .walk import Problem, _check_integer, _position
 
 SCHEMA_VERSION = 1
+# stream chunks per pool task: one chunk of a lead-only plan is about 15
+# short numpy calls, too little work to keep two threads from trading the
+# GIL; spans of 8 or 16 chunks cost more peak memory and one-thread time
+_SPAN = 4
 _Z95 = 1.959963984540054
 
 _log = logging.getLogger(__name__)
@@ -163,22 +169,22 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
     strategy = strategy_from_spec(config.strategy, config.problem, config.schedule)
     sampler = make_sampler(strategy, config.problem, force_generic=force_generic)
     d, keep = config.problem.d, config.store_failures
-    chunks = [(lo, min(lo + _CHUNK, config.trials))
-              for lo in range(0, config.trials, _CHUNK)]
+    step = _SPAN * _CHUNK
+    spans = [(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
 
     def run(span):
-        """(successes, stage counts, first failure samples) of one chunk."""
+        """(successes, stage counts, first failure samples) of one span."""
         lo, hi = span
         pos, counts = sampler.run_chunk(config.master_seed, lo, hi)
         failed = np.flatnonzero(pos.any(axis=0))
         kept = [(lo + int(i), _position(pos[:, i], d)) for i in failed[:keep]]
         return hi - lo - failed.size, counts, kept
 
-    if config.threads > 1 and len(chunks) > 1:
+    if config.threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, chunks))
+            results = list(pool.map(run, spans))
     else:
-        results = [run(span) for span in chunks]
+        results = [run(span) for span in spans]
 
     ok, counts, kept = zip(*results)
     successes = sum(ok)
@@ -193,7 +199,8 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
         successes=successes, p_hat=successes / config.trials,
         wilson_lo=lo, wilson_hi=hi, stage_stats=stage_stats,
         failures=failures, wall_time_s=time.perf_counter() - t0,
-        threads=config.threads, sampler=sampler.name, chunks=len(chunks),
+        threads=config.threads, sampler=sampler.name,
+        chunks=-(-config.trials // _CHUNK),
         lead_table_entries=sampler.lead_table_entries)
 
 

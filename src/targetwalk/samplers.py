@@ -31,15 +31,18 @@ laws:
 ``StagedSampler`` runs a plan for all trials of a chunk in lockstep on
 numpy arrays, drawing from one counter-based stream keyed by (master seed,
 chunk index); chunks hold a fixed ``_CHUNK`` trials, so results do not
-depend on the thread count.  ``GenericSampler`` runs any strategy one step
-at a time, calling ``decide`` and ``next_phase`` and never reading the plan,
-and is the reference the staged sampler is tested against.  It too runs a
-chunk in lockstep, on the step-by-step engine of ``walk``, from a stream
-keyed by (master seed, chunk index) with a tag of its own.
+depend on the thread count.  A call runs any run of whole chunks, so that
+the lead table inverts the draws of all of them at once.
+``GenericSampler`` runs any strategy one step at a time, calling ``decide``
+and ``next_phase`` and never reading the plan, and is the reference the
+staged sampler is tested against.  It too runs a chunk in lockstep, on
+the step-by-step engine of ``walk``, from a stream keyed by (master seed,
+chunk index) with a tag of its own, and a run of chunks one after another.
 
-Both return a chunk as its (d, trials) lattice end positions and its stage
-counts, one row per ``STAGE_COUNTS`` name and one column per stage (None
-without a schedule); ``mc.estimate_success`` turns chunks into the report.
+Both return a run of chunks as its (d, trials) lattice end positions and
+its stage counts, one row per ``STAGE_COUNTS`` name and one column per
+stage (None without a schedule); ``mc.estimate_success`` hands them spans
+of chunks and turns the results into the report.
 """
 
 from __future__ import annotations
@@ -122,15 +125,17 @@ class _BinomialTable:
     def index(self, u: np.ndarray) -> np.ndarray:
         """Atoms (int32) of uniforms u in [0, 1); scales u in place."""
         u *= self.buckets
-        atoms = self.guide.take(u.astype(np.int32))
+        # intp indices: take would convert int32 ones into a temporary
+        atoms = self.guide.take(u.astype(np.intp))
         flat = atoms.reshape(-1)
         hard = np.flatnonzero(flat < 0)
         flat[hard] = self.cdf.searchsorted(u.reshape(-1)[hard], side="right")
         return atoms
 
-    def add_endpoints(self, g: np.random.Generator, pos: np.ndarray) -> None:
-        """Add one endpoint to every entry of ``pos``, in place."""
-        atoms = self.index(g.random(pos.shape))
+    def add_endpoints(self, u: np.ndarray, pos: np.ndarray) -> None:
+        """Add the endpoints of uniforms u, of the shape of ``pos``, to
+        ``pos``, in place; scales u in place."""
+        atoms = self.index(u)
         atoms *= 2
         pos += atoms
         pos += self.shift
@@ -281,7 +286,9 @@ def _seek(g: np.random.Generator, pos: np.ndarray, t0: int,
 class Sampler:
     """Base chunk runner; subclasses fill run_chunk, which returns trials
     lo..hi - 1 as their (d, hi - lo) lattice end positions and their
-    (STAGE_COUNTS, u + 2) stage counts, or None where ``schedule`` is None."""
+    (STAGE_COUNTS, u + 2) stage counts, or None where ``schedule`` is None.
+    The trials may span several chunks of ``_CHUNK``, each on its own
+    stream, and give what the chunks give one by one, joined in order."""
 
     name = "sampler"
     schedule: Optional[Schedule] = None
@@ -297,10 +304,13 @@ class StagedSampler(Sampler):
     leading walk and crawl, then a seek and a crawl per stage time.  The
     lead's table, if it has one, is built here and shared by every chunk.
 
-    Chunk state is a (d, trials) array of diagonal coordinates plus one
-    mask of trials whose seek missed; in d = 2 it is turned into lattice
-    coordinates at the end.  ``lo`` must be a multiple of ``_CHUNK``: the
-    chunk's stream is keyed by (master seed, lo // _CHUNK).
+    ``run_chunk`` takes any run of whole chunks: ``lo`` must be a multiple
+    of ``_CHUNK``, and each chunk's stream is keyed by (master seed, its
+    first trial // _CHUNK).  Every chunk draws its lead from its own stream,
+    and one table inversion serves the draws of the whole run.  Each chunk
+    then runs its stages on its own stream, on its slice of the run's
+    (d, trials) diagonal coordinates, with one mask of trials whose seek
+    missed.  In d = 2 the run is turned into lattice coordinates at the end.
     """
 
     name = "staged"
@@ -323,21 +333,39 @@ class StagedSampler(Sampler):
         return lengths // self.problem.m
 
     def run_chunk(self, master_seed, lo, hi):
-        g = _rng.chunk_generator(master_seed, lo // _CHUNK)
-        k = hi - lo
-        d = self.problem.d
-        sched = self.schedule
+        d, k = self.problem.d, hi - lo
+        sched, plan = self.schedule, self.plan
+        chunks = [(_rng.chunk_generator(master_seed, a // _CHUNK),
+                   slice(a - lo, min(a + _CHUNK, hi) - lo)) for a in range(lo, hi, _CHUNK)]
         pos = np.zeros((d, k), dtype=np.int64)
-        walking = np.zeros(k, dtype=bool)      # missed a seek: steps every time
         counts = None if sched is None else np.zeros((len(STAGE_COUNTS), sched.u + 2),
                                                      dtype=np.int64)
-        was_in = np.ones(k, dtype=bool)        # W_0 is the origin, inside window 0
-        plan = self.plan
         if self._lead is not None:
-            self._lead.add_endpoints(g, pos)
+            # each chunk draws its own uniforms; one inversion serves them all
+            self._lead.add_endpoints(np.concatenate(
+                [g.random((d, cols.stop - cols.start)) for g, cols in chunks], axis=1), pos)
         elif plan.walk or plan.crawl:
-            crawled = self._crawl_steps(g, np.full(k, plan.crawl, dtype=np.int64))
-            pos += _endpoints(g, plan.walk + crawled, d)
+            for g, cols in chunks:
+                size = cols.stop - cols.start
+                crawled = self._crawl_steps(g, np.full(size, plan.crawl, dtype=np.int64))
+                pos[:, cols] = _endpoints(g, plan.walk + crawled, d)
+        for g, cols in chunks:
+            self._run_stages(g, pos[:, cols], counts)
+        if d == 2:
+            # (x + y, x - y) -> (x, y), in place
+            pos[0] += pos[1]
+            pos[0] >>= 1
+            pos[1] = pos[0] - pos[1]
+        return pos, counts
+
+    def _run_stages(self, g: np.random.Generator, pos: np.ndarray,
+                    counts: Optional[np.ndarray]) -> None:
+        """Run the plan's stages on one chunk's (d, k) diagonal positions, a
+        view moved in place, and add their events to ``counts``."""
+        d, k = pos.shape
+        sched, plan = self.schedule, self.plan
+        walking = np.zeros(k, dtype=bool)      # missed a seek: steps every time
+        was_in = np.ones(k, dtype=bool)        # W_0 is the origin, inside window 0
         t = plan.walk + plan.crawl
         for stage, t_end in enumerate(plan.times, start=1):
             free = np.nonzero(walking)[0]
@@ -354,12 +382,6 @@ class StagedSampler(Sampler):
             t = t_end
             if counts is not None:
                 was_in = _tally_stage(counts, stage, sched, pos, alive, hit, was_in)
-        if d == 2:
-            # (x + y, x - y) -> (x, y), in place
-            pos[0] += pos[1]
-            pos[0] >>= 1
-            pos[1] = pos[0] - pos[1]
-        return pos, counts
 
 
 class GenericSampler(Sampler):
@@ -374,14 +396,19 @@ class GenericSampler(Sampler):
         self.strategy = strategy
 
     def run_chunk(self, master_seed, lo, hi):
-        g = _rng.step_chunk_generator(master_seed, lo // _CHUNK)
-        try:
-            for _, _, pos in _lockstep(self.strategy, self.problem, hi - lo, g):
-                pass
-        except AdmissibilityError as exc:
-            exc.trial_index += lo
-            raise
-        return pos, None
+        parts = []
+        for a in range(lo, hi, _CHUNK):
+            g = _rng.step_chunk_generator(master_seed, a // _CHUNK)
+            try:
+                for _, _, pos in _lockstep(self.strategy, self.problem,
+                                           min(a + _CHUNK, hi) - a, g):
+                    pass
+            except AdmissibilityError as exc:
+                # chunks run in order, so this is the lowest offending trial
+                exc.trial_index += a
+                raise
+            parts.append(pos)
+        return np.concatenate(parts, axis=1), None
 
 
 def make_sampler(strategy: Strategy, problem: Problem,

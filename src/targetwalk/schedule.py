@@ -195,6 +195,14 @@ def _power_leq(m: int, exponent: Fraction, n: int) -> bool:
     return m ** exponent.numerator <= n ** exponent.denominator
 
 
+def _log_stage_estimate(n: int, m: int, lam: float, slack: float) -> int:
+    """floor((log n * (1 + slack) / log m - 1) / lam), the quotient taken
+    exactly.  The logs err by far less than 1e-12 relative, so a slack of
+    1e-12 gives at least the stage count and -1e-12 at most it."""
+    ratio = math.log(n) * (1.0 + slack) / math.log(m)
+    return math.floor((Fraction(ratio) - 1) / Fraction(lam))
+
+
 def stage_count(n: int, m: int, lam: float) -> int:
     """Largest k >= 0 with m**(1 + k*lam) <= n; 0 when even m itself exceeds n.
 
@@ -207,8 +215,7 @@ def stage_count(n: int, m: int, lam: float) -> int:
         raise ValueError(f"need n >= 1, m >= 2, lam > 0; got n={n}, m={m}, lam={lam}")
     if m > n:
         return 0
-    ratio = math.log(n) * (1.0 + 1e-12) / math.log(m)
-    k = math.floor((Fraction(ratio) - 1) / Fraction(lam))
+    k = _log_stage_estimate(n, m, lam, 1e-12)
     frac = _as_fraction(lam)
     if frac is not None:
         while k > 0 and not _power_leq(m, 1 + k * frac, n):
@@ -236,13 +243,22 @@ def _floor_power(m: int, exponent: float, frac_exp: Fraction | None) -> int:
     return int(math.floor(m ** exponent))
 
 
-def _checkpoint_times(n: int, m: int, lam: float) -> tuple[int, ...]:
-    """The u + 2 checkpoint times, u = max(stage_count, 2); ScheduleError
-    before any power is taken when the stage count exceeds ``STAGE_CAP``."""
+def _capped_stage_count(n: int, m: int, lam: float) -> int:
+    """``stage_count``, or ScheduleError when it exceeds ``STAGE_CAP``.  A
+    lower bound from the log form is compared with the cap first, so a
+    refused count takes no exact power of a large n."""
+    if m <= n and _log_stage_estimate(n, m, lam, -1e-12) > STAGE_CAP:
+        raise ScheduleError(f"stage count exceeds the cap {STAGE_CAP}")
     u_n = stage_count(n, m, lam)
     if u_n > STAGE_CAP:
         raise ScheduleError(f"stage count {u_n} exceeds the cap {STAGE_CAP}")
-    u = max(u_n, 2)
+    return u_n
+
+
+def _checkpoint_times(n: int, m: int, lam: float) -> tuple[int, ...]:
+    """The u + 2 checkpoint times, u = max(stage_count, 2); ScheduleError
+    before any power is taken when the stage count exceeds ``STAGE_CAP``."""
+    u = max(_capped_stage_count(n, m, lam), 2)
     frac = _as_fraction(lam)
     times = [0] * (u + 2)
     times[u + 1] = n
@@ -353,10 +369,12 @@ def validate_regime(params: ScheduleParams1D) -> RegimeReport:
 
     Flags eps_m * u_n**2 > 0.1 (the quantity that must vanish for the staged
     windows to succeed with high probability); also reports the ratio
-    m**(1-eta) * log(m) / log(n)**2, which should be large.
+    m**(1-eta) * log(m) / log(n)**2, which should be large.  Raises
+    ScheduleError, as the schedule builder does, when u_n exceeds
+    ``STAGE_CAP``.
     """
     n, m, eta = params.n, params.m, params.eta
-    u_n = stage_count(n, m, eta)
+    u_n = _capped_stage_count(n, m, eta)
     eps_m = math.log(m) / m ** (1.0 - eta)
     eps_u_sq = eps_m * u_n ** 2
     root_ratio = u_n * math.sqrt(eps_m)

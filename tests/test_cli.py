@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -739,3 +740,26 @@ def test_package_runs_as_a_module():
     run = subprocess.run([sys.executable, "-m", "targetwalk", "exact", "--d", "1",
                           "--n", "2", "--m", "2"], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, "0.5\n", "")
+
+
+def test_the_regime_warning_is_one_stderr_line():
+    # README's own example; ``warnings`` printed the CLI's source line too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "targetwalk", "schedule", "--d", "1",
+                          "--n", "1000000", "--m", "100", "--eta", "0.5"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0
+    assert json.loads(run.stdout)["schedule"]["u"] == 4
+    assert run.stderr == ("regime hypothesis weakly satisfied: "
+                          "m^(1-eta)*log(m)/log(n)^2 = 0.241 < 10\n")
+
+
+def test_a_schedule_far_past_the_cap_exits_2_at_once(capsys):
+    # 5 990 000 stages: the exact powers of the count took 2.5 s to refuse it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "schedule", "--d", "1", "--n", str(3**600 + 5),
+                             "--m", "3", "--eta", "0.0001")
+    assert time.perf_counter() - start < 0.2
+    assert (code, out, err) == (2, "", "schedule failed: stage count exceeds the cap 64\n")

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from targetwalk import (McConfig, Problem, ScheduleParams1D,
@@ -521,3 +522,95 @@ def test_sweep_csv_columns(tmp_path):
     sweep_to_csv(rows, buf)
     header = buf.getvalue().splitlines()[0]
     assert header.startswith("cell,d,n,m,strategy,delayed,params,trials")
+
+
+# two full spans of _SPAN = 4 chunks, then a span of one chunk and 17 trials
+_SPAN_TRIALS = 2 * 4 * 4096 + 4096 + 17
+
+
+@pytest.mark.parametrize("spec, d, n, m", [({"name": "lazy_max"}, 2, 4096, 16),
+                                           ({"name": "lazy_then_sprint"}, 1, 10**4, 100)])
+def test_spans_report_what_single_chunks_report(monkeypatch, spec, d, n, m):
+    """A pool task runs a span of chunks; the reference runs ``run_chunk``
+    one chunk at a time (``_SPAN`` = 1).  ``lazy_max`` is a lead alone,
+    which the table inverts once per span; ``lazy_then_sprint`` follows its
+    lead by a stage, which runs chunk by chunk.  Reports must match byte for
+    byte at 1, 2 and 3 threads, stored failures included.
+
+    Power: a span that drew every chunk's lead from one stream, ran a
+    chunk's stages on another chunk's stream or stored its failures out of
+    order moves the digest."""
+    from targetwalk import mc
+    from targetwalk.samplers import StagedSampler
+
+    calls = []
+    run_chunk = StagedSampler.run_chunk
+
+    def recording(self, master_seed, lo, hi):
+        calls.append((lo, hi))
+        return run_chunk(self, master_seed, lo, hi)
+
+    monkeypatch.setattr(StagedSampler, "run_chunk", recording)
+
+    def report(threads):
+        cfg = McConfig(problem=Problem(d=d, n=n, m=m), strategy=spec,
+                       trials=_SPAN_TRIALS, master_seed=24, threads=threads,
+                       store_failures=7)
+        rep = estimate_success(cfg)
+        assert rep.chunks == 10
+        return rep.to_json(include_runtime=False)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "_SPAN", 1)
+        reference = report(1)
+    assert len(calls) == 10 and all(hi - lo <= 4096 for lo, hi in calls)
+    assert len(json.loads(reference)["failures"]) == 7
+    for threads in (1, 2, 3):
+        calls.clear()
+        assert report(threads) == reference, threads
+        assert sorted(calls) == [(0, 16384), (16384, 32768), (32768, _SPAN_TRIALS)]
+
+
+def test_generic_spans_name_the_lowest_offender_in_a_later_span(monkeypatch):
+    """The strategy steps 13 times and then stands from time 13 if it is at
+    13, so it is inadmissible at time 13 + m for trials whose first 13
+    steps all went up; its first 13 steps draw one move for every trial, as
+    always_step's do.  At seed 23 the offenders are trials 20586, 24719 and
+    31627, in chunks 5, 6 and 7 of the second span, so the span must report
+    the lowest of its chunks at every thread count."""
+    from targetwalk import AdmissibilityError, Decision, mc
+    from targetwalk.rng import step_chunk_generator
+    from targetwalk.samplers import GenericSampler
+    from targetwalk.strategies import Strategy, always_step
+    from targetwalk.walk import _lockstep
+
+    climb, seed, trials = 13, 23, 2 * 4 * 4096 + 17
+
+    class StandAtTheTopOfAClimb(Strategy):
+        name = "stand_at_the_top_of_a_climb"
+        signature = "wjip"
+
+        def decide(self, w, j, i, phase):
+            return Decision.STAND if phase == climb and i >= climb else Decision.STEP
+
+        def next_phase(self, phase, i_next, w_next, j_next):
+            return w_next if i_next == climb else phase
+
+    offenders = []
+    for c, lo in enumerate(range(0, trials, 4096)):
+        *_, (_, _, w) = _lockstep(always_step(), Problem(d=1, n=climb, m=2),
+                                  min(lo + 4096, trials) - lo, step_chunk_generator(seed, c))
+        offenders += [lo + int(i) for i in np.flatnonzero(w[0] == climb)]
+    assert offenders == [20586, 24719, 31627]
+
+    p = Problem(d=1, n=climb + 4, m=3)
+    strategy = StandAtTheTopOfAClimb()
+    with pytest.raises(AdmissibilityError) as err:
+        GenericSampler(p, strategy).run_chunk(seed, 16384, 32768)
+    assert (err.value.trial_index, err.value.time_step) == (20586, climb + 3)
+    monkeypatch.setattr(mc, "strategy_from_spec", lambda *args: strategy)
+    for threads in (1, 2, 3):
+        with pytest.raises(AdmissibilityError) as err:
+            estimate_success(McConfig(problem=p, strategy={}, trials=trials,
+                                      master_seed=seed, threads=threads))
+        assert (err.value.trial_index, err.value.time_step) == (20586, climb + 3), threads

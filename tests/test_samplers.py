@@ -507,7 +507,7 @@ def test_lead_table_draws_only_from_its_atoms():
     parity; a shift or scale slip moves them off it."""
     table = _BinomialTable(64)
     pos = np.zeros((2, 4096), dtype=np.int64)
-    table.add_endpoints(chunk_generator(7, 0), pos)
+    table.add_endpoints(chunk_generator(7, 0).random(pos.shape), pos)
     assert pos.min() >= -64 and pos.max() <= 64 and not (pos % 2).any()
     assert abs(pos.mean()) < 1.0 and 7.0 < pos.std() < 9.0
 

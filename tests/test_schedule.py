@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -226,3 +227,42 @@ def test_checkpoint_powers_are_exact_past_the_float_mantissa():
     for k in range(2, s.u + 1):
         power = n - s.times[k]
         assert power ** 3 <= m ** (3 + s.u - k) < (power + 1) ** 3
+
+
+def test_validate_regime_refuses_past_the_stage_cap():
+    # it squared an uncapped stage count: OverflowError at eta = 1e-300
+    with pytest.raises(ScheduleError, match="cap 64"):
+        validate_regime(ScheduleParams1D(n=10**6, m=100, eta=1e-300))
+    # 2**(1 + 65 * 4/9) <= 2**30: 65 stages, one past the cap
+    with pytest.raises(ScheduleError, match="cap 64"):
+        validate_regime(ScheduleParams1D(n=2**30, m=2, eta=4 / 9))
+    assert validate_regime(ScheduleParams1D(n=2**30, m=2, eta=29 / 64)).u_n == 64
+
+
+@pytest.mark.parametrize("base, p, q", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 2, 3),
+                                        (10, 1, 1), (7, 4, 9)])
+def test_the_cap_is_exact_at_its_boundary(base, p, q):
+    """m = base**q and lam = p/q put m**(1 + k*lam) = base**(q + k*p) on an
+    integer n, which has k stages, and n - 1 has k - 1.  The log estimate
+    the cap reads first must not refuse the 64 stages of 65's n - 1, which
+    a slack taken the wrong way would."""
+    from targetwalk.schedule import _capped_stage_count
+
+    m, lam = base**q, p / q
+    at_64, at_65 = base ** (q + 64 * p), base ** (q + 65 * p)
+    assert _capped_stage_count(at_64, m, lam) == 64
+    assert _capped_stage_count(at_64 - 1, m, lam) == 63
+    assert _capped_stage_count(at_65 - 1, m, lam) == 64
+    with pytest.raises(ScheduleError, match="cap 64"):
+        _capped_stage_count(at_65, m, lam)
+
+
+def test_a_count_far_past_the_cap_is_refused_before_any_power():
+    # stage_count's exact powers take about 2 s to reach 5 990 000 stages
+    params = ScheduleParams1D(n=3**600 + 5, m=3, eta=0.0001)
+    start = time.perf_counter()
+    with pytest.raises(ScheduleError, match="cap 64"):
+        build_schedule_1d(params)
+    with pytest.raises(ScheduleError, match="cap 64"):
+        validate_regime(params)
+    assert time.perf_counter() - start < 0.2
