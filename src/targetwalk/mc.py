@@ -6,6 +6,7 @@ seed and its trial range, chunk results are integer counters, and the thread
 count only changes who runs which chunk.  A pool task is a span of
 ``_SPAN`` = 4 stream chunks, so that a plan's lead is inverted from the lead
 table once per span; every chunk keeps its own stream, so no draw moves.
+One thread runs the chunks one by one.
 Wilson score intervals are used throughout; unlike the normal-approximation
 interval they stay sane at p_hat = 0 or 1, which lazy strategies produce.
 """
@@ -33,7 +34,10 @@ from .walk import Problem, _check_integer, _position
 SCHEMA_VERSION = 1
 # stream chunks per pool task: one chunk of a lead-only plan is about 15
 # short numpy calls, too little work to keep two threads from trading the
-# GIL; spans of 8 or 16 chunks cost more peak memory and one-thread time
+# GIL; spans of 8 or 16 chunks cost more peak memory.  One thread has no
+# hand-overs to spread and runs single chunks: a d = 2 span's arrays reach
+# the sizes at which malloc returns freed memory to the system, and the
+# page faults that follow made the serial loop 30% slower on such leads
 _SPAN = 4
 _Z95 = 1.959963984540054
 
@@ -169,7 +173,7 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
     strategy = strategy_from_spec(config.strategy, config.problem, config.schedule)
     sampler = make_sampler(strategy, config.problem, force_generic=force_generic)
     d, keep = config.problem.d, config.store_failures
-    step = _SPAN * _CHUNK
+    step = _CHUNK * (_SPAN if config.threads > 1 else 1)
     spans = [(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
 
     def run(span):
