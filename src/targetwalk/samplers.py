@@ -387,7 +387,8 @@ class StagedSampler(Sampler):
 class GenericSampler(Sampler):
     """Reference path: run any strategy one step at a time, all trials of a
     chunk in lockstep (``walk._lockstep``) on one stream keyed by (master
-    seed, lo // _CHUNK), which the staged sampler's keys never equal."""
+    seed, chunk index), which the staged sampler's keys never equal; the
+    chunks of a run go one after another."""
 
     name = "generic"
 
