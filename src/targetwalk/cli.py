@@ -120,6 +120,9 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.format == "csv" and (args.per_window or args.store_failures > 0):
+        flag = "--per-window" if args.per_window else "--store-failures"
+        raise ValueError(f"the CSV row has no column for {flag}; use --format json")
     spec = _strategy_spec_from_args(args, args.strategy)
     schedule = None
     if args.schedule_json:

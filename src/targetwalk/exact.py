@@ -434,15 +434,18 @@ def optimal_value(problem: Problem, budget: float = DEFAULT_DP_BUDGET,
 
 
 class _WindowMax:
-    """Max over the last ``length`` arrays pushed, kept as a two-stack queue
-    (the running-max form of van Herk 1992 and Gil & Werman 1993): O(1)
-    amortised numpy ops per push, whatever the length.
+    """Max over the last ``length`` arrays pushed, kept in fixed blocks (the
+    block max of van Herk 1992 and Gil & Werman 1993): O(1) amortised numpy
+    ops per push, whatever the length.
 
-    The arrays sit in a ring of ``length`` slots, oldest first.  The back
-    stack holds the raw arrays pushed since the last transfer, with their
-    running max.  When the front stack runs empty, a transfer rewrites the
-    back stack's slots, newest to oldest, into suffix maxima, so the oldest
-    slot of the front holds the max of the whole front.
+    Push p writes ring slot p % length, so pushes p - p % length .. p form
+    the open block, and the slots past p % length still hold the block
+    before it.  When push p opens a block (p % length == 0, p > 0), the
+    finished block's slots are first rewritten, newest to oldest, into
+    suffix maxima.  The open block keeps its running max, so the window max
+    is that running max with the suffix max in slot p % length, the part of
+    the last block still in the window; it is the running max alone while
+    fewer than ``length`` arrays have been pushed or when a block is full.
 
     Every operation acts on a caller-given region and leaves the entries
     outside it as they were, and the buffers start zero.  So ``max`` is
@@ -455,49 +458,37 @@ class _WindowMax:
 
     def __init__(self, length: int, shape: tuple):
         self.ring = np.zeros((length,) + shape)
-        self.back_max = np.zeros(shape)
+        self.block_max = np.zeros(shape)
         self.out = np.zeros(shape)
         self.pushed = 0
-        self.front = 0
-        self.back = 0
-
-    def _slot(self, k: int) -> np.ndarray:
-        return self.ring[k % len(self.ring)]
 
     def slot(self, region: tuple) -> np.ndarray:
         """View of the next array's slot, dropping the oldest array if full."""
-        if self.front + self.back == len(self.ring):
-            if self.front == 0:
-                for k in range(self.pushed - 2, self.pushed - 1 - self.back, -1):
-                    older = self._slot(k)[region]
-                    np.maximum(older, self._slot(k + 1)[region], out=older)
-                self.front, self.back = self.back, 0
-            self.front -= 1
-        return self._slot(self.pushed)[region]
+        ring, p = self.ring, self.pushed
+        if p and p % len(ring) == 0:
+            for k in range(len(ring) - 2, -1, -1):
+                older = ring[k][region]
+                np.maximum(older, ring[k + 1][region], out=older)
+        return ring[p % len(ring)][region]
 
     def commit(self, region: tuple) -> None:
         """Push the array written into ``slot(region)``."""
-        new = self._slot(self.pushed)[region]
-        if self.back:
-            np.maximum(self.back_max[region], new, out=self.back_max[region])
+        k = self.pushed % len(self.ring)
+        new = self.ring[k][region]
+        if k:
+            np.maximum(self.block_max[region], new, out=self.block_max[region])
         else:
-            self.back_max[region] = new
+            self.block_max[region] = new
         self.pushed += 1
-        self.back += 1
 
     def max(self, region: tuple) -> np.ndarray:
         """Full-shape array holding the window max on ``region``; a buffer
         of the queue, valid until the next ``commit``."""
-        if self.front == 0:
-            return self.back_max
-        oldest = self._slot(self.pushed - self.front - self.back)[region]
-        np.maximum(oldest, self.back_max[region], out=self.out[region])
+        k = self.pushed % len(self.ring)
+        if self.pushed < len(self.ring) or k == 0:
+            return self.block_max
+        np.maximum(self.ring[k][region], self.block_max[region], out=self.out[region])
         return self.out
-
-
-def _folded_box(r: int, d: int) -> tuple:
-    """Index of the folded box 0 <= x_k <= r with its ghost layer x_k = -1."""
-    return (slice(0, r + 2),) * d
 
 
 def _neighbour_mean(field: np.ndarray, box: tuple, out: np.ndarray,
@@ -563,18 +554,20 @@ def _step_values(d: int, n: int, m: int, keep: bool, reach: Optional[int]):
     inner = (slice(1, None),) * d
     # ghost x_k = -1 (index 0) from x_k = +1 (index 2), axis by axis
     ghosts = [((slice(None),) * k + (0,), (slice(None),) * k + (2,)) for k in range(d)]
-    box = _folded_box(0, d)
+    # the folded box 0 <= x_k <= r with its ghost layer, and without it
+    boxes = [(slice(0, r + 2),) * d for r in range(peak + 2)]
+    cells = [(slice(1, r + 2),) * d for r in range(peak + 1)]
+    box = boxes[0]
     window.slot(box)[origin] = 1.0
     window.commit(box)
     if steps is not None:
         steps[n][origin] = 1.0
     for i in range(n - 1, -1, -1):
         r = n - i if reach is None else min(i, n - i, reach)
-        v_next = window.max(_folded_box(r + 1, d))
-        box = _folded_box(r, d)
+        v_next = window.max(boxes[r + 1])
+        box = boxes[r]
         a = window.slot(box)
-        _neighbour_mean(v_next, (slice(1, r + 2),) * d, out=a[inner],
-                        scratch=scratch)
+        _neighbour_mean(v_next, cells[r], out=a[inner], scratch=scratch)
         for ghost, mirror in ghosts if r else ():   # A_0 is read at the origin only
             a[ghost] = a[mirror]
         window.commit(box)

@@ -66,7 +66,9 @@ class McConfig:
     ``problem.n`` and ``m`` must be at most ``samplers.MAX_STEPS`` =
     (2**63 - 1 - 2**29) // 2, as the samplers work in int64: ``_endpoints``
     doubles a binomial draw of up to n steps and ``_first_zero`` adds two
-    positions (each at most n) to a block length (at most 2**29).
+    positions (each at most n) to a block length (at most 2**29).  A staged
+    plan whose stages run past about 10**16 steps can take minutes: a seek
+    runs one round per 2**29-step block while any walker of a chunk misses.
     """
 
     problem: Problem

@@ -228,7 +228,9 @@ def stage_count(n: int, m: int, lam: float) -> int:
 def _floor_power(m: int, exponent: float, frac_exp: Fraction | None) -> int:
     """floor(m**exponent), exact when the exponent is rational p/q: the
     integer q-th root of m**p by Newton's method, from just above the float
-    estimate, which converges in a few steps at any size."""
+    estimate, which converges in a few steps at any size.  Otherwise it
+    floors the float power: at most 1 off below 2**53 (one high where the
+    power rounds up to an integer), and about 2**-52 relative above."""
     if frac_exp is not None:
         p, q = frac_exp.numerator, frac_exp.denominator
         if q == 1:
@@ -275,6 +277,15 @@ def _checkpoint_times(n: int, m: int, lam: float) -> tuple[int, ...]:
     return tuple(times)
 
 
+def _build_schedule(d: int, params, lam: float, width, **constants) -> Schedule:
+    """The checkpoint grid of stage exponent ``lam`` with half-widths
+    ``width(N_{k+1})`` at the inner checkpoints, recording ``constants``."""
+    times = _checkpoint_times(params.n, params.m, lam)
+    widths = [0] + [width(b - a) for a, b in zip(times[1:-1], times[2:])] + [0]
+    return Schedule(d=d, n=params.n, m=params.m, u=len(times) - 2, times=times,
+                    half_widths=tuple(widths), **constants)
+
+
 def build_schedule_1d(params: ScheduleParams1D) -> Schedule:
     """Window schedule for the one-dimensional staged strategy.
 
@@ -282,16 +293,10 @@ def build_schedule_1d(params: ScheduleParams1D) -> Schedule:
     eps_m = log(m) / m**(1 - eta) (natural log).  Raises ScheduleError when
     the stage count exceeds ``STAGE_CAP`` (64).
     """
-    n, m, eta = params.n, params.m, params.eta
-    times = _checkpoint_times(n, m, eta)
-    u = len(times) - 2
-    eps_m = math.log(m) / m ** (1.0 - eta)
-    widths = [0] * (u + 2)
-    for k in range(1, u + 1):
-        n_next = times[k + 1] - times[k]
-        widths[k] = int(math.floor(math.sqrt(eps_m * n_next)))
-    return Schedule(d=1, n=n, m=m, u=u, times=times, half_widths=tuple(widths),
-                    eps_m=eps_m, eta=eta)
+    eps_m = math.log(params.m) / params.m ** (1.0 - params.eta)
+    return _build_schedule(
+        1, params, params.eta, lambda length: math.floor(math.sqrt(eps_m * length)),
+        eps_m=eps_m, eta=params.eta)
 
 
 def build_schedule_2d(params: ScheduleParams2D) -> Schedule:
@@ -301,16 +306,9 @@ def build_schedule_2d(params: ScheduleParams2D) -> Schedule:
     half-width floor(N_{k+1}**theta).  Raises ScheduleError when the stage
     count exceeds ``STAGE_CAP`` (64).
     """
-    n, m = params.n, params.m
-    theta, kappa = params.theta, params.kappa
-    times = _checkpoint_times(n, m, kappa)
-    u = len(times) - 2
-    widths = [0] * (u + 2)
-    for k in range(1, u + 1):
-        n_next = times[k + 1] - times[k]
-        widths[k] = int(math.floor(n_next ** theta))
-    return Schedule(d=2, n=n, m=m, u=u, times=times, half_widths=tuple(widths),
-                    epsilon=params.epsilon, theta=theta, kappa=kappa)
+    return _build_schedule(
+        2, params, params.kappa, lambda length: math.floor(length ** params.theta),
+        epsilon=params.epsilon, theta=params.theta, kappa=params.kappa)
 
 
 def choose_theta_kappa(epsilon: float) -> tuple[float, float]:

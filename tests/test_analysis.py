@@ -137,6 +137,15 @@ def test_fit_scaling_exact_slopes():
     assert max(abs(r) for r in fit.residuals) < 0.02
 
 
+def test_hoeffding_exponent_and_fit_refuse_mismatched_input():
+    s = build_schedule_1d(ScheduleParams1D(n=10**6, m=100, eta=0.5))
+    for k in (0, s.u + 1):
+        with pytest.raises(ValueError, match=f"stage k must be in 1..u={s.u}, got {k}"):
+            hoeffding_exponent(s, k)
+    with pytest.raises(ValueError, match="x and p must have equal length"):
+        fit_scaling([1, 10, 100, 1000], [0.1, 0.2, 0.3])
+
+
 def test_fit_scaling_degenerate_grids():
     with pytest.raises(ValueError):
         fit_scaling([1, 2, 4], [0.1, 0.2, 0.3])          # too few points

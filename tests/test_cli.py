@@ -552,6 +552,26 @@ def test_simulate_csv_format(capsys):
     assert ",lazy_max," in lines[1]
 
 
+@pytest.mark.parametrize("flags", [("--per-window",), ("--store-failures", "3")])
+def test_simulate_csv_refuses_what_its_row_cannot_hold(tmp_path, capsys, monkeypatch,
+                                                       flags):
+    # the one sweep row has no column for stage estimates or failures, so
+    # these flags are bad input with --format csv, refused before any trial
+    import targetwalk.mc as mc
+
+    calls = []
+    for name in ("estimate_success", "window_conditionals"):
+        monkeypatch.setattr(mc, name, lambda *a, **k: calls.append(a))
+    path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "simulate", "--d", "1", "--n", "10000", "--m", "100",
+                             "--strategy", "windowed_1d", "--trials", "2000",
+                             "--seed", "1", *flags, "--format", "csv",
+                             "--out", str(path))
+    assert code == 2 and out == "" and calls == [] and not path.exists()
+    assert err == (f"simulate failed: the CSV row has no column for {flags[0]}; "
+                   "use --format json\n")
+
+
 def test_simulate_per_window_payload(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--d", "1", "--n", "200", "--m", "6",
                            "--strategy", "windowed_1d", "--trials", "2000",

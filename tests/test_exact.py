@@ -126,6 +126,30 @@ def test_value_table_rejects_positions_off_the_grid():
             table.policy_at(0, x, 0)
 
 
+def test_value_tables_refuse_a_bad_keep_counter_or_dimension():
+    with pytest.raises(ValueError, match="keep must be 'none' or 'full'"):
+        optimal_value(Problem(d=1, n=3, m=2), keep="half")
+    _, table = optimal_value(Problem(d=2, n=3, m=2), keep="full")
+    for j in (-1, 2):
+        with pytest.raises(IndexError, match=f"counter j={j} outside"):
+            table.value_at(0, (0, 0), j)
+        with pytest.raises(IndexError, match=f"counter j={j} outside"):
+            table.policy_at(0, (0, 0), j)
+    with pytest.raises(ValueError, match="CSV export supports d=1 tables"):
+        table.to_csv(io.StringIO())
+
+
+def test_oracles_refuse_what_they_document():
+    assert ssrw_return_probability(-1, 1) == 0.0 == ssrw_return_probability(-4, 2)
+    with pytest.raises(ValueError, match="start must be nonzero"):
+        hitting_tail_curve(0, [4])
+    with pytest.raises(BudgetError, match="n=13 is too large"):
+        brute_force_value(Problem(d=1, n=13, m=2))
+    for p in (Problem(d=1, n=4, m=2), Problem(d=2, n=2, m=2)):
+        with pytest.raises(BudgetError, match="use n <= 3, d = 1"):
+            enumerate_decision_trees_value(p)
+
+
 def _counter_recursion(problem):
     """Backward induction over (x, j) carrying the stand counter, on the whole
     grid: the reference the counter-free engine must match bit for bit.
@@ -257,6 +281,44 @@ def test_dp_cost_prices_the_work_the_engine_does(monkeypatch, d, n, m):
     assert sum(written) == sum((min(i, n - i, reach) + 1) ** d for i in range(n))
     assert rings[1] == min(m, n + 1) * (min(n // 2, reach) + 3) ** d
     assert (reach < n // 2) == (n >= 30) == (beta > 0)
+
+
+def _push_radii(n, reach):
+    """The radii of ``_step_values``' pushes: 0 for A_n, then
+    r_i = n - i (``reach`` None) or min(i, n - i, reach) for i = n-1 .. 0."""
+    return [0] + [n - i if reach is None else min(i, n - i, reach)
+                  for i in range(n - 1, -1, -1)]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7])
+@pytest.mark.parametrize("d,n,reach", [(1, 23, None), (1, 40, 6), (2, 12, None),
+                                       (2, 17, 3)])
+def test_window_max_is_the_max_of_the_last_pushes(length, d, n, reach):
+    """``_WindowMax`` against a brute-force max over the last ``length``
+    arrays pushed, each zero outside its region, with the radii rising,
+    holding and falling as ``_step_values``' do and every max read on the
+    box that backward induction reads.  Random arrays make a stale or a
+    missing array show at almost every cell, so the test fails if a
+    transfer runs one push early or late (at lengths 3 and 7: at 1 and 2 a
+    transfer rewrites only slot 0, which ``max`` never reads), or if
+    ``max`` reads its old block from a slot next to p % length."""
+    rng = np.random.default_rng(length * 1000 + d * 100 + n)
+    radii = _push_radii(n, reach)
+    shape = (max(radii) + 3,) * d
+    window = targetwalk.exact._WindowMax(length, shape)
+    pushed = []
+    for k, r in enumerate(radii):
+        if k:
+            read = (slice(0, r + 3),) * d
+            want = np.max(pushed[-length:], axis=0)[read]
+            assert np.array_equal(window.max(read)[read], want), (k, r)
+        box = (slice(0, r + 2),) * d
+        array = np.zeros(shape)
+        array[box] = rng.random(array[box].shape)
+        window.slot(box)[...] = array[box]
+        window.commit(box)
+        pushed.append(array)
+    assert np.array_equal(window.max(box)[box], np.max(pushed[-length:], axis=0)[box])
 
 
 def _killed_recursion(problem, reach):

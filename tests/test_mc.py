@@ -396,6 +396,11 @@ def test_sweep_rejects_bad_cells_or_trials_before_any_cell(tmp_path, monkeypatch
     assert calls == [] and not state.exists()
 
 
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'reflexion'"):
+        run_suite("reflexion", fast=True)
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_run_suite_rejects_trials_below_1_before_any_suite(monkeypatch, trials):
     import targetwalk.verify as verify_mod

@@ -65,6 +65,48 @@ def test_benchmark_api_resolves():
     assert keywords <= {f.name for f in dataclasses.fields(targetwalk.McConfig)}
 
 
+def _bench_constants(*names) -> list:
+    """The literal values that ``bench/references.py`` assigns to ``names``,
+    read from its source without importing it."""
+    tree = ast.parse((_BENCH / "references.py").read_text())
+    found = {target.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in names}
+    return [found[name] for name in names]
+
+
+def test_exact_solve_pins_hold():
+    """Every value the benchmark pins for its ``exact_solve`` tasks,
+    recomputed as ``bench/references.py`` does, at its tolerance: a kernel
+    change that moves one fails here, not only in a benchmark run."""
+    rtol, exact, optimal = _bench_constants("EXACT_RTOL", "EXACT", "OPTIMAL_FOR_EVALUATE")
+    tw = targetwalk
+
+    def windowed(p, delayed=False):
+        sched = tw.build_schedule_1d(tw.ScheduleParams1D(n=p.n, m=p.m, eta=0.5))
+        spec = {"name": "windowed_1d", "eta": 0.5, "delayed": delayed}
+        return tw.strategy_from_spec(spec, p, sched)
+
+    p1, p2 = tw.Problem(d=1, n=10_000, m=100), tw.Problem(d=2, n=300, m=8)
+    optimal_p2 = tw.optimal_value(p2)[0]
+    got = {
+        "optimal_d1_n3000_m64": tw.optimal_value(tw.Problem(d=1, n=3000, m=64))[0],
+        "optimal_d2_n300_m8": optimal_p2,
+        "optimal_full_d1_n400_m64": tw.optimal_value(
+            tw.Problem(d=1, n=400, m=64), keep="full", want_policy=True)[0],
+        "evaluate_windowed_1d": tw.evaluate_strategy_exact(windowed(p1), p1),
+        "evaluate_windowed_1d_delayed": tw.evaluate_strategy_exact(
+            windowed(p1, delayed=True), p1),
+        "evaluate_always_step_d2": tw.evaluate_strategy_exact(tw.always_step(), p2),
+        (1, 10_000, 100): tw.optimal_value(p1, budget=float("inf"))[0],
+        (2, 300, 8): optimal_p2,
+    }
+    pins = {**exact, **optimal}
+    assert len(pins) == 8 and set(got) == set(pins)
+    for key, value in got.items():
+        assert value == pytest.approx(pins[key], rel=rtol, abs=0), key
+
+
 def _readme_commands() -> list[list[str]]:
     """Argument lists of the commands in README's "Command line" block, with
     continuation lines joined, comments dropped and the ``targetwalk`` or

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -266,3 +267,63 @@ def test_a_count_far_past_the_cap_is_refused_before_any_power():
     with pytest.raises(ScheduleError, match="cap 64"):
         validate_regime(params)
     assert time.perf_counter() - start < 0.2
+
+
+def test_params_refuse_exponents_outside_their_ranges():
+    for eta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            ScheduleParams1D(n=1000, m=10, eta=eta)
+    for epsilon in (0.0, 1.0):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            ScheduleParams2D(n=1000, m=10, epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            choose_theta_kappa(epsilon)
+    # both in range, but (1 - 0.6) / (1 - 0.54) = 0.87 is not below eps = 0.5
+    with pytest.raises(ValueError, match=r"not in \(0, eps=0.5\)"):
+        ScheduleParams2D(n=1000, m=10, epsilon=0.5, theta=0.3, kappa=0.9)
+
+
+@pytest.mark.parametrize("data", [{"d": 1}, {"d": 1, "n": 10, "m": 2, "u": 0,
+                                             "times": 5, "half_widths": []}])
+def test_schedule_from_json_names_a_missing_or_mistyped_field(data):
+    with pytest.raises(ScheduleError, match="malformed schedule"):
+        Schedule.from_json_dict(data)
+
+
+@pytest.mark.parametrize("n, m, lam", [(10**6, 100, 0.5), (10**6, 1000, 1 / 3),
+                                       (10**6, 10, 1.0), (10, 10, 1.0),
+                                       (2**30, 2, 29 / 64)])
+def test_stage_count_corrects_a_low_log_estimate_upward(monkeypatch, n, m, lam):
+    """With the log estimate forced one low, the exact power comparisons
+    must step the count back up; without the upward loop the count would be
+    one short."""
+    import targetwalk.schedule as schedule
+
+    want = stage_count(n, m, lam)
+    estimate = schedule._log_stage_estimate
+    monkeypatch.setattr(schedule, "_log_stage_estimate",
+                        lambda *args: estimate(*args) - 1)
+    assert stage_count(n, m, lam) == want
+
+
+def test_float_power_floor_errs_by_at_most_one():
+    """An exponent with no small-denominator form takes the float floor of
+    m**e.  Against a 60-digit Decimal floor it is at most 1 off below 2**53,
+    and one high in some case here, so the bound is needed; a schedule with
+    such an eta takes these floors as its checkpoint powers."""
+    from targetwalk.schedule import _as_fraction, _floor_power
+
+    lam = 1 / math.sqrt(2)
+    assert _as_fraction(lam) is None
+    errors = set()
+    for j in range(1, 9):
+        e = 1.0 + lam * j
+        for m in range(2, 2 ** int(53 / e), 1 + 2 ** int(53 / e) // 400):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                exact = int((Decimal(m) ** Decimal(e)).to_integral_value("ROUND_FLOOR"))
+            errors.add(_floor_power(m, e, None) - exact)
+    assert errors <= {-1, 0, 1} and 1 in errors
+    s = build_schedule_1d(ScheduleParams1D(n=10**9, m=100, eta=lam))
+    assert [s.n - t for t in s.times[2:-1]] == [
+        _floor_power(100, 1.0 + lam * (s.u - k), None) for k in range(2, s.u + 1)]

@@ -340,6 +340,14 @@ def test_batch_validator_flags_one_corrupted_trial(corrupt, d):
         _validate_steps(iter(steps), p)
 
 
+def test_validate_trajectory_refuses_wrong_lengths():
+    p = Problem(d=1, n=2, m=3)
+    with pytest.raises(ValueError, match="positions/decisions length mismatch"):
+        validate_trajectory(Trajectory([0, 1], [Decision.STEP] * 2), p)
+    with pytest.raises(ValueError, match="trajectory has 1 steps, the horizon is 2"):
+        validate_trajectory(Trajectory([0, 1], [Decision.STEP]), p)
+
+
 def test_validate_trajectory_runs_the_batch_checks():
     # one trial is a batch of one: the same checks, with no trial named
     p = Problem(d=2, n=3, m=3)
