@@ -136,22 +136,16 @@ def _cmd_simulate(args) -> int:
                           master_seed=args.seed, threads=args.threads,
                           store_failures=args.store_failures,
                           schedule=schedule)
-    if args.per_window:
-        result = _mc.window_conditionals(config)
-        report = result.pop("report")
-        payload = report.to_json_dict()
-        payload["window_conditionals"] = {
-            "stages": result["stages"],
-            "stage_product": result["stage_product"]}
-    else:
-        report = _mc.estimate_success(config)
-        payload = report.to_json_dict()
+    report = _mc.estimate_success(config)
     if args.format == "csv":
         import io
 
         buf = io.StringIO()
         _mc.report_to_csv(report, buf)
         return _emit(buf.getvalue(), args.out)
+    payload = report.to_json_dict()
+    if args.per_window:
+        payload["window_conditionals"] = _mc.window_conditionals(report)
     return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
 
 

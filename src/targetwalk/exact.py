@@ -441,11 +441,12 @@ class _WindowMax:
     Push p writes ring slot p % length, so pushes p - p % length .. p form
     the open block, and the slots past p % length still hold the block
     before it.  When push p opens a block (p % length == 0, p > 0), the
-    finished block's slots are first rewritten, newest to oldest, into
-    suffix maxima.  The open block keeps its running max, so the window max
-    is that running max with the suffix max in slot p % length, the part of
-    the last block still in the window; it is the running max alone while
-    fewer than ``length`` arrays have been pushed or when a block is full.
+    finished block's slots 1 .. length - 1 are first rewritten, newest to
+    oldest, into suffix maxima; slot 0 is the one push p overwrites.  The
+    open block keeps its running max, so the window max is that running
+    max with the suffix max in slot p % length, the part of the last block
+    still in the window; it is the running max alone while fewer than
+    ``length`` arrays have been pushed or when a block is full.
 
     Every operation acts on a caller-given region and leaves the entries
     outside it as they were, and the buffers start zero.  So ``max`` is
@@ -466,7 +467,7 @@ class _WindowMax:
         """View of the next array's slot, dropping the oldest array if full."""
         ring, p = self.ring, self.pushed
         if p and p % len(ring) == 0:
-            for k in range(len(ring) - 2, -1, -1):
+            for k in range(len(ring) - 2, 0, -1):
                 older = ring[k][region]
                 np.maximum(older, ring[k + 1][region], out=older)
         return ring[p % len(ring)][region]

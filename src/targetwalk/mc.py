@@ -20,7 +20,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 from typing import Optional
 
 import numpy as np
@@ -61,8 +61,8 @@ class McConfig:
     """One estimation task: problem, strategy spec, trial count, master seed.
 
     ``per_window`` is accepted for existing callers, but nothing reads it:
-    stage counters come with every windowed strategy, and
-    ``window_conditionals`` turns them into per-stage estimates.
+    every windowed strategy's report carries its stage rows, and
+    ``window_conditionals(report)`` reads per-stage estimates off them.
     ``problem.n`` and ``m`` must be at most ``samplers.MAX_STEPS`` =
     (2**63 - 1 - 2**29) // 2, as the samplers work in int64: ``_endpoints``
     doubles a binomial draw of up to n steps and ``_first_zero`` adds two
@@ -164,8 +164,9 @@ def _stage_rows(counts: np.ndarray, schedule: Schedule) -> list[dict]:
     return rows
 
 
-def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateReport:
-    """Monte Carlo success estimate over independent trials.
+def estimate_success(config: McConfig) -> EstimateReport:
+    """Monte Carlo success estimate over independent trials, on the sampler
+    that ``make_sampler`` picks from the strategy's plan.
 
     Identical configs give identical reports (wall time aside) at any thread
     count.  A strategy that violates admissibility aborts the whole batch
@@ -173,7 +174,7 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
     """
     t0 = time.perf_counter()
     strategy = strategy_from_spec(config.strategy, config.problem, config.schedule)
-    sampler = make_sampler(strategy, config.problem, force_generic=force_generic)
+    sampler = make_sampler(strategy, config.problem)
     d, keep = config.problem.d, config.store_failures
     step = _CHUNK * (_SPAN if config.threads > 1 else 1)
     spans = [(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
@@ -210,37 +211,24 @@ def estimate_success(config: McConfig, force_generic: bool = False) -> EstimateR
         lead_table_entries=sampler.lead_table_entries)
 
 
-def window_conditionals(config: McConfig) -> dict:
-    """Per-stage window-passage estimates for a windowed strategy.
+def window_conditionals(report: EstimateReport) -> dict:
+    """Per-stage window-passage estimates of a windowed strategy's report.
 
-    For each stage k: the frequency of landing inside window k at t_k among
-    trials that were inside window k-1 at t_{k-1}, with its Wilson interval
-    and the split of failures into "origin never hit" and "hit but drifted
-    out" (plus trials that had already failed an earlier stage).  Also
-    reports the product of the stage estimates next to the overall success
-    rate; the product is the staged lower-bound shape of the success
-    argument and should not exceed the overall rate by more than Monte Carlo
-    noise.
+    ``stages`` are the report's stage rows.  For each stage k: the frequency
+    of landing inside window k at t_k among trials that were inside window
+    k-1 at t_{k-1}, with its Wilson interval and the split of failures into
+    "origin never hit" and "hit but drifted out" (plus trials that had
+    already failed an earlier stage).  ``stage_product`` is the product of
+    the stage estimates, None when a stage has no conditioning event; it is
+    the staged lower-bound shape of the success argument and should not
+    exceed the report's ``p_hat`` by more than Monte Carlo noise.  Runs no
+    trials; ValueError when the report has no stage rows.
     """
-    report = estimate_success(config)
     if report.stage_stats is None:
         raise ValueError("window_conditionals needs a windowed strategy")
-    product = 1.0
-    product_defined = True
-    for row in report.stage_stats:
-        if row["p_stay"] is None:
-            product_defined = False
-            break
-        product *= row["p_stay"]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "stages": report.stage_stats,
-        "stage_product": product if product_defined else None,
-        "p_hat": report.p_hat,
-        "successes": report.successes,
-        "trials": report.trials,
-        "report": report,
-    }
+    stays = [row["p_stay"] for row in report.stage_stats]
+    return {"stages": report.stage_stats,
+            "stage_product": None if None in stays else prod(stays)}
 
 
 SWEEP_COLUMNS = ("cell", "d", "n", "m", "strategy", "delayed", "params",

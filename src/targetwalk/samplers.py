@@ -47,7 +47,6 @@ of chunks and turns the results into the report.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Optional
 
@@ -61,8 +60,6 @@ from .strategies import Plan, Strategy
 from .walk import Problem, _lockstep
 
 _CHUNK = 4096
-
-_log = logging.getLogger(__name__)
 
 
 # the rows of a chunk's stage counts, keyed as in the report's stage rows
@@ -412,14 +409,10 @@ class GenericSampler(Sampler):
         return np.concatenate(parts, axis=1), None
 
 
-def make_sampler(strategy: Strategy, problem: Problem,
-                 force_generic: bool = False) -> Sampler:
+def make_sampler(strategy: Strategy, problem: Problem) -> Sampler:
     """The staged sampler of the strategy's plan; the generic one if it has
-    no plan or ``force_generic`` is set."""
+    no plan."""
     plan = strategy.plan(problem)
-    if plan is None or force_generic:
-        if plan is not None:
-            _log.warning("%s runs step by step on the generic sampler, orders of "
-                         "magnitude slower than its fast path", strategy.name)
+    if plan is None:
         return GenericSampler(problem, strategy)
     return StagedSampler(problem, plan)

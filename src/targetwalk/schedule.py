@@ -12,6 +12,8 @@ t_1 = floor(t_2/2) and t_{u+1} = n, where lam is the stage exponent (eta in
 one dimension, kappa in two).  The stage count u is the largest k with
 m^(1+k*lam) <= n, floored at 2 so that the final stage always has length
 exactly m and the first stage is the half-split of the second checkpoint.
+Both are exact: lam counts as its small-denominator form p/q when it has
+one, else as the float's own value.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .errors import ScheduleError
@@ -40,10 +43,10 @@ def _check_sizes(n: int, m: int) -> None:
     """Refuse m < 2, n <= m and n > ``MAX_SIZE`` with ValueError.
 
     A schedule is built in floats: the regime ratio and eps_m take
-    m^(1-eta), and ``_checkpoint_times`` floors powers m^e of at most
-    n^(1 + 1e-12), the slack of ``stage_count``, from float estimates up to
-    1e-9 above them.  With m < n <= 2^1023 each of them stays below
-    2^(1023 + 1e-8) < 2^1024, past which a float overflows.
+    m^(1-eta), and ``_checkpoint_times`` floors powers m^e of at most n,
+    starting Newton's method from float estimates up to 1e-9 above them.
+    With m < n <= 2^1023 each of them stays below 2^(1023 + 1e-8) < 2^1024,
+    past which a float overflows.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2 for a schedule, got {m}")
@@ -183,73 +186,90 @@ class Schedule:
         return sched
 
 
-def _as_fraction(x: float) -> Fraction | None:
-    """Rational form of x > 0 when it has a small exact denominator, else
-    None (never 0, which would stand for a positive x)."""
-    f = Fraction(x).limit_denominator(10_000)
-    return f if f and abs(float(f) - x) <= 1e-15 * max(1.0, abs(x)) else None
+# exponents with a denominator up to this are compared by exact integer powers
+_DENOMINATOR = 10_000
+
+
+def _exponent(lam: float) -> Fraction:
+    """``lam`` as an exact rational: p/q with q <= ``_DENOMINATOR`` when one
+    is within 1e-15 of it (1/3 for 1.0 / 3.0), else the float's own value,
+    whose denominator is then a power of 2 past ``_DENOMINATOR``."""
+    f = Fraction(lam).limit_denominator(_DENOMINATOR)
+    return f if f and abs(float(f) - lam) <= 1e-15 * max(1.0, lam) else Fraction(lam)
 
 
 def _power_leq(m: int, exponent: Fraction, n: int) -> bool:
-    """Exact test of m**exponent <= n for rational exponents."""
-    return m ** exponent.numerator <= n ** exponent.denominator
+    """Exact test of m**exponent <= n.  A denominator q up to
+    ``_DENOMINATOR`` compares m**p with n**q.  A larger one makes
+    m**exponent irrational (m < 2**q is no perfect q-th power), and logs to
+    50 digits past the digits of q decide: were log n / log m a fraction,
+    its denominator would be at most log2 m, more than 1 / (q log2 m) away."""
+    p, q = exponent.numerator, exponent.denominator
+    if q <= _DENOMINATOR:
+        return m ** p <= n ** q
+    with localcontext() as ctx:
+        ctx.prec = 50 + len(str(q))
+        return Decimal(m).ln() * p / q <= Decimal(n).ln()
 
 
-def _log_stage_estimate(n: int, m: int, lam: float, slack: float) -> int:
-    """floor((log n * (1 + slack) / log m - 1) / lam), the quotient taken
-    exactly.  The logs err by far less than 1e-12 relative, so a slack of
-    1e-12 gives at least the stage count and -1e-12 at most it."""
-    ratio = math.log(n) * (1.0 + slack) / math.log(m)
-    return math.floor((Fraction(ratio) - 1) / Fraction(lam))
+def _log_stage_estimate(n: int, m: int, lam: Fraction) -> int:
+    """floor((log n / log m - 1) / lam), from logs to 40 digits past the
+    quotient's integer part: the stage count, or one more or less where
+    m**(1 + k*lam) lies within about 1e-40 of n."""
+    with localcontext() as ctx:
+        ctx.prec = 45 + len(str(lam.denominator // lam.numerator))
+        ratio = Decimal(n).ln() / Decimal(m).ln()
+        return math.floor((ratio - 1) * lam.denominator / lam.numerator)
 
 
 def stage_count(n: int, m: int, lam: float) -> int:
     """Largest k >= 0 with m**(1 + k*lam) <= n; 0 when even m itself exceeds n.
 
-    The log form k <= (log n / log m - 1) / lam, with 1e-12 relative slack
-    on log n, gives k; the quotient is taken exactly, so no small lam
-    overflows it.  When ``lam`` is rational with a small denominator, exact
-    integer power comparisons then correct that estimate by a step or two.
+    ``lam`` counts as its rational form ``_exponent``.  The log form
+    k <= (log n / log m - 1) / lam gives k within one, and exact power
+    comparisons correct it; the log form's precision grows with 1 / lam,
+    so no small lam overflows it.
     """
     if n < 1 or m < 2 or lam <= 0.0:
         raise ValueError(f"need n >= 1, m >= 2, lam > 0; got n={n}, m={m}, lam={lam}")
     if m > n:
         return 0
-    k = _log_stage_estimate(n, m, lam, 1e-12)
-    frac = _as_fraction(lam)
-    if frac is not None:
-        while k > 0 and not _power_leq(m, 1 + k * frac, n):
-            k -= 1
-        while _power_leq(m, 1 + (k + 1) * frac, n):
-            k += 1
+    frac = _exponent(lam)
+    k = _log_stage_estimate(n, m, frac)
+    while k > 0 and not _power_leq(m, 1 + k * frac, n):
+        k -= 1
+    while _power_leq(m, 1 + (k + 1) * frac, n):
+        k += 1
     return k
 
 
-def _floor_power(m: int, exponent: float, frac_exp: Fraction | None) -> int:
-    """floor(m**exponent), exact when the exponent is rational p/q: the
-    integer q-th root of m**p by Newton's method, from just above the float
-    estimate, which converges in a few steps at any size.  Otherwise it
-    floors the float power: at most 1 off below 2**53 (one high where the
-    power rounds up to an integer), and about 2**-52 relative above."""
-    if frac_exp is not None:
-        p, q = frac_exp.numerator, frac_exp.denominator
-        if q == 1:
-            return m ** p
+def _floor_power(m: int, exponent: Fraction) -> int:
+    """floor(m**exponent), exact.  A denominator q up to ``_DENOMINATOR``
+    takes the integer q-th root of m**p by Newton's method, from just above
+    the float estimate, which converges in a few steps at any size.  A
+    larger one makes m**exponent irrational (see ``_power_leq``), and it is
+    floored from a decimal power 30 digits past its integer part."""
+    p, q = exponent.numerator, exponent.denominator
+    if q == 1:
+        return m ** p
+    if q <= _DENOMINATOR:
         power = m ** p
-        root = int(m ** float(frac_exp) * (1.0 + 1e-9)) + 1
+        root = int(m ** float(exponent) * (1.0 + 1e-9)) + 1
         while True:
             lower = ((q - 1) * root + power // root ** (q - 1)) // q
             if lower >= root:
                 return root
             root = lower
-    return int(math.floor(m ** exponent))
+    with localcontext() as ctx:
+        ctx.prec = 31 + int(float(exponent) * math.log10(m))
+        return math.floor((Decimal(m).ln() * p / q).exp())
 
 
 def _capped_stage_count(n: int, m: int, lam: float) -> int:
     """``stage_count``, or ScheduleError when it exceeds ``STAGE_CAP``.  A
     lower bound from the log form is compared with the cap first, so a
     refused count takes no exact power of a large n."""
-    if m <= n and _log_stage_estimate(n, m, lam, -1e-12) > STAGE_CAP:
+    if m <= n and _log_stage_estimate(n, m, _exponent(lam)) - 1 > STAGE_CAP:
         raise ScheduleError(f"stage count exceeds the cap {STAGE_CAP}")
     u_n = stage_count(n, m, lam)
     if u_n > STAGE_CAP:
@@ -261,13 +281,11 @@ def _checkpoint_times(n: int, m: int, lam: float) -> tuple[int, ...]:
     """The u + 2 checkpoint times, u = max(stage_count, 2); ScheduleError
     before any power is taken when the stage count exceeds ``STAGE_CAP``."""
     u = max(_capped_stage_count(n, m, lam), 2)
-    frac = _as_fraction(lam)
+    frac = _exponent(lam)
     times = [0] * (u + 2)
     times[u + 1] = n
     for k in range(2, u + 1):
-        e = 1.0 + lam * (u - k)
-        fe = None if frac is None else 1 + frac * (u - k)
-        times[k] = n - _floor_power(m, e, fe)
+        times[k] = n - _floor_power(m, 1 + frac * (u - k))
     times[1] = times[2] // 2
     for k in range(u + 1):
         if times[k] >= times[k + 1]:

@@ -321,6 +321,25 @@ def test_window_max_is_the_max_of_the_last_pushes(length, d, n, reach):
     assert np.array_equal(window.max(box)[box], np.max(pushed[-length:], axis=0)[box])
 
 
+@pytest.mark.parametrize("length", [2, 3, 7])
+def test_window_max_leaves_slot_zero_to_the_push(length):
+    """At each block boundary ``slot`` rewrites slots 1 .. length - 1 of
+    the finished block into suffix maxima and hands out slot 0, which the
+    push overwrites, as it was pushed: folding it as well is one wasted
+    ``np.maximum`` per block."""
+    rng = np.random.default_rng(length)
+    window = targetwalk.exact._WindowMax(length, (5,))
+    box = (slice(0, 5),)
+    for _ in range(2):
+        block = [rng.random(5) for _ in range(length)]
+        for array in block:
+            window.slot(box)[...] = array
+            window.commit(box)
+        assert np.array_equal(window.slot(box), block[0])
+        for k in range(1, length):
+            assert np.array_equal(window.ring[k], np.max(block[k:], axis=0)), k
+
+
 def _killed_recursion(problem, reach):
     """Optimal value when a walk that leaves |x|_inf <= reach is killed: the
     (x, j) recursion of ``_counter_recursion`` on the whole grid, with every

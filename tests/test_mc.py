@@ -54,7 +54,7 @@ def test_estimate_windowed_matches_exact_small():
     assert abs(rep.p_hat - exact) < 3 * se
 
 
-def test_delayed_windowed_three_way_agreement():
+def test_delayed_windowed_three_way_agreement(use_generic):
     p = Problem(d=1, n=60, m=4)
     sched = build_schedule_1d(ScheduleParams1D(n=60, m=4, eta=0.5))
     from targetwalk.strategies import delayed_wrapper, windowed_1d as w1d
@@ -65,7 +65,8 @@ def test_delayed_windowed_three_way_agreement():
                    trials=40_000, master_seed=19, schedule=sched)
     se = math.sqrt(exact * (1 - exact) / cfg.trials)
     assert abs(estimate_success(cfg).p_hat - exact) < 3 * se
-    assert abs(estimate_success(cfg, force_generic=True).p_hat - exact) < 3 * se
+    use_generic()
+    assert abs(estimate_success(cfg).p_hat - exact) < 3 * se
 
 
 def test_batch_aborts_with_offending_trial_index():
@@ -135,12 +136,13 @@ def test_batch_names_the_lowest_offending_trial_not_the_earliest():
 
 @pytest.mark.parametrize("spec", [{"name": "lazy_then_sprint"},
                                   {"name": "windowed_1d", "delayed": True}])
-def test_generic_reports_identical_across_thread_counts(spec):
+def test_generic_reports_identical_across_thread_counts(spec, use_generic):
     # three chunks, the last one short; failures are stored as well
     p = Problem(d=1, n=40, m=4)
+    use_generic()
     reports = [estimate_success(McConfig(problem=p, strategy=spec, trials=9_000,
                                          master_seed=8, threads=threads,
-                                         store_failures=6), force_generic=True)
+                                         store_failures=6))
                for threads in (1, 2)]
     assert reports[0].sampler == "generic"
     assert len(reports[0].failures) == 6
@@ -148,12 +150,13 @@ def test_generic_reports_identical_across_thread_counts(spec):
         reports[1].to_json(include_runtime=False)
 
 
-def test_fast_and_generic_samplers_agree_in_law():
+def test_fast_and_generic_samplers_agree_in_law(use_generic):
     p = Problem(d=1, n=80, m=4)
     cfg = McConfig(problem=p, strategy={"name": "lazy_then_sprint"},
                    trials=30_000, master_seed=4)
     fast = estimate_success(cfg)
-    generic = estimate_success(cfg, force_generic=True)
+    use_generic()
+    generic = estimate_success(cfg)
     from targetwalk.strategies import lazy_then_sprint
 
     exact = evaluate_strategy_exact(lazy_then_sprint(p), p)
@@ -211,8 +214,11 @@ def test_window_conditionals_structure():
     sched = build_schedule_1d(ScheduleParams1D(n=200, m=6, eta=0.5))
     cfg = McConfig(problem=p, strategy={"name": "windowed_1d", "eta": 0.5},
                    trials=20_000, master_seed=8, schedule=sched)
-    out = window_conditionals(cfg)
+    report = estimate_success(cfg)
+    out = window_conditionals(report)
+    assert set(out) == {"stages", "stage_product"}
     stages = out["stages"]
+    assert stages is report.stage_stats
     assert len(stages) == sched.u + 1
     last = stages[-1]
     # terminal stage: after the hit the walk stands at the origin
@@ -228,9 +234,9 @@ def test_window_conditionals_structure():
             assert 0 <= row["wilson_lo"] <= row["p_stay"] <= row["wilson_hi"] <= 1
     # staged product is a lower-bound shape: must not exceed p_hat by noise
     n_eff = min(r["cond_events"] for r in stages)
-    se = math.sqrt(out["p_hat"] * (1 - out["p_hat"]) / out["trials"]
+    se = math.sqrt(report.p_hat * (1 - report.p_hat) / report.trials
                    + 1.0 / max(n_eff, 1))
-    assert out["stage_product"] <= out["p_hat"] + 3 * se
+    assert out["stage_product"] <= report.p_hat + 3 * se
 
 
 def test_window_conditionals_insufficient_data():
@@ -242,7 +248,7 @@ def test_window_conditionals_insufficient_data():
     for seed in range(20):
         cfg = McConfig(problem=p, strategy={"name": "windowed_1d", "eta": 0.5},
                        trials=2, master_seed=seed, schedule=sched)
-        out = window_conditionals(cfg)
+        out = window_conditionals(estimate_success(cfg))
         empty = [r["cond_events"] == 0 for r in out["stages"]]
         for row, none in zip(out["stages"], empty):
             assert (row["status"] == "insufficient data") == none
@@ -256,7 +262,7 @@ def test_window_conditionals_requires_windowed():
     cfg = McConfig(problem=Problem(d=1, n=10, m=2), strategy={"name": "lazy_max"},
                    trials=10, master_seed=1)
     with pytest.raises(ValueError):
-        window_conditionals(cfg)
+        window_conditionals(estimate_success(cfg))
 
 
 def test_single_cell_sweep_equals_estimate():

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import shlex
 from pathlib import Path
@@ -28,41 +27,51 @@ def test_all_lists_exactly_the_imported_names():
     assert [name for name in names if not hasattr(targetwalk, name)] == []
 
 
+def _dotted(node) -> str | None:
+    """``a.b`` for an attribute chain ``tw.a.b``, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if parts and isinstance(node, ast.Name) and node.id == "tw":
+        return ".".join(reversed(parts))
+    return None
+
+
 def _bench_uses() -> tuple[set, set]:
     """Dotted names ``tw.<name>`` that the benchmark's workloads and
-    references read, and the keywords they pass to ``tw.McConfig``."""
+    references read, and the (name, keyword) pairs of their calls."""
     names, keywords = set(), set()
     for path in (_BENCH / "workloads.py", _BENCH / "references.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute):
-                parts, base = [node.attr], node.value
-                while isinstance(base, ast.Attribute):
-                    parts.append(base.attr)
-                    base = base.value
-                if isinstance(base, ast.Name) and base.id == "tw":
-                    names.add(".".join(reversed(parts)))
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "McConfig"):
-                keywords.update(kw.arg for kw in node.keywords)
+            name = _dotted(node)
+            if name is not None:
+                names.add(name)
+            if isinstance(node, ast.Call) and _dotted(node.func) is not None:
+                keywords.update((_dotted(node.func), kw.arg) for kw in node.keywords)
     return names, keywords
+
+
+def _resolve(name: str):
+    obj = targetwalk
+    for part in name.split("."):
+        obj = getattr(obj, part, None)
+    return obj
 
 
 def test_benchmark_api_resolves():
     """Every ``tw.<name>`` the benchmark uses resolves in the package, and
-    every keyword it passes to ``McConfig`` is a field: deleting one would
-    leave the tests green and fail every benchmark run."""
+    every keyword it passes to a ``tw.<name>(...)`` call is a parameter of
+    that callable: deleting or renaming one would leave the tests green and
+    fail every benchmark run."""
     names, keywords = _bench_uses()
     assert {"lazy_then_sprint", "delayed_wrapper", "verify.run_suite"} <= names
-    assert "per_window" in keywords
-    missing = []
-    for name in sorted(names):
-        obj = targetwalk
-        for part in name.split("."):
-            obj = getattr(obj, part, None)
-        if obj is None:
-            missing.append(name)
-    assert missing == []
-    assert keywords <= {f.name for f in dataclasses.fields(targetwalk.McConfig)}
+    assert {("McConfig", "per_window"), ("McConfig", "threads"),
+            ("optimal_value", "want_policy"), ("evaluate_strategy_exact", "budget"),
+            ("ScheduleParams2D", "epsilon")} <= keywords
+    assert [name for name in sorted(names) if _resolve(name) is None] == []
+    assert [(name, kw) for name, kw in sorted(keywords)
+            if kw not in inspect.signature(_resolve(name)).parameters] == []
 
 
 def _bench_constants(*names) -> list:

@@ -6,7 +6,6 @@ of freedom a noncentrality of 34.1 is detected with probability 0.9, i.e. a
 relative error of r in one bin of probability p shows once N * p * r^2 >= 34.
 """
 
-import logging
 import math
 import time
 from fractions import Fraction
@@ -306,7 +305,7 @@ def test_stage_tallies_match_ballot_law():
     ({"name": "lazy_then_sprint", "delayed": True}, 1, 80, 4),
     ({"name": "lazy_then_sprint", "delayed": True}, 2, 40, 4),
 ])
-def test_fast_and_generic_agree_with_exact(spec, d, n, m):
+def test_fast_and_generic_agree_with_exact(spec, d, n, m, use_generic):
     """Staged and step-by-step samplers both within 3 SE of the exact value.
 
     A bias of 4.3 standard errors fails the bound with probability 0.9:
@@ -317,8 +316,10 @@ def test_fast_and_generic_agree_with_exact(spec, d, n, m):
     p = Problem(d=d, n=n, m=m)
     exact = evaluate_strategy_exact(strategy_from_spec(spec, p), p)
     for trials, generic in ((200_000, False), (10_000, True)):
+        if generic:
+            use_generic()
         cfg = McConfig(problem=p, strategy=spec, trials=trials, master_seed=34)
-        rep = estimate_success(cfg, force_generic=generic)
+        rep = estimate_success(cfg)
         assert rep.to_json_dict()["runtime"]["sampler"] == ("generic" if generic
                                                             else "staged")
         se = math.sqrt(exact * (1 - exact) / trials)
@@ -361,7 +362,8 @@ def test_crawl_then_stages_matches_the_references(p, crawl, times, delayed):
     exact = evaluate_strategy_exact(strat, p)
     assert exact == pytest.approx(_propagate_scalar(strat, p), abs=1e-12)
     for trials, generic in ((100_000, False), (20_000, True)):
-        sampler = samplers.make_sampler(strat, p, force_generic=generic)
+        sampler = (samplers.GenericSampler(p, strat) if generic
+                   else samplers.make_sampler(strat, p))
         assert sampler.name == ("generic" if generic else "staged")
         lo, hi = wilson_interval(_successes(sampler, trials, 36), trials, z=4.0)
         assert lo <= exact <= hi, (generic, lo, hi, exact)
@@ -404,7 +406,7 @@ def test_one_segment_plans_match_ssrw_return_probability(name, delayed, d, n, m)
     assert lo <= exact <= hi, (rep.p_hat, exact)
 
 
-def test_runtime_names_the_sampler_and_warns_on_generic(caplog):
+def test_runtime_names_the_sampler(use_generic):
     """``runtime`` names the sampler and counts the chunks and the entries
     of the lead table: L + 1 for a lead of L = walk + crawl // m steps (40,
     13 and 37 // 3 = 12 here), and 0 for a plan without a lead, a delayed
@@ -416,19 +418,17 @@ def test_runtime_names_the_sampler_and_warns_on_generic(caplog):
              ({"name": "windowed_1d", "eta": 0.5}, "staged", 0),
              ({"name": "windowed_1d", "eta": 0.5, "delayed": True}, "staged", 0)]
     p = Problem(d=1, n=40, m=3)
-    with caplog.at_level(logging.WARNING, logger="targetwalk.samplers"):
-        for spec, name, entries in cases:
-            cfg = McConfig(problem=p, strategy=spec, trials=5000, master_seed=1)
-            runtime = estimate_success(cfg).to_json_dict()["runtime"]
-            assert (runtime["sampler"], runtime["chunks"],
-                    runtime["lead_table_entries"]) == (name, 2, entries), spec
-        assert not caplog.records
-        cfg = McConfig(problem=p, strategy={"name": "lazy_max"}, trials=50, master_seed=1)
-        rep = estimate_success(cfg, force_generic=True)
+    for spec, name, entries in cases:
+        cfg = McConfig(problem=p, strategy=spec, trials=5000, master_seed=1)
+        runtime = estimate_success(cfg).to_json_dict()["runtime"]
+        assert (runtime["sampler"], runtime["chunks"],
+                runtime["lead_table_entries"]) == (name, 2, entries), spec
+    use_generic()
+    cfg = McConfig(problem=p, strategy={"name": "lazy_max"}, trials=50, master_seed=1)
+    rep = estimate_success(cfg)
     assert rep.to_json_dict()["runtime"]["sampler"] == "generic"
     assert (rep.chunks, rep.lead_table_entries) == (1, 0)
     assert "runtime" not in rep.to_json_dict(include_runtime=False)
-    assert any("generic" in r.getMessage() for r in caplog.records)
 
 
 _TABLE_LENGTHS = [0, 1, 2, 63, 64, 1000, 3000]

@@ -188,9 +188,10 @@ def test_schedule_from_json_rejects_bools_and_bad_d(field, value):
 
 
 def test_stage_count_takes_any_positive_exponent():
-    # one log estimate, corrected by exact powers where lam is rational: no
-    # loop grows as lam shrinks
-    assert stage_count(10**6, 100, 1e-5) == 200_000
+    # one log estimate, corrected by exact powers: no loop grows as lam
+    # shrinks.  1e-5 has no small-denominator form, and the float
+    # 1.0000000000000000818e-5 puts 100**(1 + 200_000 lam) above 10**6
+    assert stage_count(10**6, 100, 1e-5) == 199_999
     assert stage_count(10**6, 100, 1e-4) == 20_000       # 100**(1 + 2) == 10**6
     assert stage_count(10**6, 100, 1e-300) > 10**300
     assert stage_count(10**6, 100, 5e-324) > 10**323
@@ -292,7 +293,8 @@ def test_schedule_from_json_names_a_missing_or_mistyped_field(data):
 
 @pytest.mark.parametrize("n, m, lam", [(10**6, 100, 0.5), (10**6, 1000, 1 / 3),
                                        (10**6, 10, 1.0), (10, 10, 1.0),
-                                       (2**30, 2, 29 / 64)])
+                                       (2**30, 2, 29 / 64),
+                                       (27497316398, 37, 1 / math.sqrt(2))])
 def test_stage_count_corrects_a_low_log_estimate_upward(monkeypatch, n, m, lam):
     """With the log estimate forced one low, the exact power comparisons
     must step the count back up; without the upward loop the count would be
@@ -306,24 +308,58 @@ def test_stage_count_corrects_a_low_log_estimate_upward(monkeypatch, n, m, lam):
     assert stage_count(n, m, lam) == want
 
 
-def test_float_power_floor_errs_by_at_most_one():
-    """An exponent with no small-denominator form takes the float floor of
-    m**e.  Against a 60-digit Decimal floor it is at most 1 off below 2**53,
-    and one high in some case here, so the bound is needed; a schedule with
-    such an eta takes these floors as its checkpoint powers."""
-    from targetwalk.schedule import _as_fraction, _floor_power
+def test_power_floor_is_exact_without_a_small_denominator():
+    """An exponent with no small-denominator form takes the floor of a
+    decimal power of m**e.  It equals a 60-digit Decimal floor everywhere
+    here, where the float floor it replaces was one too high in some
+    cases; a schedule with such an eta takes these floors as its checkpoint
+    powers."""
+    from fractions import Fraction
+
+    from targetwalk.schedule import _DENOMINATOR, _exponent, _floor_power
 
     lam = 1 / math.sqrt(2)
-    assert _as_fraction(lam) is None
+    assert _exponent(lam) == Fraction(lam) and Fraction(lam).denominator > _DENOMINATOR
     errors = set()
     for j in range(1, 9):
-        e = 1.0 + lam * j
+        e = 1 + j * Fraction(lam)
         for m in range(2, 2 ** int(53 / e), 1 + 2 ** int(53 / e) // 400):
             with localcontext() as ctx:
                 ctx.prec = 60
-                exact = int((Decimal(m) ** Decimal(e)).to_integral_value("ROUND_FLOOR"))
-            errors.add(_floor_power(m, e, None) - exact)
-    assert errors <= {-1, 0, 1} and 1 in errors
+                power = Decimal(m) ** (1 + j * Decimal(lam))
+                exact = int(power.to_integral_value("ROUND_FLOOR"))
+            errors.add(_floor_power(m, e) - exact)
+    assert errors == {0}
     s = build_schedule_1d(ScheduleParams1D(n=10**9, m=100, eta=lam))
     assert [s.n - t for t in s.times[2:-1]] == [
-        _floor_power(100, 1.0 + lam * (s.u - k), None) for k in range(2, s.u + 1)]
+        _floor_power(100, 1 + (s.u - k) * Fraction(lam)) for k in range(2, s.u + 1)]
+
+
+def test_stage_count_matches_a_decimal_count_without_a_small_denominator():
+    """For lam = 1/sqrt(2), against the count of an 80-digit Decimal power,
+    at n = floor(m**(1 + k*lam)) - 1, that floor and one past it: a log
+    estimate with 1e-12 slack and no exact correction gave 53 of these 165
+    wrong, one high (stage_count(27497316398, 37, lam) was 8, though
+    37**(1 + 8 lam) > n).  A float lam with a power-of-2 denominator past
+    10 000 is exact at a tie too: (14**4)**(1 + 4096 * 3/16384) = 14**7,
+    where the log estimate alone is one low."""
+    lam = 1 / math.sqrt(2)
+    with localcontext() as ctx:
+        ctx.prec = 80
+
+        def count(n, m):
+            k = 0
+            while Decimal(m) ** (1 + (k + 1) * Decimal(lam)) <= n:
+                k += 1
+            return k
+
+        wrong = []
+        for m in (10, 37, 100, 1000, 12345):
+            for k in range(1, 12):
+                top = math.floor(Decimal(m) ** (1 + k * Decimal(lam)))
+                for n in (top - 1, top, top + 1):
+                    if stage_count(n, m, lam) != count(n, m):
+                        wrong.append((n, m))
+    assert wrong == []
+    assert stage_count(27497316398, 37, lam) == 7
+    assert [stage_count(14**7 + i, 14**4, 3 / 16384) for i in (-1, 0)] == [4095, 4096]
