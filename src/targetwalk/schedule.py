@@ -204,6 +204,8 @@ def _power_leq(m: int, exponent: Fraction, n: int) -> bool:
     m**exponent irrational (m < 2**q is no perfect q-th power), and logs to
     50 digits past the digits of q decide: were log n / log m a fraction,
     its denominator would be at most log2 m, more than 1 / (q log2 m) away."""
+    if (m.bit_length() - 1) * exponent >= n.bit_length():
+        return False    # m**exponent >= 2**n.bit_length(): no power is taken
     p, q = exponent.numerator, exponent.denominator
     if q <= _DENOMINATOR:
         return m ** p <= n ** q

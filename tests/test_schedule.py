@@ -195,6 +195,10 @@ def test_stage_count_takes_any_positive_exponent():
     assert stage_count(10**6, 100, 1e-4) == 20_000       # 100**(1 + 2) == 10**6
     assert stage_count(10**6, 100, 1e-300) > 10**300
     assert stage_count(10**6, 100, 5e-324) > 10**323
+    # a lam far past log n / log m takes no power: 3**(1 + 10**7) took 3 s
+    start = time.perf_counter()
+    assert stage_count(10, 3, 1e7) == 0 and stage_count(10**6, 100, 1e300) == 0
+    assert time.perf_counter() - start < 0.1
 
 
 def test_stage_cap_applies_in_one_dimension():
