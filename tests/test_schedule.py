@@ -251,7 +251,7 @@ def test_the_cap_is_exact_at_its_boundary(base, p, q):
     """m = base**q and lam = p/q put m**(1 + k*lam) = base**(q + k*p) on an
     integer n, which has k stages, and n - 1 has k - 1.  The log estimate
     the cap reads first must not refuse the 64 stages of 65's n - 1, which
-    a slack taken the wrong way would."""
+    reading the estimate itself, not one less, as a lower bound could."""
     from targetwalk.schedule import _capped_stage_count
 
     m, lam = base**q, p / q
