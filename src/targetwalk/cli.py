@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="master seed (mandatory: no silent entropy)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="unused: trials run in one thread")
     p.add_argument("--per-window", action="store_true",
                    help="add per-stage window-passage estimates")
     p.add_argument("--store-failures", type=int, default=0)
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help='JSON file: {"trials": int, "cells": [{"d","n","m","strategy",...}]}')
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="unused: trials run in one thread")
     p.add_argument("--state-dir", default=None,
                    help="directory for per-cell completion markers (resumable)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")

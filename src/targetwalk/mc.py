@@ -1,12 +1,9 @@
 """Monte Carlo estimation of success probabilities.
 
 Estimates are reproducible by construction: trials run in fixed chunks of
-``_CHUNK``, each chunk draws from streams that depend only on the master
-seed and its trial range, chunk results are integer counters, and the thread
-count only changes who runs which chunk.  A pool task is a span of
-``_SPAN`` = 4 stream chunks, so that a plan's lead is inverted from the lead
-table once per span; every chunk keeps its own stream, so no draw moves.
-One thread runs the chunks one by one.
+``_CHUNK``, one after another in the calling thread, each chunk draws from
+streams that depend only on the master seed and its chunk index, and chunk
+results are integer counters.
 Wilson score intervals are used throughout; unlike the normal-approximation
 interval they stay sane at p_hat = 0 or 1, which lazy strategies produce.
 """
@@ -18,7 +15,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod, sqrt
 from typing import Optional
@@ -32,13 +28,6 @@ from .strategies import strategy_from_spec
 from .walk import Problem, _check_integer, _position
 
 SCHEMA_VERSION = 1
-# stream chunks per pool task: one chunk of a lead-only plan is about 15
-# short numpy calls, too little work to keep two threads from trading the
-# GIL; spans of 8 or 16 chunks cost more peak memory.  One thread has no
-# hand-overs to spread and runs single chunks: a d = 2 span's arrays reach
-# the sizes at which malloc returns freed memory to the system, and the
-# page faults that follow made the serial loop 30% slower on such leads
-_SPAN = 4
 _Z95 = 1.959963984540054
 
 _log = logging.getLogger(__name__)
@@ -60,9 +49,12 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 class McConfig:
     """One estimation task: problem, strategy spec, trial count, master seed.
 
-    ``per_window`` is accepted for existing callers, but nothing reads it:
-    every windowed strategy's report carries its stage rows, and
-    ``window_conditionals(report)`` reads per-stage estimates off them.
+    ``per_window`` and ``threads`` are accepted for existing callers, and
+    nothing reads them.  Every windowed strategy's report carries its stage
+    rows, and ``window_conditionals(report)`` reads per-stage estimates off
+    them.  ``threads`` does not parallelise: the chunks run one by one in
+    the calling thread, as a thread pool saved no time on numpy's short
+    calls.  It must still be an int >= 1.
     ``problem.n`` and ``m`` must be at most ``samplers.MAX_STEPS`` =
     (2**63 - 1 - 2**29) // 2, as the samplers work in int64: ``_endpoints``
     doubles a binomial draw of up to n steps and ``_first_zero`` adds two
@@ -114,7 +106,6 @@ class EstimateReport:
     stage_stats: Optional[list[dict]] = None
     failures: Optional[list] = None
     wall_time_s: float = 0.0
-    threads: int = 1
     sampler: str = "generic"
     chunks: int = 0
     lead_table_entries: int = 0
@@ -136,8 +127,8 @@ class EstimateReport:
         if self.failures is not None:
             out["failures"] = self.failures
         if include_runtime:
-            out["runtime"] = {"wall_time_s": self.wall_time_s, "threads": self.threads,
-                              "sampler": self.sampler, "chunks": self.chunks,
+            out["runtime"] = {"wall_time_s": self.wall_time_s, "sampler": self.sampler,
+                              "chunks": self.chunks,
                               "lead_table_entries": self.lead_table_entries}
         return out
 
@@ -168,36 +159,26 @@ def estimate_success(config: McConfig) -> EstimateReport:
     """Monte Carlo success estimate over independent trials, on the sampler
     that ``make_sampler`` picks from the strategy's plan.
 
-    Identical configs give identical reports (wall time aside) at any thread
-    count.  A strategy that violates admissibility aborts the whole batch
-    with the offending trial index.
+    The chunks run in trial order, one ``run_chunk`` call each, so identical
+    configs give identical reports (wall time aside) whatever ``threads``
+    says, and a strategy that violates admissibility aborts the whole batch
+    with the lowest offending trial index.
     """
     t0 = time.perf_counter()
     strategy = strategy_from_spec(config.strategy, config.problem, config.schedule)
     sampler = make_sampler(strategy, config.problem)
     d, keep = config.problem.d, config.store_failures
-    step = _CHUNK * (_SPAN if config.threads > 1 else 1)
-    spans = [(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
-
-    def run(span):
-        """(successes, stage counts, first failure samples) of one span."""
-        lo, hi = span
-        pos, counts = sampler.run_chunk(config.master_seed, lo, hi)
+    successes, counts, failures = 0, [], []
+    for lo in range(0, config.trials, _CHUNK):
+        hi = min(lo + _CHUNK, config.trials)
+        pos, chunk_counts = sampler.run_chunk(config.master_seed, lo, hi)
         failed = np.flatnonzero(pos.any(axis=0))
-        kept = [(lo + int(i), _position(pos[:, i], d)) for i in failed[:keep]]
-        return hi - lo - failed.size, counts, kept
-
-    if config.threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, spans))
-    else:
-        results = [run(span) for span in spans]
-
-    ok, counts, kept = zip(*results)
-    successes = sum(ok)
+        successes += hi - lo - failed.size
+        counts.append(chunk_counts)
+        failures += [(lo + int(i), _position(pos[:, i], d))
+                     for i in failed[:keep - len(failures)]]
     schedule = sampler.schedule
     stage_stats = None if schedule is None else _stage_rows(sum(counts), schedule)
-    failures = [f for part in kept for f in part][:keep] if keep else None
 
     lo, hi = wilson_interval(successes, config.trials)
     return EstimateReport(
@@ -205,8 +186,8 @@ def estimate_success(config: McConfig) -> EstimateReport:
         trials=config.trials, master_seed=config.master_seed,
         successes=successes, p_hat=successes / config.trials,
         wilson_lo=lo, wilson_hi=hi, stage_stats=stage_stats,
-        failures=failures, wall_time_s=time.perf_counter() - t0,
-        threads=config.threads, sampler=sampler.name,
+        failures=failures if keep else None,
+        wall_time_s=time.perf_counter() - t0, sampler=sampler.name,
         chunks=-(-config.trials // _CHUNK),
         lead_table_entries=sampler.lead_table_entries)
 
@@ -310,16 +291,18 @@ def sweep(cells: list[dict], master_seed: int, default_trials: int = 10_000,
     leaves no marker, so a rerun retries it.  A marker is keyed by a hash of
     (cell, master seed, trials, schema version) and written atomically; a
     torn marker or one keyed for another configuration is recomputed.
+    ``threads`` is checked as ``McConfig`` checks it and changes no run.
     ``cells`` that is not a list, ``default_trials`` that is not a positive
-    int, ``threads`` below 1 or a master seed outside [0, 2**64) raises
-    ValueError before any cell runs; a cell that is not an object with a
-    ``strategy`` object, or whose ``d``, ``n``, ``m`` or ``trials`` is not an
-    integer in range, is an error row.
+    int, ``threads`` that is not an int >= 1 or a master seed outside
+    [0, 2**64) raises ValueError before any cell runs; a cell that is not an
+    object with a ``strategy`` object, or whose ``d``, ``n``, ``m`` or
+    ``trials`` is not an integer in range, is an error row.
     """
     if not isinstance(cells, list):
         raise ValueError(f"cells must be a list, got {type(cells).__name__}")
     if type(default_trials) is not int or default_trials < 1:
         raise ValueError(f"default_trials must be a positive int, got {default_trials!r}")
+    _check_integer("threads", threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     check_seed(master_seed)

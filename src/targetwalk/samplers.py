@@ -30,19 +30,18 @@ laws:
 
 ``StagedSampler`` runs a plan for all trials of a chunk in lockstep on
 numpy arrays, drawing from one counter-based stream keyed by (master seed,
-chunk index); chunks hold a fixed ``_CHUNK`` trials, so results do not
-depend on the thread count.  A call runs any run of whole chunks, so that
-the lead table inverts the draws of all of them at once.
+chunk index); chunks hold a fixed ``_CHUNK`` trials, so a trial's draws
+depend on the master seed and its index alone.
 ``GenericSampler`` runs any strategy one step at a time, calling ``decide``
 and ``next_phase`` and never reading the plan, and is the reference the
 staged sampler is tested against.  It too runs a chunk in lockstep, on
 the step-by-step engine of ``walk``, from a stream keyed by (master seed,
-chunk index) with a tag of its own, and a run of chunks one after another.
+chunk index) with a tag of its own.
 
-Both return a run of chunks as its (d, trials) lattice end positions and
-its stage counts, one row per ``STAGE_COUNTS`` name and one column per
-stage (None without a schedule); ``mc.estimate_success`` hands them spans
-of chunks and turns the results into the report.
+Both return one chunk as its (d, trials) lattice end positions and its
+stage counts, one row per ``STAGE_COUNTS`` name and one column per stage
+(None without a schedule); ``mc.estimate_success`` runs the chunks in
+order and turns the results into the report.
 """
 
 from __future__ import annotations
@@ -281,11 +280,11 @@ def _seek(g: np.random.Generator, pos: np.ndarray, t0: int,
 
 
 class Sampler:
-    """Base chunk runner; subclasses fill run_chunk, which returns trials
-    lo..hi - 1 as their (d, hi - lo) lattice end positions and their
-    (STAGE_COUNTS, u + 2) stage counts, or None where ``schedule`` is None.
-    The trials may span several chunks of ``_CHUNK``, each on its own
-    stream, and give what the chunks give one by one, joined in order."""
+    """Base chunk runner; subclasses fill run_chunk, which runs one chunk:
+    trials lo..hi - 1, with lo a multiple of ``_CHUNK`` and hi - lo at most
+    ``_CHUNK``, on the stream of chunk lo // ``_CHUNK``.  It returns them as
+    their (d, hi - lo) lattice end positions and their (STAGE_COUNTS, u + 2)
+    stage counts, or None where ``schedule`` is None."""
 
     name = "sampler"
     schedule: Optional[Schedule] = None
@@ -298,16 +297,12 @@ class Sampler:
 
 class StagedSampler(Sampler):
     """All trials of a chunk run a plan in lockstep: one endpoint for the
-    leading walk and crawl, then a seek and a crawl per stage time.  The
-    lead's table, if it has one, is built here and shared by every chunk.
-
-    ``run_chunk`` takes any run of whole chunks: ``lo`` must be a multiple
-    of ``_CHUNK``, and each chunk's stream is keyed by (master seed, its
-    first trial // _CHUNK).  Every chunk draws its lead from its own stream,
-    and one table inversion serves the draws of the whole run.  Each chunk
-    then runs its stages on its own stream, on its slice of the run's
-    (d, trials) diagonal coordinates, with one mask of trials whose seek
-    missed.  In d = 2 the run is turned into lattice coordinates at the end.
+    leading walk and crawl, then a seek and a crawl per stage time, on
+    (d, trials) diagonal coordinates with one mask of trials whose seek
+    missed.  ``run_chunk`` runs one chunk per call, all of it on the stream
+    keyed by (master seed, chunk index).  The lead's table, if it has one,
+    is built here and shared by every chunk.  In d = 2 the chunk is turned
+    into lattice coordinates at the end.
     """
 
     name = "staged"
@@ -332,35 +327,15 @@ class StagedSampler(Sampler):
     def run_chunk(self, master_seed, lo, hi):
         d, k = self.problem.d, hi - lo
         sched, plan = self.schedule, self.plan
-        chunks = [(_rng.chunk_generator(master_seed, a // _CHUNK),
-                   slice(a - lo, min(a + _CHUNK, hi) - lo)) for a in range(lo, hi, _CHUNK)]
+        g = _rng.chunk_generator(master_seed, lo // _CHUNK)
         pos = np.zeros((d, k), dtype=np.int64)
+        if self._lead is not None:
+            self._lead.add_endpoints(g.random((d, k)), pos)
+        elif plan.walk or plan.crawl:
+            crawled = self._crawl_steps(g, np.full(k, plan.crawl, dtype=np.int64))
+            pos = _endpoints(g, plan.walk + crawled, d)
         counts = None if sched is None else np.zeros((len(STAGE_COUNTS), sched.u + 2),
                                                      dtype=np.int64)
-        if self._lead is not None:
-            # each chunk draws its own uniforms; one inversion serves them all
-            self._lead.add_endpoints(np.concatenate(
-                [g.random((d, cols.stop - cols.start)) for g, cols in chunks], axis=1), pos)
-        elif plan.walk or plan.crawl:
-            for g, cols in chunks:
-                size = cols.stop - cols.start
-                crawled = self._crawl_steps(g, np.full(size, plan.crawl, dtype=np.int64))
-                pos[:, cols] = _endpoints(g, plan.walk + crawled, d)
-        for g, cols in chunks:
-            self._run_stages(g, pos[:, cols], counts)
-        if d == 2:
-            # (x + y, x - y) -> (x, y), in place
-            pos[0] += pos[1]
-            pos[0] >>= 1
-            pos[1] = pos[0] - pos[1]
-        return pos, counts
-
-    def _run_stages(self, g: np.random.Generator, pos: np.ndarray,
-                    counts: Optional[np.ndarray]) -> None:
-        """Run the plan's stages on one chunk's (d, k) diagonal positions, a
-        view moved in place, and add their events to ``counts``."""
-        d, k = pos.shape
-        sched, plan = self.schedule, self.plan
         walking = np.zeros(k, dtype=bool)      # missed a seek: steps every time
         was_in = np.ones(k, dtype=bool)        # W_0 is the origin, inside window 0
         t = plan.walk + plan.crawl
@@ -379,13 +354,18 @@ class StagedSampler(Sampler):
             t = t_end
             if counts is not None:
                 was_in = _tally_stage(counts, stage, sched, pos, alive, hit, was_in)
+        if d == 2:
+            # (x + y, x - y) -> (x, y), in place
+            pos[0] += pos[1]
+            pos[0] >>= 1
+            pos[1] = pos[0] - pos[1]
+        return pos, counts
 
 
 class GenericSampler(Sampler):
     """Reference path: run any strategy one step at a time, all trials of a
     chunk in lockstep (``walk._lockstep``) on one stream keyed by (master
-    seed, chunk index), which the staged sampler's keys never equal; the
-    chunks of a run go one after another."""
+    seed, chunk index), which the staged sampler's keys never equal."""
 
     name = "generic"
 
@@ -394,19 +374,14 @@ class GenericSampler(Sampler):
         self.strategy = strategy
 
     def run_chunk(self, master_seed, lo, hi):
-        parts = []
-        for a in range(lo, hi, _CHUNK):
-            g = _rng.step_chunk_generator(master_seed, a // _CHUNK)
-            try:
-                for _, _, pos in _lockstep(self.strategy, self.problem,
-                                           min(a + _CHUNK, hi) - a, g):
-                    pass
-            except AdmissibilityError as exc:
-                # chunks run in order, so this is the lowest offending trial
-                exc.trial_index += a
-                raise
-            parts.append(pos)
-        return np.concatenate(parts, axis=1), None
+        g = _rng.step_chunk_generator(master_seed, lo // _CHUNK)
+        try:
+            for _, _, pos in _lockstep(self.strategy, self.problem, hi - lo, g):
+                pass
+        except AdmissibilityError as exc:
+            exc.trial_index += lo
+            raise
+        return pos, None
 
 
 def make_sampler(strategy: Strategy, problem: Problem) -> Sampler:

@@ -237,7 +237,12 @@ def stage_count(n: int, m: int, lam: float) -> int:
     if m > n:
         return 0
     frac = _exponent(lam)
-    k = _log_stage_estimate(n, m, frac)
+    return _corrected_count(n, m, frac, _log_stage_estimate(n, m, frac))
+
+
+def _corrected_count(n: int, m: int, frac: Fraction, k: int) -> int:
+    """Largest k >= 0 with m**(1 + k*frac) <= n, for m <= n, from the log
+    estimate ``k`` by exact power comparisons."""
     while k > 0 and not _power_leq(m, 1 + k * frac, n):
         k -= 1
     while _power_leq(m, 1 + (k + 1) * frac, n):
@@ -268,12 +273,16 @@ def _floor_power(m: int, exponent: Fraction) -> int:
 
 
 def _capped_stage_count(n: int, m: int, lam: float) -> int:
-    """``stage_count``, or ScheduleError when it exceeds ``STAGE_CAP``.  A
-    lower bound from the log form is compared with the cap first, so a
-    refused count takes no exact power of a large n."""
-    if m <= n and _log_stage_estimate(n, m, _exponent(lam)) - 1 > STAGE_CAP:
+    """``stage_count`` of the sizes a schedule takes (2 <= m < n), or
+    ScheduleError when it exceeds ``STAGE_CAP``.  One log estimate serves
+    both steps: one less than it, a lower bound, is compared with the cap
+    first, so a refused count takes no exact power of a large n; then the
+    exact powers correct it."""
+    frac = _exponent(lam)
+    k = _log_stage_estimate(n, m, frac)
+    if k - 1 > STAGE_CAP:
         raise ScheduleError(f"stage count exceeds the cap {STAGE_CAP}")
-    u_n = stage_count(n, m, lam)
+    u_n = _corrected_count(n, m, frac, k)
     if u_n > STAGE_CAP:
         raise ScheduleError(f"stage count {u_n} exceeds the cap {STAGE_CAP}")
     return u_n

@@ -189,7 +189,9 @@ def run_suite(name: str, trials: int | None = None, seed: int = 20240601,
               fast: bool = False) -> list[Result]:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials is not None:
+        _walk._check_integer("trials", trials)
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
     return _SUITES[name](trials, seed, fast)

@@ -377,10 +377,12 @@ def test_invariants_suite_streams_differ_at_the_top_seed(monkeypatch):
 
 def test_sweep_rejects_bad_threads_before_any_cell(tmp_path):
     cells = [{"d": 1, "n": 10, "m": 2, "strategy": {"name": "always_step"}}]
-    with pytest.raises(ValueError, match="threads"):
-        sweep(cells, master_seed=11, default_trials=100, threads=0,
-              out_dir=str(tmp_path))
-    assert list(tmp_path.iterdir()) == []
+    for threads, match in ((0, "threads must be >= 1"), (1.5, "threads must be an integer"),
+                           (True, "threads must be an integer")):
+        with pytest.raises(ValueError, match=match):
+            sweep(cells, master_seed=11, default_trials=100, threads=threads,
+                  out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 _CELLS = [{"d": 1, "n": 10, "m": 2, "strategy": {"name": "always_step"}}]
@@ -407,15 +409,16 @@ def test_run_suite_refuses_an_unknown_suite():
         run_suite("reflexion", fast=True)
 
 
-@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("trials", [0, -5, 2.5, True])
 def test_run_suite_rejects_trials_below_1_before_any_suite(monkeypatch, trials):
     import targetwalk.verify as verify_mod
 
     calls = []
     for name in list(verify_mod._SUITES):
         monkeypatch.setitem(verify_mod._SUITES, name, lambda *a: calls.append(a))
+    match = "must be an integer" if trials in (2.5, True) else "trials must be >= 1"
     for name in verify_mod._SUITES:
-        with pytest.raises(ValueError, match="trials must be >= 1"):
+        with pytest.raises(ValueError, match=match):
             run_suite(name, trials=trials, fast=True)
     assert calls == []
 
@@ -535,23 +538,22 @@ def test_sweep_csv_columns(tmp_path):
     assert header.startswith("cell,d,n,m,strategy,delayed,params,trials")
 
 
-# two full spans of _SPAN = 4 chunks, then a span of one chunk and 17 trials
-_SPAN_TRIALS = 2 * 4 * 4096 + 4096 + 17
+# nine full chunks and one of 17 trials
+_CHUNKED_TRIALS = 9 * 4096 + 17
 
 
 @pytest.mark.parametrize("spec, d, n, m", [({"name": "lazy_max"}, 2, 4096, 16),
                                            ({"name": "lazy_then_sprint"}, 1, 10**4, 100)])
-def test_spans_report_what_single_chunks_report(monkeypatch, spec, d, n, m):
-    """A pool task runs a span of chunks; one thread, like the reference
-    (``_SPAN`` = 1), runs ``run_chunk`` one chunk at a time.  ``lazy_max`` is a lead alone,
-    which the table inverts once per span; ``lazy_then_sprint`` follows its
-    lead by a stage, which runs chunk by chunk.  Reports must match byte for
-    byte at 1, 2 and 3 threads, stored failures included.
+def test_chunks_run_one_call_each_in_order(monkeypatch, spec, d, n, m):
+    """``estimate_success`` runs ``run_chunk`` once per chunk, in trial
+    order, at any thread count.  ``lazy_max`` is a lead alone, drawn from
+    the lead table; ``lazy_then_sprint`` follows its lead by a stage.
+    Reports must match byte for byte at 1, 2 and 8 threads, stored failures
+    included.
 
-    Power: a span that drew every chunk's lead from one stream, ran a
-    chunk's stages on another chunk's stream or stored its failures out of
-    order moves the digest."""
-    from targetwalk import mc
+    Power: a call that ran several chunks, chunks run out of order or a
+    thread count that changed how the trials run fails the call list or
+    moves the report."""
     from targetwalk.samplers import StagedSampler
 
     calls = []
@@ -562,38 +564,34 @@ def test_spans_report_what_single_chunks_report(monkeypatch, spec, d, n, m):
         return run_chunk(self, master_seed, lo, hi)
 
     monkeypatch.setattr(StagedSampler, "run_chunk", recording)
+    chunks = [(lo, min(lo + 4096, _CHUNKED_TRIALS))
+              for lo in range(0, _CHUNKED_TRIALS, 4096)]
 
     def report(threads):
+        calls.clear()
         cfg = McConfig(problem=Problem(d=d, n=n, m=m), strategy=spec,
-                       trials=_SPAN_TRIALS, master_seed=24, threads=threads,
+                       trials=_CHUNKED_TRIALS, master_seed=24, threads=threads,
                        store_failures=7)
         rep = estimate_success(cfg)
         assert rep.chunks == 10
+        assert calls == chunks, threads
         return rep.to_json(include_runtime=False)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(mc, "_SPAN", 1)
-        reference = report(1)
-    reference_calls = list(calls)
-    assert len(calls) == 10 and all(hi - lo <= 4096 for lo, hi in calls)
+    reference = report(1)
     assert len(json.loads(reference)["failures"]) == 7
-    for threads in (1, 2, 3):
-        calls.clear()
+    for threads in (2, 8):
         assert report(threads) == reference, threads
-        spans = [(0, 16384), (16384, 32768), (32768, _SPAN_TRIALS)]
-        assert sorted(calls) == (spans if threads > 1 else reference_calls)
 
 
-def test_generic_spans_name_the_lowest_offender_in_a_later_span(monkeypatch):
+def test_generic_sampler_names_the_lowest_offender_in_a_later_chunk(monkeypatch):
     """The strategy steps 13 times and then stands from time 13 if it is at
     13, so it is inadmissible at time 13 + m for trials whose first 13
     steps all went up; its first 13 steps draw one move for every trial, as
     always_step's do.  At seed 23 the offenders are trials 20586, 24719 and
-    31627, in chunks 5, 6 and 7 of the second span, so the span must report
-    the lowest of its chunks at every thread count."""
+    31627, in chunks 5, 6 and 7, so the estimate must report the lowest of
+    them at every thread count."""
     from targetwalk import AdmissibilityError, Decision, mc
     from targetwalk.rng import step_chunk_generator
-    from targetwalk.samplers import GenericSampler
     from targetwalk.strategies import Strategy, always_step
     from targetwalk.walk import _lockstep
 
@@ -618,9 +616,6 @@ def test_generic_spans_name_the_lowest_offender_in_a_later_span(monkeypatch):
 
     p = Problem(d=1, n=climb + 4, m=3)
     strategy = StandAtTheTopOfAClimb()
-    with pytest.raises(AdmissibilityError) as err:
-        GenericSampler(p, strategy).run_chunk(seed, 16384, 32768)
-    assert (err.value.trial_index, err.value.time_step) == (20586, climb + 3)
     monkeypatch.setattr(mc, "strategy_from_spec", lambda *args: strategy)
     for threads in (1, 2, 3):
         with pytest.raises(AdmissibilityError) as err:

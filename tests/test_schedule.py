@@ -312,6 +312,29 @@ def test_stage_count_corrects_a_low_log_estimate_upward(monkeypatch, n, m, lam):
     assert stage_count(n, m, lam) == want
 
 
+@pytest.mark.parametrize("eta", [0.5, 1 / math.sqrt(2)])
+def test_a_build_takes_one_log_estimate(monkeypatch, eta):
+    """The cap's precheck and the exact count share one decimal log
+    estimate, in both builders and in ``validate_regime``; taking it again
+    for the count fails."""
+    import targetwalk.schedule as schedule
+
+    calls = []
+    estimate = schedule._log_stage_estimate
+
+    def counted(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(schedule, "_log_stage_estimate", counted)
+    params = ScheduleParams1D(n=10**18, m=1000, eta=eta)
+    for build in (lambda: build_schedule_1d(params), lambda: validate_regime(params),
+                  lambda: build_schedule_2d(ScheduleParams2D(n=10**18, m=1000))):
+        calls.clear()
+        build()
+        assert len(calls) == 1, build
+
+
 def test_power_floor_is_exact_without_a_small_denominator():
     """An exponent with no small-denominator form takes the floor of a
     decimal power of m**e.  It equals a 60-digit Decimal floor everywhere
